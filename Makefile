@@ -44,9 +44,10 @@ test-recovery:
 	PYTHONPATH=src python -m pytest tests/test_engine_recovery.py -q
 
 # Serving runtime suite: shard-equivalence (shards x corpus profiles),
-# overload/backpressure accounting, micro-batcher and telemetry units.
+# overload/backpressure accounting, micro-batcher and telemetry units,
+# and the keyed state pass (messages naming handles on several shards).
 test-serve:
-	PYTHONPATH=src python -m pytest tests/test_serve_runtime.py tests/test_serve_telemetry.py -q
+	PYTHONPATH=src python -m pytest tests/test_serve_runtime.py tests/test_serve_telemetry.py tests/test_serve_state.py -q
 
 # Consistent-hash ring, rebalance schedules, hot-key splitting, and
 # shard failover: the elastic-serving equivalence suite.

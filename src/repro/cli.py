@@ -381,7 +381,7 @@ def cmd_serve_bench(args) -> int:
         shares = ", ".join(
             f"{key} ({share:.1%})" for key, share in result.hot_keys.items()
         )
-        print(f"hot keys split over salted sub-keys: {shares}")
+        print(f"hot keys scored over salted sub-keys: {shares}")
     for change in result.rebalances:
         print(
             f"rebalance at t={change['time']:.2f}s: "
@@ -1021,8 +1021,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--hot-key-share", type=float, default=0.02,
-        help="traffic share at which a routing key is split over "
-        "salted sub-keys (0 disables hot-key splitting)",
+        help="traffic share at which a routing key's scoring is split "
+        "over salted sub-keys (0 disables hot-key splitting)",
     )
     p_serve.add_argument(
         "--ring-vnodes", type=_parse_jobs, default=128,

@@ -6,9 +6,13 @@ round: authenticate every arrival against presented credentials, run
 admission control (per-tenant token bucket + shared fleet-capacity
 bucket + hard quotas, all on simulated time), stamp admitted messages
 with their tenant id, and serve them through the shared fleet.  The
-tenant id joins both the shard-routing key and the monitor's per-target
-state key (:func:`repro.service.monitor.tenant_scope`), which yields
-the subsystem's headline invariant:
+fleet scores the messages on stateless shards, then applies them in
+stream order to keyed state: the state of handle *h* for tenant *t*
+lives only on the ring owner of ``tenant_scope(t) + h``
+(:func:`repro.service.monitor.tenant_scope`), and after a shard kill
+every later message waits for the requeued ones.  The scope prefix
+keeps two tenants naming the same target apart, which yields the
+subsystem's headline invariant:
 
     Each tenant's merged alert stream is byte-identical to running that
     tenant's admitted traffic alone through a single monitor — for any
@@ -287,7 +291,7 @@ class Gateway:
                 ledger_telemetry.alerts_delivered += 1
                 ledger_telemetry.feed_evicted += feed.publish(alert)
                 # Delivery latency: the alert is visible in the feed
-                # when its message's batch completes.
+                # when its message completes.
                 ledger_telemetry.feed_latency.record(
                     result.completions[alert.message_id]
                     - arrived_at[alert.message_id]

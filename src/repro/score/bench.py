@@ -156,7 +156,7 @@ def run_score_bench(
         n_detections = int(
             ((scored.cth_scores > threshold) | (scored.dox_scores > threshold)).sum()
         )
-        breakdown = cost.breakdown(scored.work, n_alerts=0)
+        breakdown = cost.breakdown(scored.work)
         if batch_span is not None:
             batch_span.close(simulated, simulated + breakdown.total_seconds)
             batch_span.annotate(detections=n_detections)

@@ -110,21 +110,6 @@ class ScoreWork:
     coded_messages: int = 0
     coding_cache_hits: int = 0
 
-    @classmethod
-    def for_uncached_texts(cls, texts: Sequence[str]) -> "ScoreWork":
-        """The all-miss ledger: every text tokenized, nothing extracted.
-
-        This is what a core-less scorer (legacy monitors, test doubles)
-        is billed — identical to the pre-breakdown affine cost model.
-        """
-        chars = sum(len(t) for t in texts)
-        return cls(
-            messages=len(texts),
-            chars=chars,
-            tokenized_messages=len(texts),
-            tokenized_chars=chars,
-        )
-
     def merge(self, other: "ScoreWork") -> "ScoreWork":
         """Counter-wise sum with ``other`` (neither operand is mutated)."""
         return ScoreWork(**{
@@ -210,29 +195,6 @@ class ScoredBatch:
         """Taxonomy coding for message ``index`` (cached in the core)."""
         return self._core.code_text(self.messages[index].text, work=self.work)
 
-    def subset(self, indices: Sequence[int]) -> "ScoredBatch":
-        """Scored view of the selected messages, in ``indices`` order.
-
-        The work ledger and core are *shared* with the parent batch:
-        lazy extraction/coding triggered through the subset still bills
-        the batch the messages were scored in.  The serve runtime uses
-        this to peel hot-key messages out of a batch before the
-        stateful alerting pass (their state replay happens at
-        reunification instead).
-        """
-        return ScoredBatch(
-            messages=[self.messages[i] for i in indices],
-            features=(
-                self.features[list(indices)]
-                if self.features is not None else None
-            ),
-            cth_scores=self.cth_scores[list(indices)],
-            dox_scores=self.dox_scores[list(indices)],
-            work=self.work,
-            _extractions=[self._extractions[i] for i in indices],
-            _core=self._core,
-        )
-
     @classmethod
     def from_precomputed(
         cls,
@@ -244,12 +206,13 @@ class ScoredBatch:
     ) -> "ScoredBatch":
         """Rebuild a scored batch from stored scores and extractions.
 
-        The failover/hot-key reunification path stores ``(message,
-        scores, extraction)`` tuples while shards do the expensive
-        scoring, then replays them through a monitor's stateful pass —
-        no re-tokenization, no re-extraction.  ``features`` is ``None``
-        (the state path never reads it) and the fresh work ledger only
-        accumulates lazy taxonomy-coding done during the replay.
+        The serving runtime's shards keep only ``(message, scores,
+        extraction)`` per message once a batch is scored; its keyed
+        state pass rebuilds batches from them for
+        :meth:`HarassmentMonitor.process_scored` — no re-tokenization,
+        no re-extraction.  ``features`` is ``None`` (the state path never
+        reads it) and the fresh work ledger only accumulates the lazy
+        taxonomy coding done during the pass.
         """
         if not (
             len(messages) == len(cth_scores) == len(dox_scores)

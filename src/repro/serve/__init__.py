@@ -3,18 +3,20 @@
 The deployment the paper's release intent implies (§3, §9.2) has to
 score messages *online* at ingest rate.  This package turns the
 single-object :class:`repro.service.HarassmentMonitor` into a serving
-fleet: a consistent-hash ring (seeded virtual nodes) partitions the
-stream across shards (keyed on the primary target handle so
-campaign/escalation state stays shard-local), each shard consumes a
-bounded queue through a micro-batcher with configurable overload
-policies, and telemetry plus a deterministic open-loop load generator
-make latency, throughput, and shed/drop behaviour measurable without
-ever reading a wall clock.  The ring is elastic: a rebalance schedule
-(explicit or telemetry-planned) resizes the fleet at epoch boundaries
-with per-target monitor state migrating to the new owners, hot routing
-keys split over salted sub-keys (with a stream-order reunification
-replay for stateful alerts), and a mid-run shard kill fails queued work
-and serialized target state over to the survivors.
+fleet that works in two stages.  Stateless scoring: a consistent-hash
+ring (seeded virtual nodes) partitions the stream across shards, each
+consuming a bounded queue through a micro-batcher with configurable
+overload policies; hot routing keys fan out over salted sub-keys.
+Keyed state: the coordinator then applies the scored messages in stream
+order, with each target handle's campaign/escalation state held by the
+ring owner of that handle.  Telemetry plus a deterministic open-loop
+load generator make latency, throughput, and shed/drop behaviour
+measurable without ever reading a wall clock.  The ring is elastic: a
+rebalance schedule (explicit or telemetry-planned) resizes the fleet at
+epoch boundaries with per-target state migrating to the new owners, and
+a mid-run shard kill requeues queued work and fails serialized target
+state over to the survivors, and later messages wait for the requeued
+ones before their state is applied.
 
 ``repro serve-bench`` drives it from the CLI; the headline invariant —
 merged sharded alerts identical to single-monitor output — is asserted
@@ -46,7 +48,6 @@ from repro.serve.runtime import (
     ServingRuntime,
     alert_sort_key,
     routing_key,
-    shard_for,
 )
 from repro.serve.telemetry import (
     LatencyHistogram,
@@ -82,5 +83,4 @@ __all__ = [
     "generate_arrivals",
     "routing_key",
     "salt_key",
-    "shard_for",
 ]

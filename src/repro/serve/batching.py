@@ -85,7 +85,7 @@ class CostBreakdown:
     texts that missed the token cache), **score** (vectorizer dispatch
     plus model dot products — the only part every message always pays),
     **extract** (PII regex runs that missed the extraction cache), and
-    **state** (per-alert target-state bookkeeping in the monitor).
+    **state** (per-detection target-state bookkeeping in the monitor).
     """
 
     tokenize_seconds: float = 0.0
@@ -150,7 +150,7 @@ class ServiceCostModel:
     per_message_seconds: float = 4e-4
     per_char_seconds: float = 2e-6
     extract_per_char_seconds: float = 1e-6
-    state_per_alert_seconds: float = 5e-5
+    state_per_detection_seconds: float = 5e-5
 
     def __post_init__(self) -> None:
         for name in (
@@ -158,7 +158,7 @@ class ServiceCostModel:
             "per_message_seconds",
             "per_char_seconds",
             "extract_per_char_seconds",
-            "state_per_alert_seconds",
+            "state_per_detection_seconds",
         ):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -166,8 +166,14 @@ class ServiceCostModel:
         if self.batch_overhead_seconds + self.per_message_seconds <= 0:
             raise ValueError("a batch must take positive simulated time")
 
-    def breakdown(self, work: ScoreWork, n_alerts: int = 0) -> CostBreakdown:
-        """Bill a batch's work ledger per component."""
+    def breakdown(self, work: ScoreWork, n_detections: int = 0) -> CostBreakdown:
+        """Bill a batch's work ledger per component.
+
+        ``n_detections`` counts the batch's messages over either
+        threshold: the only ones the keyed state pass has work for.  It
+        is known when scoring ends, so a batch's simulated time never
+        waits on the state pass.
+        """
         return CostBreakdown(
             tokenize_seconds=self.per_char_seconds * work.tokenized_chars,
             score_seconds=(
@@ -175,14 +181,5 @@ class ServiceCostModel:
                 + self.per_message_seconds * work.messages
             ),
             extract_seconds=self.extract_per_char_seconds * work.extracted_chars,
-            state_seconds=self.state_per_alert_seconds * n_alerts,
+            state_seconds=self.state_per_detection_seconds * n_detections,
         )
-
-    def service_seconds(self, texts: Sequence[str]) -> float:
-        """Worst-case (all caches cold, no extraction) batch time.
-
-        Equivalent to ``breakdown(ScoreWork.for_uncached_texts(texts))``
-        — the pre-scoring-core cost of a batch, kept for callers that
-        size batching policies without a work ledger.
-        """
-        return self.breakdown(ScoreWork.for_uncached_texts(texts)).total_seconds

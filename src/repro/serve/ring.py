@@ -2,7 +2,7 @@
 
 Routing in :mod:`repro.serve.runtime` used to be ``stable_hash(key) %
 n_shards`` — changing the shard count rehashed nearly every key, so the
-fleet could never grow or shrink without forfeiting shard-local
+fleet could never grow or shrink without moving nearly all per-target
 campaign state.  The :class:`HashRing` here places ``vnodes`` seeded
 virtual nodes per shard on a 64-bit ring (every point is
 ``stable_hash("serve-ring", shard, replica)``, so placement is a pure
@@ -18,8 +18,9 @@ Two more pieces live here because they are pure policy over the ring:
   shard no matter how the ring is balanced.  :func:`detect_hot_keys`
   finds routing keys whose traffic share crosses a threshold and
   :func:`salt_key` fans each one out over deterministic salted
-  sub-keys; the runtime reunifies the split alert path afterwards
-  (see ``DESIGN.md`` §14 for why that preserves the alert invariant).
+  sub-keys.  The runtime salts only its stateless scoring stage; the
+  target's state stays with the owner of the unsalted key (see
+  ``DESIGN.md`` §14).
 * **Rebalance plans** — :class:`RebalancePlanner` turns the queue-depth
   and latency signals already in
   :class:`~repro.serve.telemetry.ShardTelemetry` into explicit

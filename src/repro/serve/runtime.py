@@ -1,16 +1,32 @@
-"""Sharded serving runtime: ring routing, per-shard servers, merged alerts.
+"""Sharded serving runtime: stateless scoring, then a keyed state pass.
 
-The runtime partitions an arrival stream across worker shards with a
-:class:`~repro.serve.ring.HashRing` (seeded virtual nodes, so changing
-the shard count only moves the keys on the affected arcs — the old
-``stable_hash % n_shards`` rehashed nearly everything).  Routing is
-*stable* and keyed on the message's primary target handle, falling back
-to a platform/channel key for messages that reference no target — so
-every per-target campaign and escalation decision sees exactly the
-messages a single monitor would have seen for that target.  The router
-runs the PII extraction (through a bounded LRU, once per distinct text)
-and attaches it to the routed message, so the shard's monitor never
-re-extracts.  That is the headline invariant:
+:meth:`ServingRuntime.run` serves an arrival stream in epochs, and each
+epoch in two stages:
+
+1. **Scoring** (stateless).  The router runs the PII extraction once
+   per distinct text (bounded LRU) and keys each message on its primary
+   target handle, falling back to a platform/channel key
+   (:func:`routing_key`).  A key carrying at least ``hot_key_share`` of
+   the traffic is salted over ``hot_key_fanout`` sub-keys: scoring is a
+   pure function of the text, so this is only a load-balancing rule.
+   The :class:`~repro.serve.ring.HashRing` owner of the (possibly
+   salted) key queues the message in its
+   :class:`~repro.serve.queueing.BoundedQueue`, and a
+   :class:`~repro.serve.batching.MicroBatcher` flushes batches into its
+   monitor's scoring core.  Shards share nothing, so ``run(jobs=N)``
+   scores them on a thread pool with identical results.  This stage
+   alone fixes every batch's simulated time.
+2. **State** (keyed).  The coordinator applies the epoch's scored
+   messages in stream order through
+   :meth:`HarassmentMonitor.process_scored`, the one copy of the alert
+   rules.  The state of handle *h* for tenant *t* lives only on the
+   monitor of ``ring.owner(tenant_scope(t) + h)``.  A message is applied
+   on the owner of its unsalted routing key; a detection naming further
+   handles that other shards own borrows their state for that one call
+   and hands it back.  Only scores and extractions cross between the
+   stages, never feature matrices.
+
+That gives the headline invariant:
 
     For the ``block`` policy, the merged alert stream — sorted by
     ``(timestamp, message_id, kind)`` — is identical, field for field,
@@ -18,51 +34,42 @@ re-extracts.  That is the headline invariant:
     shard count, any rebalance schedule, any hot-key split, and any
     kill-and-failover sequence.
 
-Three elastic mechanisms ride on the ring:
+Two elastic mechanisms change the ring at epoch boundaries, and per-
+target state migrates to each handle's new owner through the
+:class:`~repro.service.monitor.TargetStateSnapshot` contract:
 
-* **Rebalancing** — :meth:`ServingRuntime.run` accepts a
-  :class:`~repro.serve.ring.RebalanceSchedule`; the stream is served in
-  epochs and at each boundary the ring changes (explicit shard counts,
-  or plans from a :class:`~repro.serve.ring.RebalancePlanner`), with
-  per-target monitor state migrating to each handle's new owner via the
-  :class:`~repro.service.monitor.TargetStateSnapshot` contract.
-* **Hot-key splitting** — a routing key carrying more than
-  ``hot_key_share`` of the traffic is fanned out over salted sub-keys.
-  Sub-shards do the expensive scoring; messages that carry target
-  handles defer their *stateful* alert pass, which replays once, in
-  stream order, through a reunification monitor after the last epoch —
-  so campaign windows see the split key's messages exactly as a single
-  monitor would.
+* **Rebalancing** — a :class:`~repro.serve.ring.RebalanceSchedule`
+  resizes the fleet to explicit shard counts, or lets a
+  :class:`~repro.serve.ring.RebalancePlanner` decide from telemetry.
 * **Failover** — a :class:`~repro.serve.ring.KillSpec` kills a shard
   mid-run: it finishes its in-flight batch, its queued messages are
   requeued to the surviving owners (accounted through the ``requeued``
-  bucket, never lost), and its per-target state is serialized through
-  the JSON snapshot round-trip and replayed into the survivors.
-
-Each shard owns its own :class:`HarassmentMonitor` (persistent across
-epochs) and consumes its :class:`~repro.serve.queueing.BoundedQueue`
-through a :class:`~repro.serve.batching.MicroBatcher`.  Time is fully
-simulated; shards are independent after routing, so ``run(jobs=N)`` may
-simulate each epoch on a thread pool with identical results.
+  bucket, never lost), and its state round-trips through the snapshot's
+  JSON form into the survivors.  A requeued message must apply its
+  state before any later message, so the state pass holds back every
+  message after the first requeued one until the requeued ones have
+  been scored in the next epoch.  A held message completes, and its
+  alerts are timed, no earlier than the requeued messages before it.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from repro.obs.recorder import RunObserver
-from repro.obs.trace import Tracer
-from repro.score.core import Extraction, ScoredBatch, ScoreWork, extract_targets
+from repro.obs.trace import SpanContext, Tracer
+from repro.score.core import Extraction, ScoredBatch, extract_targets
 from repro.service.monitor import (
     Alert,
     HarassmentMonitor,
     MonitorStats,
     TargetStateSnapshot,
-    target_handles,
     tenant_scope,
 )
 from repro.service.stream import StreamMessage
@@ -87,52 +94,28 @@ def alert_sort_key(alert: Alert) -> tuple[float, int, str]:
     return (alert.timestamp, alert.message_id, alert.kind.value)
 
 
-def routing_key(
-    message: StreamMessage, extraction: Extraction | None = None
-) -> str:
-    """Stable shard-routing key: primary target handle, else channel.
+def routing_key(message: StreamMessage, extraction: Extraction) -> str:
+    """Stable routing key: primary target handle, else channel.
 
-    ``extraction`` lets the router reuse a PII extraction it already
-    computed — the production path in :meth:`ServingRuntime.run` passes
-    it so routing never triggers a second regex pass.  Without it this
-    function extracts on the spot (compat path for direct callers).
+    ``extraction`` is the message's PII extraction, which the router
+    computes once per distinct text.
 
     The channel fallback is lowercased: handles are case-folded before
     dedupe (PR 5), and ``channel:Twitter:News`` vs
-    ``channel:twitter:news`` must likewise be one key, not two shards'
-    worth of split campaign state.
+    ``channel:twitter:news`` must likewise be one key, not two.
 
     A message carrying a gateway tenant id routes under the tenant's
     scope prefix (:func:`repro.service.monitor.tenant_scope`) — the same
-    prefix the monitor keys its per-target state with, so migrated
-    state always lands where the tenant's traffic routes.  Two tenants
+    prefix the monitor keys its per-target state with, so the ring owner
+    of the key is the owner of the primary handle's state.  Two tenants
     naming the same target are two keys, never one shared window.
     """
-    if extraction is None:
-        handles, _ = target_handles(message.text)
-        primary = handles[0] if handles else None
-    else:
-        primary = extraction.primary_handle
     scope = tenant_scope(message.tenant)
-    if primary is not None:
-        return scope + primary
+    if extraction.primary_handle is not None:
+        return scope + extraction.primary_handle
     return (
         f"{scope}channel:{message.platform.value}:{message.channel.lower()}"
     )
-
-
-@functools.lru_cache(maxsize=64)
-def _uniform_ring(n_shards: int) -> HashRing:
-    return HashRing.uniform(range(n_shards))
-
-
-def shard_for(
-    message: StreamMessage,
-    n_shards: int,
-    extraction: Extraction | None = None,
-) -> int:
-    """Owner of ``message`` under a uniform ``n_shards`` ring (compat)."""
-    return _uniform_ring(n_shards).owner(routing_key(message, extraction))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,7 +133,8 @@ class ServeConfig:
     extraction_cache_size: int = 4096
     #: virtual nodes per shard on the consistent-hash ring
     ring_vnodes: int = 128
-    #: traffic share at which a routing key is split (0 disables)
+    #: traffic share at which a routing key's scoring is split (0
+    #: disables); state stays with the unsalted key's owner
     hot_key_share: float = 0.02
     #: salted sub-keys a hot key fans out over
     hot_key_fanout: int = 8
@@ -234,12 +218,10 @@ class ServeResult:
     rebalances: list[dict] = dataclasses.field(default_factory=list)
     #: kill/failover summary, when a KillSpec fired
     failover: dict | None = None
-    #: hot-key reunification replay summary, when any key was split
-    reunify: dict | None = None
-    #: message_id -> simulated completion time (batch end, or reunify
-    #: end for deferred hot-key messages); populated only when
-    #: ``config.track_completions`` is set.  Per-message data, so it is
-    #: deliberately excluded from :meth:`as_dict` snapshots.
+    #: message_id -> simulated completion time (the end of the batch
+    #: that scored it, or of the last requeued message it was held
+    #: for); populated only when ``config.track_completions`` is set.  Per-message data, so it is deliberately excluded from
+    #: :meth:`as_dict` snapshots.
     completions: dict[int, float] = dataclasses.field(default_factory=dict)
 
     @property
@@ -261,7 +243,6 @@ class ServeResult:
             "hot_keys": dict(self.hot_keys),
             "rebalances": list(self.rebalances),
             "failover": self.failover,
-            "reunify": self.reunify,
             "telemetry": self.telemetry.as_dict(),
         }
 
@@ -283,27 +264,57 @@ class ServeResult:
 class _Routed:
     """One arrival after the routing pass (internal)."""
 
-    seq: int  # stream position, for replaying deferred messages in order
+    seq: int  # stream position: the state pass applies in this order
     arrival: Arrival
-    key: str  # effective (possibly salted) routing key
+    key: str  # routing key; its owner holds the primary handle's state
+    route: str  # scoring key: ``key``, or a salted sub-key of a hot key
     extraction: Extraction
     fresh: bool  # extraction was fresh regex work, not a router-cache hit
-    deferred: bool  # hot handle key: stateful pass replays at reunify
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class _DeferredScore:
-    """A hot-key message scored on a sub-shard, awaiting reunification."""
+@dataclasses.dataclass(slots=True)  # not frozen: one per message, built fast
+class _Scored:
+    """A scored message waiting for the state pass (internal)."""
 
     seq: int
     message: StreamMessage
+    key: str
+    extraction: Extraction
     cth_score: float
     dox_score: float
-    extraction: Extraction
+    detected: bool  # over either threshold: only these touch target state
+    shard: int  # the shard that scored it
+    enqueue_time: float
+    #: completion time: the end of its batch, or later if the kill hold
+    #: kept it waiting for requeued messages before it
+    end: float
+
+
+def _boundaries(
+    n_total: int, schedule: RebalanceSchedule | None, kill: KillSpec | None
+) -> list[tuple[int, str, object]]:
+    """Epoch boundaries as ``(arrival index, action, payload)``, in order.
+
+    A kill sorts after a resize at the same index, so the kill sees the
+    new topology; the last entry is the end of the stream.
+    """
+    boundaries: list[tuple[int, str, object]] = []
+    if schedule is not None and n_total:
+        for epoch in range(1, schedule.n_epochs):
+            cut = (n_total * epoch) // schedule.n_epochs
+            if schedule.planned:
+                boundaries.append((cut, "plan", None))
+            else:
+                boundaries.append((cut, "resize", schedule.shard_counts[epoch]))
+    if kill is not None and n_total:
+        boundaries.append((int(n_total * kill.at_fraction), "kill", kill))
+    boundaries.sort(key=lambda b: (b[0], b[1] == "kill"))
+    boundaries.append((n_total, "end", None))
+    return boundaries
 
 
 class ServingRuntime:
-    """Drives ring-routed monitor-owning shard servers over arrivals."""
+    """Ring-routed scoring shards plus a keyed, ring-owned state pass."""
 
     def __init__(
         self,
@@ -313,32 +324,60 @@ class ServingRuntime:
         self._monitor_factory = monitor_factory
         self.config = config or ServeConfig()
 
-    # -- one shard, one epoch ----------------------------------------------
+    # -- routing -------------------------------------------------------------
+
+    def _route(
+        self, arrivals: Sequence[Arrival]
+    ) -> tuple[list[_Routed], dict[str, float], LRUCache]:
+        """Extract, key and (for hot keys) salt every arrival."""
+        cache: LRUCache[str, Extraction] = LRUCache(
+            self.config.extraction_cache_size
+        )
+        keyed: list[tuple[Arrival, str, Extraction, bool]] = []
+        counts: dict[str, int] = {}
+        for arrival in arrivals:
+            extraction, hit = cache.get_or_compute(
+                arrival.message.text, extract_targets
+            )
+            key = routing_key(arrival.message, extraction)
+            counts[key] = counts.get(key, 0) + 1
+            keyed.append((arrival, key, extraction, not hit))
+        policy = self.config.hot_key_policy
+        hot = detect_hot_keys(counts, len(arrivals), policy)
+        routed = [
+            _Routed(
+                seq=seq,
+                arrival=arrival,
+                key=key,
+                route=(
+                    salt_key(key, arrival.message.message_id, policy.fanout)
+                    if key in hot else key
+                ),
+                extraction=extraction,
+                fresh=fresh,
+            )
+            for seq, (arrival, key, extraction, fresh) in enumerate(keyed)
+        ]
+        return routed, hot, cache
+
+    # -- stage 1: one shard scores one epoch ---------------------------------
 
     def _run_shard(
         self,
         shard_id: int,
-        arrivals: Sequence[Arrival],
-        info: dict[int, tuple[Extraction, bool, bool, str, int]] | None,
+        routed: Sequence[_Routed],
         traced: bool,
-        monitor,
+        monitor: HarassmentMonitor,
         stop_at: float | None = None,
-    ) -> tuple[
-        list[Alert],
-        ShardTelemetry,
-        Tracer | None,
-        list[_DeferredScore],
-        list[QueuedMessage],
-        dict[int, float],
-    ]:
-        """Serve one epoch's arrivals on one shard.
+    ) -> tuple[list[_Scored], ShardTelemetry, Tracer | None, list[_Routed]]:
+        """Score one epoch's messages on one shard.
 
-        ``info`` maps message id -> (extraction, fresh, deferred, key,
-        seq) as computed by the router.  ``stop_at`` kills the shard: no
-        batch may *start* at or after that simulated time; whatever is
-        still queued (or not yet offered) comes back as ``leftovers``
-        through the queue's ``requeued`` bucket for the coordinator to
-        re-offer to the surviving owners.
+        Returns the scored messages, the shard's telemetry and tracer,
+        and its leftovers.  ``stop_at`` kills the shard: no batch may
+        *start* at or after that simulated time; whatever is still
+        queued (or not yet offered) comes back as leftovers through the
+        queue's ``requeued`` bucket for the coordinator to re-offer to
+        the surviving owners.
         """
         config = self.config
         queue = BoundedQueue(config.queue_capacity, config.policy)
@@ -349,19 +388,14 @@ class ServingRuntime:
         # caller absorbs the tracers in shard order.
         tracer = Tracer() if traced else None
         shard_span = (
-            tracer.span("shard", shard=shard_id, arrivals=len(arrivals))
+            tracer.span("shard", shard=shard_id, arrivals=len(routed))
             if tracer is not None else None
         )
-        alerts: list[Alert] = []
-        deferred: list[_DeferredScore] = []
-        completions: dict[int, float] = {}
+        by_id = {r.arrival.message.message_id: r for r in routed}
+        thresholds = monitor.config
+        scored_out: list[_Scored] = []
         server_free = 0.0
-        index, total = 0, len(arrivals)
-        # Monitors built by the factory own a ScoringCore; test doubles
-        # may not — those fall back to process_batch billed as all-miss
-        # (and never defer: a core-less stand-in has no campaign state
-        # to reunify).
-        core = getattr(monitor, "core", None)
+        index, total = 0, len(routed)
 
         def offer(arrival: Arrival) -> None:
             """Enqueue one arrival, tracing a shed/drop if it causes one."""
@@ -378,8 +412,9 @@ class ServingRuntime:
         def score(
             batch: Sequence[QueuedMessage], start: float, flush_reason: str
         ) -> float:
-            """Process one batch at simulated ``start``; returns its end."""
+            """Score one batch at simulated ``start``; returns its end."""
             messages = [q.message for q in batch]
+            infos = [by_id[m.message_id] for m in messages]
             batch_span = (
                 shard_span.child(
                     "batch",
@@ -390,68 +425,34 @@ class ServingRuntime:
                 )
                 if tracer is not None else None
             )
-            if core is not None and info is not None:
-                routed = [info[m.message_id][:2] for m in messages]
-                scored = core.score_messages(
-                    messages, routed=routed, span=batch_span
-                )
-                keep = [
-                    i for i, m in enumerate(messages)
-                    if not info[m.message_id][2]
-                ]
-                if len(keep) != len(messages):
-                    # Hot-key messages: the expensive scoring happened
-                    # here; their stateful alert pass is deferred to the
-                    # reunification replay.
-                    for i, message in enumerate(messages):
-                        mid = message.message_id
-                        if info[mid][2]:
-                            deferred.append(_DeferredScore(
-                                seq=info[mid][4],
-                                message=message,
-                                cth_score=float(scored.cth_scores[i]),
-                                dox_score=float(scored.dox_scores[i]),
-                                extraction=scored.extraction(i),
-                            ))
-                    raised = (
-                        monitor.process_scored(scored.subset(keep))
-                        if keep else []
-                    )
-                else:
-                    raised = monitor.process_scored(scored)
-                # process_scored may lazily code/extract; bill afterwards
-                # so the breakdown sees the full ledger.
-                work = scored.work
-            else:
-                raised = monitor.process_batch(messages)
-                work = ScoreWork.for_uncached_texts([m.text for m in messages])
-            breakdown = config.cost.breakdown(work, n_alerts=len(raised))
+            scored = monitor.core.score_messages(
+                messages,
+                routed=[(r.extraction, r.fresh) for r in infos],
+                span=batch_span,
+            )
+            detected = (scored.cth_scores > thresholds.cth_threshold) | (
+                scored.dox_scores > thresholds.dox_threshold
+            )
+            n_detected = int(detected.sum())
+            breakdown = config.cost.breakdown(scored.work, n_detected)
             end = start + breakdown.total_seconds
-            alerts.extend(raised)
-            if config.track_completions:
-                for q in batch:
-                    completions[q.message.message_id] = end
-            # Alert latency: enqueue -> batch end, per raised alert.
-            # Deferred hot-key alerts surface in the reunification pass
-            # and are deliberately absent from this histogram.
-            if raised:
-                enqueue_by_id = {
-                    q.message.message_id: q.enqueue_time for q in batch
-                }
-                for alert in raised:
-                    telemetry.alert_latency.record(
-                        end - enqueue_by_id[alert.message_id]
-                    )
+            for q, r, cth, dox, hit in zip(
+                batch, infos, scored.cth_scores.tolist(),
+                scored.dox_scores.tolist(), detected.tolist(),
+            ):
+                scored_out.append(_Scored(
+                    r.seq, q.message, r.key, r.extraction, cth, dox, hit,
+                    shard_id, q.enqueue_time, end,
+                ))
             telemetry.record_batch(
                 start,
                 end,
                 [start - q.enqueue_time for q in batch],
-                len(raised),
                 breakdown=breakdown,
-                work=work,
+                work=scored.work,
             )
             if batch_span is not None:
-                batch_span.close(start, end).annotate(alerts=len(raised))
+                batch_span.close(start, end).annotate(detections=n_detected)
                 # Component sub-spans laid end to end inside the batch:
                 # the Chrome/Perfetto view shows where batch time goes.
                 offset = start
@@ -464,13 +465,6 @@ class ServingRuntime:
                             shard=shard_id,
                         )
                         offset += seconds
-                for alert in raised:
-                    batch_span.event(
-                        "alert",
-                        alert.timestamp,
-                        shard=shard_id,
-                        kind=alert.kind.value,
-                    )
             return end
 
         halted = False
@@ -487,12 +481,11 @@ class ServingRuntime:
                     server_free = score(queue.take(size), start, FLUSH_DRAIN)
                 break
             if not len(queue):
-                arrival = arrivals[index]
+                offer(routed[index].arrival)
                 index += 1
-                offer(arrival)
                 continue
             upcoming = [
-                a.time for a in arrivals[index : index + config.batch_size]
+                r.arrival.time for r in routed[index : index + config.batch_size]
             ]
             flush_at, flush_reason = batcher.flush_decision(queue, upcoming)
             start = max(flush_at, server_free)
@@ -501,51 +494,118 @@ class ServingRuntime:
                 break
             # Everything arriving before the batch starts enters the queue
             # first (and may be shed/dropped under overload).
-            while index < total and arrivals[index].time <= start:
-                arrival = arrivals[index]
+            while index < total and routed[index].arrival.time <= start:
+                offer(routed[index].arrival)
                 index += 1
-                offer(arrival)
             server_free = score(queue.take(config.batch_size), start, flush_reason)
-        leftovers: list[QueuedMessage] = []
+        leftovers: list[_Routed] = []
         if halted:
             # The shard dies at stop_at having finished its in-flight
             # batch.  Arrivals that reached it before the kill still pass
             # through the queue (so overload policies account for them),
             # then everything transfers out through the requeued bucket.
-            while index < total:
-                arrival = arrivals[index]
-                index += 1
-                offer(arrival)
-            leftovers = queue.requeue_drain()
+            for r in routed[index:]:
+                offer(r.arrival)
+            leftovers = [
+                by_id[q.message.message_id] for q in queue.requeue_drain()
+            ]
             if shard_span is not None:
                 shard_span.event(
                     "killed", stop_at, shard=shard_id, requeued=len(leftovers)
                 )
-        # Per-epoch monitor stats: capture the delta and reset, so
-        # cross-epoch ShardTelemetry.merge never double-counts.
-        telemetry.monitor = monitor.stats
-        monitor.stats = MonitorStats()
         if shard_span is not None:
-            first = arrivals[0].time if arrivals else 0.0
+            first = routed[0].arrival.time if routed else 0.0
             shard_span.close(first, max(server_free, first)).annotate(
                 batches=telemetry.batches
             )
-        return alerts, telemetry, tracer, deferred, leftovers, completions
+        return scored_out, telemetry, tracer, leftovers
 
-    # -- state migration ---------------------------------------------------
+    # -- stage 2: keyed state, in stream order -------------------------------
+
+    def _apply_state(
+        self,
+        monitors: dict[int, HarassmentMonitor],
+        ring: HashRing,
+        items: Sequence[_Scored],
+        shards: dict[int, ShardTelemetry],
+        span: SpanContext | None,
+    ) -> list[Alert]:
+        """Apply scored messages to ring-owned target state, in order.
+
+        A message goes to the monitor owning its routing key.  Messages
+        that only touch their own monitor's state commute with those of
+        other monitors, so they are batched per monitor; a detection
+        naming a handle another shard owns first flushes the monitors it
+        touches, then borrows that handle's state for its own call and
+        hands it back.  Every monitor ends with a call, empty or not, so
+        each owner evicts stale targets on every pass.
+        """
+        alerts: list[Alert] = []
+        batches: dict[int, list[_Scored]] = {}
+        owner_of = functools.cache(ring.owner)  # keys repeat a lot
+
+        def process(home: int, batch: list[_Scored]) -> None:
+            monitor = monitors[home]
+            scored = ScoredBatch.from_precomputed(
+                [item.message for item in batch],
+                [item.cth_score for item in batch],
+                [item.dox_score for item in batch],
+                [item.extraction for item in batch],
+                core=monitor.core,
+            )
+            raised = monitor.process_scored(scored)
+            # The pass codes CTH detections' taxonomy; bill the owner.
+            shards[home].score_work.add(scored.work)
+            by_id = {item.message.message_id: item for item in batch}
+            for alert in raised:
+                item = by_id[alert.message_id]
+                shards[item.shard].record_alert(item.end - item.enqueue_time)
+                if span is not None:
+                    span.event(
+                        "alert", item.end,
+                        shard=item.shard, kind=alert.kind.value,
+                    )
+            alerts.extend(raised)
+
+        def flush(homes: Iterable[int]) -> None:
+            for home in sorted(homes):
+                process(home, batches.pop(home, []))
+
+        for item in items:
+            home = owner_of(item.key)
+            lent: dict[int, list[str]] = {}
+            if item.detected:
+                scope = tenant_scope(item.message.tenant)
+                for handle in item.extraction.handles[1:]:
+                    owner = owner_of(scope + handle)
+                    if owner != home:
+                        lent.setdefault(owner, []).append(scope + handle)
+            if not lent:
+                batches.setdefault(home, []).append(item)
+                continue
+            flush({home, *lent} & batches.keys())
+            for owner in sorted(lent):
+                monitors[home].restore_target_state(
+                    monitors[owner].extract_target_state(lent[owner])
+                )
+            process(home, [item])
+            for owner in sorted(lent):
+                monitors[owner].restore_target_state(
+                    monitors[home].extract_target_state(lent[owner])
+                )
+        flush(monitors)
+        return alerts
+
+    # -- state migration -----------------------------------------------------
 
     def _migrate_state(
         self,
-        monitors: dict[int, object],
-        old_ring: HashRing,
-        new_ring: HashRing,
-        dying: frozenset[int],
+        monitors: dict[int, HarassmentMonitor],
+        ring: HashRing,
         serialize: bool = False,
     ) -> int:
-        """Move per-target state to each handle's owner under ``new_ring``.
+        """Move every handle's state to its owner under ``ring``.
 
-        A handle moves when its host is dying, or when the host owned it
-        under the old ring and no longer does (state follows routing).
         ``serialize=True`` — the failover path — round-trips every
         snapshot through its JSON dict form, proving the serialization
         contract in the hot path.  Returns the number of handles moved.
@@ -553,15 +613,10 @@ class ServingRuntime:
         moved = 0
         for shard_id in sorted(monitors):
             monitor = monitors[shard_id]
-            if not hasattr(monitor, "state_handles"):
-                continue  # test doubles without the migration surface
-            doomed = shard_id in dying
             by_dest: dict[int, list[str]] = {}
             for handle in monitor.state_handles():
-                owner = new_ring.owner(handle)
-                if owner == shard_id:
-                    continue
-                if doomed or old_ring.owner(handle) == shard_id:
+                owner = ring.owner(handle)
+                if owner != shard_id:
                     by_dest.setdefault(owner, []).append(handle)
             for owner in sorted(by_dest):
                 snapshot = monitor.extract_target_state(by_dest[owner])
@@ -573,7 +628,7 @@ class ServingRuntime:
                 moved += len(by_dest[owner])
         return moved
 
-    # -- public ------------------------------------------------------------
+    # -- public --------------------------------------------------------------
 
     def run(
         self,
@@ -590,8 +645,8 @@ class ServingRuntime:
         each boundary (explicit shard counts, or planner-driven for
         ``RebalanceSchedule(planned=True)``); ``kill`` fails one shard
         over mid-run; ``recorder`` opts into observability (route /
-        shard / batch spans, rebalance and failover events, fleet
-        metrics — absorbed in deterministic order, so the trace is
+        shard / batch / state-pass spans, rebalance and failover events,
+        fleet metrics — absorbed in deterministic order, so the trace is
         independent of ``jobs``).
         """
         if jobs < 1:
@@ -599,114 +654,52 @@ class ServingRuntime:
         config = self.config
         if schedule is not None and schedule.planned and planner is None:
             planner = RebalancePlanner()
-        arrivals = list(arrivals)
-        # -- route: one extraction pass, key counts, hot detection --------
-        router_cache: LRUCache[str, Extraction] = LRUCache(
-            config.extraction_cache_size
-        )
-        keyed: list[tuple[Arrival, str, Extraction, bool]] = []
-        counts: dict[str, int] = {}
-        for arrival in arrivals:
-            message = arrival.message
-            extraction, hit = router_cache.get_or_compute(
-                message.text, extract_targets
-            )
-            key = routing_key(message, extraction)
-            counts[key] = counts.get(key, 0) + 1
-            keyed.append((arrival, key, extraction, not hit))
-        hot_policy = config.hot_key_policy
-        hot_shares = detect_hot_keys(counts, len(arrivals), hot_policy)
-        routed: list[_Routed] = []
-        for seq, (arrival, key, extraction, fresh) in enumerate(keyed):
-            if key in hot_shares:
-                routed.append(_Routed(
-                    seq=seq,
-                    arrival=arrival,
-                    key=salt_key(
-                        key, arrival.message.message_id, hot_policy.fanout
-                    ),
-                    extraction=extraction,
-                    # A hot key that is a target handle carries campaign
-                    # state: defer its stateful pass to reunification.
-                    # Channel-fallback keys are stateless and split free.
-                    fresh=fresh,
-                    deferred=extraction.primary_handle is not None,
-                ))
-            else:
-                routed.append(_Routed(
-                    seq=seq, arrival=arrival, key=key,
-                    extraction=extraction, fresh=fresh, deferred=False,
-                ))
+        routed, hot_shares, router_cache = self._route(list(arrivals))
         n_total = len(routed)
-        # -- epoch timeline ------------------------------------------------
-        boundaries: list[tuple[int, str, object]] = []
-        if schedule is not None and n_total:
-            for epoch in range(1, schedule.n_epochs):
-                cut = (n_total * epoch) // schedule.n_epochs
-                if schedule.planned:
-                    boundaries.append((cut, "plan", None))
-                else:
-                    boundaries.append(
-                        (cut, "resize", schedule.shard_counts[epoch])
-                    )
-        if kill is not None and n_total:
-            boundaries.append((int(n_total * kill.at_fraction), "kill", kill))
-        # Kills sort after resizes at the same index so a coinciding
-        # resize happens first and the kill sees the new topology.
-        boundaries.sort(key=lambda b: (b[0], 0 if b[1] != "kill" else 1))
         initial = (
             schedule.shard_counts[0]
             if schedule is not None and not schedule.planned
             else config.n_shards
         )
         ring = HashRing.uniform(range(initial), config.ring_vnodes)
-        monitors: dict[int, object] = {
+        monitors = {
             shard_id: self._monitor_factory() for shard_id in range(initial)
         }
         killed: set[int] = set()
         routed_totals: dict[int, int] = {}
         epoch_telemetries: list[ServeTelemetry] = []
+        # Newest telemetry per shard id; the state pass bills into it.
+        latest: dict[int, ShardTelemetry] = {}
         merged: list[Alert] = []
-        completions_all: dict[int, float] = {}
-        deferred_all: list[_DeferredScore] = []
+        completions: dict[int, float] = {}
         rebalance_log: list[dict] = []
         failover_info: dict | None = None
         traced = recorder is not None
         if recorder is not None:
-            first_arrival = arrivals[0].time if arrivals else 0.0
-            last_arrival = arrivals[-1].time if arrivals else 0.0
             recorder.tracer.span(
                 "route",
-                start=first_arrival,
-                end=last_arrival,
+                start=routed[0].arrival.time if routed else 0.0,
+                end=routed[-1].arrival.time if routed else 0.0,
                 messages=n_total,
                 hot_keys=len(hot_shares),
                 extraction_cache_hits=router_cache.hits,
                 extraction_cache_misses=router_cache.misses,
             )
-        # carry: owner -> (arrival, extraction, fresh, deferred, key, seq)
-        # entries requeued by a failover, offered at the next epoch start.
-        carry: dict[int, list[tuple]] = {}
+        # Messages a kill requeued, offered at the next epoch's start.
+        carry: list[_Routed] = []
+        # Scored messages not yet applied to state, in any order; the
+        # seqs the kill hold kept back, and the requeued seqs they wait on.
+        pending: list[_Scored] = []
+        held: set[int] = set()
+        requeued: set[int] = set()
         segment_start = 0
-        for cut, action, payload in [*boundaries, (n_total, "end", None)]:
-            segment = routed[segment_start:cut]
-            segment_start = cut
+        for cut, action, payload in _boundaries(n_total, schedule, kill):
             live = list(ring.shard_ids)
-            per_shard: dict[int, list[Arrival]] = {s: [] for s in live}
-            info: dict[int, dict[int, tuple]] = {s: {} for s in live}
-            for owner in sorted(carry):
-                for arrival, extraction, fresh, deferred, key, seq in carry[owner]:
-                    per_shard[owner].append(arrival)
-                    info[owner][arrival.message.message_id] = (
-                        extraction, fresh, deferred, key, seq
-                    )
-            carry = {}
-            for r in segment:
-                owner = ring.owner(r.key)
-                per_shard[owner].append(r.arrival)
-                info[owner][r.arrival.message.message_id] = (
-                    r.extraction, r.fresh, r.deferred, r.key, r.seq
-                )
+            per_shard: dict[int, list[_Routed]] = {s: [] for s in live}
+            for r in [*carry, *routed[segment_start:cut]]:
+                per_shard[ring.owner(r.route)].append(r)
+            carry = []
+            segment_start = cut
             for shard_id in live:
                 routed_totals[shard_id] = (
                     routed_totals.get(shard_id, 0) + len(per_shard[shard_id])
@@ -717,9 +710,8 @@ class ServingRuntime:
             )
             victim: int | None = None
             if action == "kill":
-                spec: KillSpec = payload
-                if isinstance(spec.shard, int):
-                    victim = spec.shard
+                if isinstance(payload.shard, int):
+                    victim = payload.shard
                 else:  # hottest: most messages routed to it so far
                     victim = max(
                         live, key=lambda s: (routed_totals.get(s, 0), -s)
@@ -732,11 +724,11 @@ class ServingRuntime:
                 if len(live) == 1:
                     raise ValueError("cannot kill the last live shard")
 
+            # -- stage 1: score ----------------------------------------------
             def run_one(shard_id: int):
                 return self._run_shard(
                     shard_id,
                     per_shard[shard_id],
-                    info[shard_id],
                     traced,
                     monitors[shard_id],
                     boundary_time if shard_id == victim else None,
@@ -747,178 +739,143 @@ class ServingRuntime:
             else:
                 with ThreadPoolExecutor(max_workers=jobs) as pool:
                     outcomes = list(pool.map(run_one, live))
-            leftovers: list[QueuedMessage] = []
+            leftovers: list[_Routed] = []
             epoch_shards: list[ShardTelemetry] = []
-            for shard_id, outcome in zip(live, outcomes):
-                (
-                    shard_alerts,
-                    shard_telemetry,
-                    shard_tracer,
-                    shard_deferred,
-                    shard_left,
-                    shard_completions,
-                ) = outcome
-                merged.extend(shard_alerts)
-                epoch_shards.append(shard_telemetry)
-                deferred_all.extend(shard_deferred)
-                # Shards route disjoint message ids, so updating in
-                # shard order is deterministic under jobs=N.
-                completions_all.update(shard_completions)
-                if shard_left:
-                    leftovers = shard_left
-                if recorder is not None and shard_tracer is not None:
-                    recorder.tracer.absorb(shard_tracer)
+            for shard_id, (scored, telemetry, tracer, left) in zip(
+                live, outcomes
+            ):
+                pending.extend(scored)
+                epoch_shards.append(telemetry)
+                latest[shard_id] = telemetry
+                leftovers.extend(left)
+                if recorder is not None and tracer is not None:
+                    recorder.tracer.absorb(tracer)
             epoch_telemetries.append(ServeTelemetry(shards=epoch_shards))
-            # -- apply the boundary action --------------------------------
-            if action == "resize":
-                new_ids: list[int] = []
-                candidate = 0
-                while len(new_ids) < payload:
-                    if candidate not in killed:
-                        new_ids.append(candidate)
-                    candidate += 1
-                new_ring = HashRing.uniform(new_ids, config.ring_vnodes)
-                for shard_id in new_ids:
-                    if shard_id not in monitors:
-                        monitors[shard_id] = self._monitor_factory()
-                dying = frozenset(set(live) - set(new_ids))
-                moved = self._migrate_state(monitors, ring, new_ring, dying)
-                for shard_id in dying:
-                    monitors.pop(shard_id)
-                rebalance_log.append({
-                    "at_index": cut,
-                    "time": boundary_time,
-                    "kind": "resize",
-                    "shards_before": live,
-                    "shards_after": new_ids,
-                    "migrated_handles": moved,
-                })
-                if recorder is not None:
-                    recorder.tracer.event(
-                        "rebalance", boundary_time,
-                        kind="resize", before=len(live), after=len(new_ids),
-                        migrated=moved,
-                    )
-                ring = new_ring
-            elif action == "plan":
+
+            # -- stage 2: apply state up to the first requeued message -------
+            pending.sort(key=lambda item: item.seq)
+            if held:
+                # A held message waited for the requeued ones before it:
+                # it completes no earlier than the last of them.
+                waited = -math.inf
+                for item in pending:
+                    if item.seq in held:
+                        item.end = max(item.end, waited)
+                    elif item.seq in requeued:
+                        waited = max(waited, item.end)
+            horizon = min((r.seq for r in leftovers), default=n_total)
+            split = bisect.bisect_left(
+                pending, horizon, key=lambda item: item.seq
+            )
+            ready, pending = pending[:split], pending[split:]
+            held = {item.seq for item in pending}
+            requeued = {r.seq for r in leftovers}
+            if config.track_completions:
+                completions.update(
+                    (item.message.message_id, item.end) for item in ready
+                )
+            state_span = (
+                recorder.tracer.span(
+                    "state_pass",
+                    start=min(item.end for item in ready),
+                    end=max(item.end for item in ready),
+                    messages=len(ready),
+                )
+                if recorder is not None and ready else None
+            )
+            raised = self._apply_state(
+                monitors, ring, ready, latest, state_span
+            )
+            merged.extend(raised)
+            if state_span is not None:
+                state_span.annotate(alerts=len(raised))
+            # Per-epoch monitor stats: capture the delta and reset, so
+            # cross-epoch ShardTelemetry.merge never double-counts.
+            for telemetry in epoch_shards:
+                monitor = monitors[telemetry.shard_id]
+                telemetry.monitor, monitor.stats = monitor.stats, MonitorStats()
+
+            # -- apply the boundary action -----------------------------------
+            if action == "end":
+                continue
+            plans = None
+            if action == "kill":
+                killed.add(victim)
+                new_ring = ring.remove_shard(victim)
+            elif action == "resize":
+                new_ring = HashRing.uniform(
+                    itertools.islice(
+                        (s for s in itertools.count() if s not in killed),
+                        payload,
+                    ),
+                    config.ring_vnodes,
+                )
+            else:  # plan
                 plans = planner.plan(
                     ServeTelemetry.merged(epoch_telemetries), ring
                 )
-                new_ring = ring
-                for plan in plans:
-                    new_ring = plan.apply(new_ring)
-                new_ids = list(new_ring.shard_ids)
-                for shard_id in new_ids:
-                    if shard_id not in monitors:
-                        monitors[shard_id] = self._monitor_factory()
-                dying = frozenset(set(live) - set(new_ids))
-                moved = self._migrate_state(monitors, ring, new_ring, dying)
-                for shard_id in dying:
-                    monitors.pop(shard_id)
-                rebalance_log.append({
-                    "at_index": cut,
-                    "time": boundary_time,
-                    "kind": "plan",
-                    "plans": [plan.as_dict() for plan in plans],
-                    "shards_before": live,
-                    "shards_after": new_ids,
-                    "migrated_handles": moved,
-                })
-                if recorder is not None:
-                    recorder.tracer.event(
-                        "rebalance", boundary_time,
-                        kind="plan", plans=len(plans),
-                        before=len(live), after=len(new_ids), migrated=moved,
-                    )
-                ring = new_ring
-            elif action == "kill":
-                killed.add(victim)
-                new_ring = ring.remove_shard(victim)
-                moved = self._migrate_state(
-                    monitors, ring, new_ring, frozenset({victim}),
-                    serialize=True,
+                new_ring = functools.reduce(
+                    lambda current, plan: plan.apply(current), plans, ring
                 )
-                monitors.pop(victim)
-                for queued in leftovers:
-                    message = queued.message
-                    extraction, fresh, deferred, key, seq = (
-                        info[victim][message.message_id]
+            new_ids = list(new_ring.shard_ids)
+            for shard_id in new_ids:
+                if shard_id not in monitors:
+                    monitors[shard_id] = self._monitor_factory()
+            moved = self._migrate_state(
+                monitors, new_ring, serialize=action == "kill"
+            )
+            for shard_id in set(live) - set(new_ids):
+                monitors.pop(shard_id)
+            ring = new_ring
+            if action == "kill":
+                carry = [
+                    dataclasses.replace(
+                        r, arrival=dataclasses.replace(
+                            r.arrival, time=boundary_time
+                        ),
                     )
-                    owner = new_ring.owner(key)
-                    carry.setdefault(owner, []).append((
-                        Arrival(boundary_time, message),
-                        extraction, fresh, deferred, key, seq,
-                    ))
+                    for r in leftovers
+                ]
                 failover_info = {
                     "at_index": cut,
                     "time": boundary_time,
                     "killed_shard": victim,
                     "requeued_messages": len(leftovers),
                     "migrated_handles": moved,
-                    "survivors": list(new_ring.shard_ids),
+                    "survivors": new_ids,
                 }
                 if recorder is not None:
                     recorder.tracer.event(
                         "failover", boundary_time,
                         killed=victim, requeued=len(leftovers), migrated=moved,
                     )
-                ring = new_ring
-        # -- hot-key reunification ----------------------------------------
-        reunify_stats = MonitorStats()
-        reunify_report: dict | None = None
-        if deferred_all:
-            # Replay in original stream order: exactly the per-target
-            # sequence a single monitor saw.
-            deferred_all.sort(key=lambda d: d.seq)
-            reunifier = self._monitor_factory()
-            scored = ScoredBatch.from_precomputed(
-                [d.message for d in deferred_all],
-                [d.cth_score for d in deferred_all],
-                [d.dox_score for d in deferred_all],
-                [d.extraction for d in deferred_all],
-                core=reunifier.core,
-            )
-            replayed = reunifier.process_scored(scored)
-            merged.extend(replayed)
-            reunify_stats = reunifier.stats
-            state_seconds = (
-                config.cost.state_per_alert_seconds * len(replayed)
-            )
-            if config.track_completions:
-                # Deferred messages complete only when the reunification
-                # replay does — after the last epoch ends.
-                reunify_end = (
-                    routed[-1].arrival.time if routed else 0.0
-                ) + state_seconds
-                for d in deferred_all:
-                    completions_all[d.message.message_id] = reunify_end
-            reunify_report = {
-                "messages": len(deferred_all),
-                "alerts": len(replayed),
-                "state_seconds": state_seconds,
+                continue
+            entry: dict[str, object] = {
+                "at_index": cut, "time": boundary_time, "kind": action,
             }
+            labels: dict[str, object] = {"kind": action}
+            if plans is not None:
+                entry["plans"] = [plan.as_dict() for plan in plans]
+                labels["plans"] = len(plans)
+            entry.update(
+                shards_before=live, shards_after=new_ids, migrated_handles=moved
+            )
+            rebalance_log.append(entry)
             if recorder is not None:
-                last_time = routed[-1].arrival.time if routed else 0.0
-                recorder.tracer.span(
-                    "reunify",
-                    start=last_time,
-                    end=last_time + state_seconds,
-                    messages=len(deferred_all),
-                    alerts=len(replayed),
+                recorder.tracer.event(
+                    "rebalance", boundary_time, **labels,
+                    before=len(live), after=len(new_ids), migrated=moved,
                 )
         merged.sort(key=alert_sort_key)
-        telemetry = ServeTelemetry.merged(epoch_telemetries)
-        telemetry.reunify = reunify_stats
         result = ServeResult(
             alerts=merged,
-            telemetry=telemetry,
+            telemetry=ServeTelemetry.merged(epoch_telemetries),
             config=config,
             ring=ring,
             hot_keys=hot_shares,
             rebalances=rebalance_log,
             failover=failover_info,
-            reunify=reunify_report,
-            completions=completions_all,
+            completions=completions,
         )
         if recorder is not None:
             routed_counter = recorder.metrics.counter(

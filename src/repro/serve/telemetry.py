@@ -46,9 +46,12 @@ class ShardTelemetry:
 
     shard_id: int
     queue: QueueAccounting = dataclasses.field(default_factory=QueueAccounting)
+    #: this shard's monitor in the keyed state pass: the messages it
+    #: applied as owner of their routing key
     monitor: MonitorStats = dataclasses.field(default_factory=MonitorStats)
     batches: int = 0
     messages_scored: int = 0
+    #: alerts raised on messages this shard scored
     alerts_raised: int = 0
     busy_seconds: float = 0.0
     #: busy_seconds split by scoring-path component (tokenize / score /
@@ -67,9 +70,9 @@ class ShardTelemetry:
     queue_wait: LatencyHistogram = dataclasses.field(
         default_factory=LatencyHistogram
     )
-    #: per-alert simulated latency (enqueue -> batch end of the message
-    #: that raised it); alerts deferred to the hot-key reunification
-    #: pass are not shard work and are absent here
+    #: per-alert simulated latency (enqueue -> completion of the message
+    #: raising it: its batch end, or later if a kill held it back for
+    #: requeued messages), billed to the scoring shard
     alert_latency: LatencyHistogram = dataclasses.field(
         default_factory=LatencyHistogram
     )
@@ -79,13 +82,11 @@ class ShardTelemetry:
         start: float,
         end: float,
         waits: Sequence[float],
-        n_alerts: int,
         breakdown: CostBreakdown | None = None,
         work: ScoreWork | None = None,
     ) -> None:
         self.batches += 1
         self.messages_scored += len(waits)
-        self.alerts_raised += n_alerts
         self.busy_seconds += end - start
         if breakdown is not None:
             for key, value in breakdown.as_dict().items():
@@ -97,6 +98,11 @@ class ShardTelemetry:
         self.service_time.record(end - start)
         for wait in waits:
             self.queue_wait.record(wait)
+
+    def record_alert(self, latency: float) -> None:
+        """One alert raised on a message this shard scored."""
+        self.alerts_raised += 1
+        self.alert_latency.record(latency)
 
     def merge(self, other: "ShardTelemetry") -> "ShardTelemetry":
         """Combine two ledgers for the same logical shard (pure).
@@ -188,16 +194,9 @@ class ShardTelemetry:
 
 @dataclasses.dataclass
 class ServeTelemetry:
-    """Fleet-wide aggregate of per-shard telemetry.
-
-    ``reunify`` carries the monitor stats of the hot-key reunification
-    pass (deferred stateful processing of split keys) — it is part of
-    the fleet monitor totals but deliberately *not* a shard, so load
-    balance metrics like :attr:`load_skew` describe only real workers.
-    """
+    """Fleet-wide aggregate of per-shard telemetry."""
 
     shards: list[ShardTelemetry]
-    reunify: MonitorStats = dataclasses.field(default_factory=MonitorStats)
 
     def merge(self, other: "ServeTelemetry") -> "ServeTelemetry":
         """Fleet union (pure): shards with the same id fold together.
@@ -214,8 +213,7 @@ class ServeTelemetry:
                 shard if seen is None else seen.merge(shard)
             )
         return ServeTelemetry(
-            shards=[by_id[shard_id] for shard_id in sorted(by_id)],
-            reunify=self.reunify.merge(other.reunify),
+            shards=[by_id[shard_id] for shard_id in sorted(by_id)]
         )
 
     @classmethod
@@ -246,15 +244,8 @@ class ServeTelemetry:
         return merge_histograms(s.alert_latency for s in self.shards)
 
     def merged_monitor_stats(self) -> MonitorStats:
-        """Fleet monitor totals: every shard plus the reunify pass.
-
-        Including ``reunify`` keeps ``messages_processed`` equal to the
-        stream length even when hot-key messages defer their stateful
-        pass out of the shards.
-        """
-        return MonitorStats.merged(
-            s.monitor for s in self.shards
-        ).merge(self.reunify)
+        """Fleet monitor totals: the sum over every shard's monitor."""
+        return MonitorStats.merged(s.monitor for s in self.shards)
 
     def merged_busy_breakdown(self) -> dict[str, float]:
         """Fleet busy seconds per scoring-path component."""
@@ -313,7 +304,6 @@ class ServeTelemetry:
             "makespan_seconds": self.makespan_seconds,
             "throughput_per_second": self.throughput_per_second,
             "load_skew": self.load_skew,
-            "reunify": self.reunify.as_dict(),
             "queue": self.merged_accounting().as_dict(),
             "monitor": self.merged_monitor_stats().as_dict(),
             "busy_breakdown": self.merged_busy_breakdown(),
@@ -335,7 +325,6 @@ class ServeTelemetry:
         """
         for shard in self.shards:
             shard.populate_metrics(registry)
-        self.reunify.populate_metrics(registry, shard="reunify")
         registry.gauge(
             "serve_shards", help="worker shard count"
         ).labels().set(len(self.shards))

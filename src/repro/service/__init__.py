@@ -16,7 +16,6 @@ from repro.service.monitor import (
     HarassmentMonitor,
     MonitorConfig,
     MonitorStats,
-    target_handles,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "HarassmentMonitor",
     "MonitorConfig",
     "MonitorStats",
-    "target_handles",
 ]

@@ -19,10 +19,10 @@ extraction, taxonomy coding — lives in the shared
 per distinct text); this module only keeps the *stateful* part:
 :meth:`HarassmentMonitor.process_scored` turns a pure
 :class:`~repro.score.core.ScoredBatch` into alerts by updating
-per-target windows.  The serving runtime scores batches itself (with
-router-precomputed extractions) and calls ``process_scored`` directly;
-:meth:`HarassmentMonitor.process_batch` wraps both steps for the batch
-path.
+per-target windows.  The serving runtime scores batches on its shards
+(with router-precomputed extractions) and calls ``process_scored`` from
+its keyed state pass; :meth:`HarassmentMonitor.process_batch` wraps both
+steps for the batch path.
 """
 
 from __future__ import annotations
@@ -32,28 +32,9 @@ import dataclasses
 import enum
 from typing import Iterable, Mapping, Sequence
 
-from repro.score.core import ScoredBatch, ScoringCore, extract_targets
+from repro.score.core import ScoredBatch, ScoringCore
 from repro.service.stream import StreamMessage
 from repro.util.batching import iter_batches
-
-
-def target_handles(text: str) -> tuple[list[str], dict[str, list[str]]]:
-    """Target handles referenced by ``text``, plus the full PII extraction
-    they came from (so callers never re-extract).
-
-    Handles are ``platform:value`` strings in extraction order, so
-    ``handles[0]`` is the message's *primary* target — the key the
-    serving runtime shards on (:mod:`repro.serve.runtime`).  Handles are
-    lowercased and deduplicated *after* lowercasing: a message naming
-    "twitter.com/Alice" and "twitter: alice" references one target, not
-    two.  Thin compatibility wrapper over
-    :func:`repro.score.core.extract_targets`.
-    """
-    extraction = extract_targets(text)
-    return (
-        list(extraction.handles),
-        {category: list(values) for category, values in extraction.pii.items()},
-    )
 
 
 def tenant_scope(tenant: str) -> str:
@@ -61,8 +42,8 @@ def tenant_scope(tenant: str) -> str:
 
     The same prefix is used by the serve router
     (:func:`repro.serve.runtime.routing_key`) and the monitor's state
-    tables, so a migrated :class:`TargetStateSnapshot` lands on exactly
-    the shard the tenant's traffic routes to.  Empty tenant — the
+    tables, so the serving runtime's ring owner of a scoped handle is
+    the one shard that holds its state.  Empty tenant — the
     single-tenant deployments every pre-gateway caller runs — scopes to
     the bare handle, unchanged.
     """
@@ -80,7 +61,8 @@ class TargetStateSnapshot:
     (:meth:`as_dict` / :meth:`from_dict`).  The serving runtime moves
     these between shard monitors when a ring change or shard kill
     reassigns a target's owner, so no campaign or escalation alert is
-    lost across the migration.
+    lost across the migration, and lends them to the monitor applying a
+    message that names a target another shard owns.
     """
 
     watermark: float
@@ -339,9 +321,9 @@ class HarassmentMonitor:
 
         Detection windows merge-sort by ``(timestamp, message_id)`` and
         the dedupe/escalation timestamps take the max, so restoring is
-        correct even when this monitor already holds partial state for a
-        handle (e.g. from non-primary mentions).  The watermark only
-        ever advances — eviction remains output-neutral.
+        correct even when this monitor already holds state for a handle.
+        The watermark only ever advances — eviction remains
+        output-neutral.
         """
         for handle, events in snapshot.activity:
             existing = self._target_activity.setdefault(

@@ -260,9 +260,12 @@ def test_shard_telemetry_merge_preserves_every_field():
     from repro.serve.telemetry import ShardTelemetry
 
     a = ShardTelemetry(shard_id=0)
-    a.record_batch(start=1.0, end=2.0, waits=[0.1, 0.2], n_alerts=1)
+    a.record_batch(start=1.0, end=2.0, waits=[0.1, 0.2])
+    a.record_alert(1.0)
     b = ShardTelemetry(shard_id=0)
-    b.record_batch(start=0.5, end=1.2, waits=[0.3], n_alerts=2)
+    b.record_batch(start=0.5, end=1.2, waits=[0.3])
+    b.record_alert(0.7)
+    b.record_alert(0.7)
     merged = a.merge(b)
     assert merged.batches == 2
     assert merged.messages_scored == 3
@@ -292,11 +295,12 @@ def test_serve_telemetry_merge_folds_matching_shards():
     from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
 
     a0 = ShardTelemetry(shard_id=0)
-    a0.record_batch(start=0.0, end=1.0, waits=[0.1], n_alerts=0)
+    a0.record_batch(start=0.0, end=1.0, waits=[0.1])
     b0 = ShardTelemetry(shard_id=0)
-    b0.record_batch(start=1.0, end=2.0, waits=[0.2], n_alerts=1)
+    b0.record_batch(start=1.0, end=2.0, waits=[0.2])
+    b0.record_alert(1.0)
     b1 = ShardTelemetry(shard_id=1)
-    b1.record_batch(start=0.0, end=0.5, waits=[0.3], n_alerts=0)
+    b1.record_batch(start=0.0, end=0.5, waits=[0.3])
     merged = ServeTelemetry(shards=[a0]).merge(ServeTelemetry(shards=[b0, b1]))
     assert [s.shard_id for s in merged.shards] == [0, 1]
     assert merged.shards[0].batches == 2

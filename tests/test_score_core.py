@@ -293,12 +293,12 @@ def test_score_messages_routed_validates_alignment():
         core.score_messages([_msg(0, "x")], routed=[])
 
 
-def test_score_work_merge_and_uncached():
-    work = ScoreWork.for_uncached_texts(["ab", "cdef"])
-    assert work.messages == 2 and work.chars == 6
-    assert work.tokenized_chars == 6 and work.extracted_messages == 0
+def test_score_work_merge():
+    work = ScoreWork(messages=2, chars=6, tokenized_chars=6)
     merged = work.merge(ScoreWork(messages=1, chars=1))
-    assert merged.messages == 3 and work.messages == 2
+    assert merged.messages == 3 and merged.chars == 7
+    assert merged.tokenized_chars == 6 and merged.extracted_messages == 0
+    assert work.messages == 2  # neither operand is mutated
 
 
 # -- bench + gate -------------------------------------------------------------

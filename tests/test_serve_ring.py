@@ -4,10 +4,10 @@ The elastic counterpart of ``test_serve_runtime.py``: the headline
 invariant must survive topology changes.  Merged alerts — sorted by
 ``(timestamp, message_id, kind)`` — stay identical to single-monitor
 output across a 2→4→3 rebalance schedule, a planner-driven schedule, a
-hot-key split/reunify cycle, and a mid-run kill of the most loaded
-shard, under ``jobs=1`` and ``jobs=N`` alike; and the queue-accounting
-conservation law ``offered == taken + shed + dropped + requeued +
-depth`` holds for every shard through all of it.
+hot-key split of the scoring stage, and a mid-run kill of the most
+loaded shard, under ``jobs=1`` and ``jobs=N`` alike; and the
+queue-accounting conservation law ``offered == taken + shed + dropped +
+requeued + depth`` holds for every shard through all of it.
 """
 
 import json
@@ -18,6 +18,7 @@ import pytest
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.models.logreg import LogisticRegressionClassifier
+from repro.obs.recorder import RunObserver
 from repro.serve import (
     BackpressurePolicy,
     HashRing,
@@ -391,7 +392,7 @@ def test_kill_last_shard_is_rejected(serve_models):
         )
 
 
-# -- hot-key split & reunification ---------------------------------------------
+# -- hot-key split --------------------------------------------------------------
 
 def _viral_stream():
     """One handle dominates; plenty of cold traffic around it."""
@@ -404,7 +405,7 @@ def _viral_stream():
     return messages
 
 
-def test_hot_handle_splits_and_reunifies(serve_models):
+def test_hot_handle_splits_scoring_but_not_state(serve_models):
     factory = _factory(serve_models)
     stream = _viral_stream()
     baseline = _baseline(factory, stream, batch_size=16)
@@ -417,14 +418,19 @@ def test_hot_handle_splits_and_reunifies(serve_models):
         stream, LoadProfile(rate_per_second=5000, seed=3)
     )
     assert "twitter:targetuser99" in result.hot_keys
-    assert result.reunify is not None
-    assert result.reunify["messages"] == 80  # every hot-handle message
-    assert result.reunify["alerts"] >= len(campaign)
     assert result.alerts == baseline
     _assert_conservation(result)
     # The split actually spread the hot key: its traffic is no longer
     # pinned to a single shard.
     assert result.telemetry.load_skew < 2.0
+    # Its state did not split: the handle's owner raised every campaign.
+    owner = result.ring.owner("twitter:targetuser99")
+    campaigns = {
+        s.shard_id: s.monitor.campaigns_alerted
+        for s in result.telemetry.shards
+    }
+    assert campaigns[owner] == len(campaign)
+    assert sum(campaigns.values()) == len(campaign)
 
 
 def test_hot_split_disabled_still_equivalent(serve_models):
@@ -436,7 +442,6 @@ def test_hot_split_disabled_still_equivalent(serve_models):
         stream, LoadProfile(rate_per_second=5000, seed=3)
     )
     assert result.hot_keys == {}
-    assert result.reunify is None
     assert result.alerts == baseline
 
 
@@ -454,23 +459,36 @@ def test_hot_split_composes_with_kill(serve_models):
     )
     assert result.alerts == baseline
     _assert_conservation(result)
-    assert result.failover is not None and result.reunify is not None
+    assert result.failover is not None and result.hot_keys
+
+
+def test_hot_handle_alerts_are_timed_and_complete_in_their_batches(
+    serve_models,
+):
+    factory = _factory(serve_models)
+    stream = _viral_stream()
+    config = ServeConfig(
+        n_shards=4, batch_size=16, hot_key_share=0.05, hot_key_fanout=4,
+        track_completions=True,
+    )
+    recorder = RunObserver("serve")
+    result = ServingRuntime(factory, config).serve_stream(
+        stream, LoadProfile(rate_per_second=5000, seed=3), recorder=recorder
+    )
+    assert "twitter:targetuser99" in result.hot_keys
+    assert result.alerts == _baseline(factory, stream, batch_size=16)
+    # Every alert, hot handle or not, is in the latency histogram and
+    # in the trace.
+    assert result.telemetry.merged_alert_latency().count == len(result.alerts)
+    alert_events = [e for e in recorder.tracer.events() if e.name == "alert"]
+    assert len(alert_events) == len(result.alerts)
+    # Every message completes when the batch that scored it ends.
+    last_batch_end = max(s.last_batch_end for s in result.telemetry.shards)
+    assert len(result.completions) == len(stream)
+    assert max(result.completions.values()) <= last_batch_end
 
 
 # -- conservation under lossy policies -----------------------------------------
-
-class _SlowNullMonitor:
-    """Queue-pressure stand-in: slow, scores nothing, alerts never."""
-
-    def __init__(self):
-        from repro.service.monitor import MonitorStats
-
-        self.stats = MonitorStats()
-
-    def process_batch(self, messages):
-        self.stats.messages_processed += len(messages)
-        return []
-
 
 def _overload_config(policy, n_shards=2):
     return ServeConfig(
@@ -483,9 +501,10 @@ def _overload_config(policy, n_shards=2):
     )
 
 
-def test_conservation_across_mid_drain_rebalance():
+def test_conservation_across_mid_drain_rebalance(serve_models):
     runtime = ServingRuntime(
-        _SlowNullMonitor, _overload_config(BackpressurePolicy.DROP_OLDEST)
+        _factory(serve_models),
+        _overload_config(BackpressurePolicy.DROP_OLDEST),
     )
     result = runtime.serve_stream(
         [_msg(i, channel=f"c{i % 13}") for i in range(64)],
@@ -498,9 +517,10 @@ def test_conservation_across_mid_drain_rebalance():
     assert fleet.taken + fleet.dropped + fleet.shed + fleet.requeued == fleet.offered
 
 
-def test_conservation_across_drop_oldest_shard_kill():
+def test_conservation_across_drop_oldest_shard_kill(serve_models):
     runtime = ServingRuntime(
-        _SlowNullMonitor, _overload_config(BackpressurePolicy.DROP_OLDEST)
+        _factory(serve_models),
+        _overload_config(BackpressurePolicy.DROP_OLDEST),
     )
     result = runtime.serve_stream(
         [_msg(i, channel=f"c{i % 13}") for i in range(64)],
@@ -516,9 +536,10 @@ def test_conservation_across_drop_oldest_shard_kill():
     assert fleet.offered == 64 + fleet.requeued
 
 
-def test_shed_newest_kill_conservation():
+def test_shed_newest_kill_conservation(serve_models):
     runtime = ServingRuntime(
-        _SlowNullMonitor, _overload_config(BackpressurePolicy.SHED_NEWEST)
+        _factory(serve_models),
+        _overload_config(BackpressurePolicy.SHED_NEWEST),
     )
     result = runtime.serve_stream(
         [_msg(i, channel=f"c{i % 13}") for i in range(64)],

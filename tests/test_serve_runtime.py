@@ -16,21 +16,18 @@ import pytest
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.models.logreg import LogisticRegressionClassifier
+from repro.score.core import extract_targets
 from repro.serve import (
     BackpressurePolicy,
+    HashRing,
     LoadProfile,
     ServeConfig,
     ServiceCostModel,
     ServingRuntime,
     alert_sort_key,
     routing_key,
-    shard_for,
 )
-from repro.service.monitor import (
-    HarassmentMonitor,
-    MonitorConfig,
-    MonitorStats,
-)
+from repro.service.monitor import HarassmentMonitor, MonitorConfig
 from repro.service.stream import MessageStream, StreamMessage
 from repro.types import Platform, Source, Task
 
@@ -74,13 +71,13 @@ def stream_profiles(tiny_corpus):
     }
 
 
-def _factory(serve_models, **config_kwargs):
+def _factory(serve_models, monitor_class=HarassmentMonitor, **config_kwargs):
     models, vectorizer = serve_models
     config_kwargs.setdefault("campaign_min_messages", 2)
     config = MonitorConfig(**config_kwargs)
 
     def make():
-        return HarassmentMonitor(
+        return monitor_class(
             models[Task.CTH], models[Task.DOX], vectorizer, config
         )
 
@@ -95,17 +92,30 @@ def _msg(i, text="nothing to see", channel="c", ts=None):
     )
 
 
-class _NullMonitor:
-    """Monitor stand-in for queue/batching tests: scores nothing, alerts never."""
+def _shard_for(message, n_shards):
+    """Owner of ``message``'s routing key on a uniform ``n_shards`` ring."""
+    key = routing_key(message, extract_targets(message.text))
+    return HashRing.uniform(range(n_shards)).owner(key)
 
-    def __init__(self):
-        self.stats = MonitorStats()
+
+class _RecordingMonitor(HarassmentMonitor):
+    """A real monitor that records the message ids its shard scores, in order.
+
+    The hook sits on the scoring core, not on ``process_scored``: the
+    state pass re-sorts messages into stream order, so only the scoring
+    calls show the order the shard's queue released them in.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.seen: list[int] = []
+        score_messages = self.core.score_messages
 
-    def process_batch(self, messages):
-        self.stats.messages_processed += len(messages)
-        self.seen.extend(m.message_id for m in messages)
-        return []
+        def recording(messages, *args, **kwargs):
+            self.seen.extend(m.message_id for m in messages)
+            return score_messages(messages, *args, **kwargs)
+
+        self.core.score_messages = recording
 
 
 # -- headline equivalence ------------------------------------------------------
@@ -169,9 +179,13 @@ def test_run_is_deterministic(serve_models, stream_profiles):
 
 def test_routing_key_prefers_primary_handle():
     handled = _msg(1, text=CTH_TEXT)
-    assert routing_key(handled) == "twitter:targetuser99"
+    assert routing_key(handled, extract_targets(handled.text)) == (
+        "twitter:targetuser99"
+    )
     benign = _msg(2, text="lovely weather", channel="tea")
-    assert routing_key(benign) == "channel:gab:tea"
+    assert routing_key(benign, extract_targets(benign.text)) == (
+        "channel:gab:tea"
+    )
 
 
 def test_routing_key_channel_fallback_is_case_insensitive():
@@ -183,21 +197,21 @@ def test_routing_key_channel_fallback_is_case_insensitive():
         _msg(2, text="lovely weather", channel="news"),
         _msg(3, text="lovely weather", channel="NEWS"),
     ]
-    keys = {routing_key(m) for m in variants}
+    keys = {routing_key(m, extract_targets(m.text)) for m in variants}
     assert keys == {"channel:gab:news"}
-    assert len({shard_for(m, 8) for m in variants}) == 1
+    assert len({_shard_for(m, 8) for m in variants}) == 1
 
 
 def test_same_target_always_lands_on_same_shard():
     messages = [_msg(i, text=CTH_TEXT, channel=f"chan{i}") for i in range(10)]
     for n_shards in (2, 3, 8):
-        shards = {shard_for(m, n_shards) for m in messages}
+        shards = {_shard_for(m, n_shards) for m in messages}
         assert len(shards) == 1
 
 
 # -- overload & backpressure ---------------------------------------------------
 
-def _overload_runtime(policy, **kwargs):
+def _overload_runtime(serve_models, policy, **kwargs):
     config = ServeConfig(
         n_shards=1,
         batch_size=kwargs.pop("batch_size", 4),
@@ -211,7 +225,7 @@ def _overload_runtime(policy, **kwargs):
             per_char_seconds=0.0,
         ),
     )
-    return ServingRuntime(_NullMonitor, config)
+    return ServingRuntime(_factory(serve_models), config)
 
 
 def _flood():
@@ -219,8 +233,8 @@ def _flood():
     return LoadProfile(rate_per_second=1e6, seed=2)
 
 
-def test_shed_newest_bounds_queue_and_accounts_everything():
-    runtime = _overload_runtime(BackpressurePolicy.SHED_NEWEST)
+def test_shed_newest_bounds_queue_and_accounts_everything(serve_models):
+    runtime = _overload_runtime(serve_models, BackpressurePolicy.SHED_NEWEST)
     result = runtime.serve_stream([_msg(i) for i in range(64)], _flood())
     acct = result.telemetry.shards[0].queue
     assert acct.max_depth <= 4
@@ -234,8 +248,8 @@ def test_shed_newest_bounds_queue_and_accounts_everything():
     assert monitor_seen == acct.taken
 
 
-def test_drop_oldest_bounds_queue_and_keeps_newest():
-    runtime = _overload_runtime(BackpressurePolicy.DROP_OLDEST)
+def test_drop_oldest_bounds_queue_and_keeps_newest(serve_models):
+    runtime = _overload_runtime(serve_models, BackpressurePolicy.DROP_OLDEST)
     messages = [_msg(i) for i in range(64)]
     result = runtime.serve_stream(messages, _flood())
     acct = result.telemetry.shards[0].queue
@@ -245,8 +259,8 @@ def test_drop_oldest_bounds_queue_and_keeps_newest():
     assert result.unaccounted == 0
 
 
-def test_block_policy_loses_nothing_under_flood():
-    runtime = _overload_runtime(BackpressurePolicy.BLOCK)
+def test_block_policy_loses_nothing_under_flood(serve_models):
+    runtime = _overload_runtime(serve_models, BackpressurePolicy.BLOCK)
     result = runtime.serve_stream([_msg(i) for i in range(64)], _flood())
     acct = result.telemetry.shards[0].queue
     assert acct.shed == acct.dropped == 0
@@ -255,11 +269,12 @@ def test_block_policy_loses_nothing_under_flood():
     assert result.unaccounted == 0
 
 
-def test_drop_oldest_processes_newest_ids():
+def test_drop_oldest_processes_newest_ids(serve_models):
     monitors = []
+    make = _factory(serve_models, monitor_class=_RecordingMonitor)
 
     def factory():
-        monitor = _NullMonitor()
+        monitor = make()
         monitors.append(monitor)
         return monitor
 
@@ -293,7 +308,7 @@ def test_drain_flushes_partial_batches(serve_models, stream_profiles):
     assert result.unaccounted == 0
 
 
-def test_deadline_flush_caps_queue_wait():
+def test_deadline_flush_caps_queue_wait(serve_models):
     # Arrivals 1s apart with a 10ms deadline: every message flushes as a
     # singleton batch, so queue wait is bounded by the deadline.
     config = ServeConfig(
@@ -303,7 +318,7 @@ def test_deadline_flush_caps_queue_wait():
             per_char_seconds=0.0,
         ),
     )
-    result = ServingRuntime(_NullMonitor, config).serve_stream(
+    result = ServingRuntime(_factory(serve_models), config).serve_stream(
         [_msg(i) for i in range(10)], LoadProfile(rate_per_second=1.0, seed=8)
     )
     shard = result.telemetry.shards[0]
@@ -311,7 +326,7 @@ def test_deadline_flush_caps_queue_wait():
     assert shard.queue_wait.max <= 0.01 + 1e-9
 
 
-def test_burst_fills_batches():
+def test_burst_fills_batches(serve_models):
     # A simultaneous burst the size of a batch flushes as one full batch.
     config = ServeConfig(
         n_shards=1, batch_size=8, max_delay_seconds=10.0, queue_capacity=64,
@@ -320,7 +335,7 @@ def test_burst_fills_batches():
             per_char_seconds=0.0,
         ),
     )
-    result = ServingRuntime(_NullMonitor, config).serve_stream(
+    result = ServingRuntime(_factory(serve_models), config).serve_stream(
         [_msg(i) for i in range(32)], LoadProfile(rate_per_second=1e9, seed=8)
     )
     shard = result.telemetry.shards[0]
@@ -360,9 +375,9 @@ def test_serve_config_errors_name_the_offending_field():
         ServeConfig(queue_capacity=8, batch_size=16)
 
 
-def test_run_rejects_bad_jobs():
+def test_run_rejects_bad_jobs(serve_models):
     with pytest.raises(ValueError):
-        ServingRuntime(_NullMonitor, ServeConfig()).run([], jobs=0)
+        ServingRuntime(_factory(serve_models), ServeConfig()).run([], jobs=0)
 
 
 def test_empty_stream(serve_models):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.score.core import ScoreWork
 from repro.serve.batching import MicroBatcher, ServiceCostModel
 from repro.serve.loadgen import LoadProfile, generate_arrivals
 from repro.serve.queueing import BackpressurePolicy, BoundedQueue
@@ -157,8 +158,15 @@ def test_cost_model_is_affine_and_validated():
         per_message_seconds=0.001,
         per_char_seconds=0.0001,
     )
-    assert cost.service_seconds(["ab", "c"]) == pytest.approx(
+    work = ScoreWork(
+        messages=2, chars=3, tokenized_messages=2, tokenized_chars=3
+    )
+    assert cost.breakdown(work).total_seconds == pytest.approx(
         0.01 + 2 * 0.001 + 3 * 0.0001
+    )
+    # State is billed per detection, on top of the scoring work.
+    assert cost.breakdown(work, n_detections=2).state_seconds == (
+        pytest.approx(2 * cost.state_per_detection_seconds)
     )
     with pytest.raises(ValueError):
         ServiceCostModel(per_message_seconds=-1.0)
@@ -206,8 +214,9 @@ def test_loadgen_validation_and_empty():
 
 def test_shard_telemetry_record_batch():
     shard = ShardTelemetry(shard_id=0)
-    shard.record_batch(1.0, 1.5, waits=[0.2, 0.3], n_alerts=1)
-    shard.record_batch(2.0, 2.25, waits=[0.0], n_alerts=0)
+    shard.record_batch(1.0, 1.5, waits=[0.2, 0.3])
+    shard.record_alert(0.5)
+    shard.record_batch(2.0, 2.25, waits=[0.0])
     assert shard.batches == 2
     assert shard.messages_scored == 3
     assert shard.alerts_raised == 1
@@ -218,8 +227,10 @@ def test_shard_telemetry_record_batch():
 
 def test_fleet_telemetry_aggregates_and_serializes():
     a, b = ShardTelemetry(shard_id=0), ShardTelemetry(shard_id=1)
-    a.record_batch(0.0, 1.0, waits=[0.1, 0.1], n_alerts=2)
-    b.record_batch(0.5, 3.0, waits=[0.2], n_alerts=0)
+    a.record_batch(0.0, 1.0, waits=[0.1, 0.1])
+    a.record_alert(1.0)
+    a.record_alert(0.9)
+    b.record_batch(0.5, 3.0, waits=[0.2])
     a.queue.offered = a.queue.admitted = a.queue.taken = 2
     a.queue.max_depth = 7
     b.queue.offered = 3
@@ -270,10 +281,11 @@ def test_merged_fold_handles_empty_and_epochs():
     ).as_dict()
     # Epoch fold: same shard id on both sides merges into one ledger.
     early, late = ShardTelemetry(shard_id=0), ShardTelemetry(shard_id=0)
-    early.record_batch(0.0, 1.0, waits=[0.1], n_alerts=0)
-    late.record_batch(2.0, 3.0, waits=[0.2, 0.3], n_alerts=1)
+    early.record_batch(0.0, 1.0, waits=[0.1])
+    late.record_batch(2.0, 3.0, waits=[0.2, 0.3])
+    late.record_alert(1.0)
     other = ShardTelemetry(shard_id=1)
-    other.record_batch(0.0, 0.5, waits=[0.0], n_alerts=0)
+    other.record_batch(0.0, 0.5, waits=[0.0])
     fold = ServeTelemetry.merged([
         ServeTelemetry(shards=[early]),
         ServeTelemetry(shards=[late, other]),

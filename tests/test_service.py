@@ -12,7 +12,6 @@ from repro.service.monitor import (
     HarassmentMonitor,
     MonitorConfig,
     MonitorStats,
-    target_handles,
 )
 from repro.service.stream import MessageStream, StreamMessage
 from repro.types import Platform, Source, Task
@@ -269,13 +268,6 @@ def test_monitor_extracts_pii_once_per_message(monitor_models, monkeypatch):
     # linking rather than re-running the regex bank.
     assert [a for a in alerts if a.kind is AlertKind.DOX]
     assert len(calls) == 1
-
-
-def test_target_handles_module_function():
-    handles, extracted = target_handles(DOX_TEXT)
-    assert "twitter:targetuser99" in handles
-    assert "address" in extracted  # full extraction rides along
-    assert target_handles(BENIGN_TEXT) == ([], {})
 
 
 def test_monitor_stats_as_dict_and_merge():
