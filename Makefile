@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-repro lint-contracts bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
+.PHONY: install test lint lint-repro lint-concurrency bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
 
 CACHE_DIR ?= .study-cache
 
@@ -14,16 +14,15 @@ lint:
 	ruff check src tests
 
 # Full static analysis (per-file DET001-DET003/PUR001-PUR002 plus the
-# call-graph-backed CONC001-CONC003/MRG001-MRG003 packs); fails on
-# findings not in .repro-lint-baseline.json.
+# call-graph-backed CONC001-CONC003 pack); fails on findings not in
+# .repro-lint-baseline.json.
 lint-repro:
 	PYTHONPATH=src python -m repro.cli lint src
 
-# Just the cross-module packs: shard-isolation race rules (CONC) and
-# telemetry merge-contract rules (MRG), with the shared-call-graph
-# timing line on stderr.
-lint-contracts:
-	PYTHONPATH=src python -m repro.cli lint src --select CONC,MRG --stats
+# Just the cross-module pack: shard-isolation race rules (CONC), with
+# the shared-call-graph timing line on stderr.
+lint-concurrency:
+	PYTHONPATH=src python -m repro.cli lint src --select CONC --stats
 
 # Run the study on the staged execution engine; warm re-runs execute
 # zero stages.  Scale/parallelism: make study ARGS="--full --jobs 8".

@@ -1,17 +1,16 @@
 """Project-wide symbol table and call graph for graph-backed lint rules.
 
 The per-file rule pack (``DET*``/``PUR*``) sees one file at a time; the
-concurrency and merge-contract rules (``CONC*``/``MRG*``) need to know
-what the *project* looks like: which functions call which, which classes
-own which mutable state, and what is reachable from the serving
-runtime's shard-worker entry points.  This package builds that view from
-the engine's existing one-parse-per-file :class:`FileContext` objects —
-no second ``ast.parse`` ever runs:
+concurrency rules (``CONC*``) need to know what the *project* looks
+like: which functions call which, which classes own which mutable
+state, and what is reachable from the serving runtime's shard-worker
+entry points.  This package builds that view from the engine's existing
+one-parse-per-file :class:`FileContext` objects — no second
+``ast.parse`` ever runs:
 
 - :mod:`symbols` extracts per-file symbols (modules, classes with their
-  fields / class-level and instance attributes / bases, functions
-  including nested ones) into a project-wide table keyed by dotted
-  qualname;
+  class-level and instance attributes / bases, functions including
+  nested ones) into a project-wide table keyed by dotted qualname;
 - :mod:`callgraph` resolves call sites against that table (imports and
   aliases, ``self.method()`` with base-class lookup, receivers typed by
   annotation or constructor assignment, a unique-method-name fallback)

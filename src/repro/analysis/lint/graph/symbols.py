@@ -7,12 +7,9 @@ module never parses).  Symbols are keyed by dotted *qualname* —
 file's path, so cross-file references resolve through the same names
 the import map produces.
 
-Beyond names, class symbols record the state the concurrency and
-merge-contract rules reason about:
+Beyond names, class symbols record the state the concurrency rules
+reason about:
 
-- ``fields``: dataclass fields (annotated class-body assignments under a
-  ``@dataclass`` decorator) or, for plain classes, every ``self.x = ...``
-  target in ``__init__`` — the "what must ``merge()`` preserve" set;
 - ``class_mutable_attrs``: class-body bindings of mutable containers
   (shared across every instance, hence across every shard);
 - ``instance_attr_types``: ``self.x = SomeClass(...)`` constructor
@@ -135,10 +132,7 @@ class ClassSymbol:
     node: ast.ClassDef
     #: base-class names as written (dotted), resolved lazily by the graph
     bases: tuple[str, ...] = ()
-    is_dataclass: bool = False
     methods: dict[str, FunctionSymbol] = dataclasses.field(default_factory=dict)
-    #: declared field order: dataclass annotations, else __init__ targets
-    fields: tuple[str, ...] = ()
     #: class-body mutable container bindings (non-ALL_CAPS, non-dunder)
     class_mutable_attrs: dict[str, ast.AST] = dataclasses.field(
         default_factory=dict
@@ -187,9 +181,7 @@ class SymbolTable:
 def _harvest_init(cls: ClassSymbol) -> None:
     """Fill instance-attr facts from the class's ``__init__``."""
     init = cls.methods.get("__init__")
-    attr_order: list[str] = []
     if init is None:
-        cls.fields = cls.fields or ()
         return
     imports = cls.ctx.imports
     private: set[str] = set()
@@ -204,16 +196,12 @@ def _harvest_init(cls: ClassSymbol) -> None:
             ):
                 continue
             attr = target.attr
-            if attr not in attr_order:
-                attr_order.append(attr)
             if attr.startswith("_") and _is_mutable_value(node.value, imports):
                 private.add(attr)
             if isinstance(node.value, ast.Call):
                 ctor = _dotted(node.value.func)
                 if ctor is not None:
                     cls.instance_attr_types.setdefault(attr, ctor)
-    if not cls.fields:
-        cls.fields = tuple(attr_order)
     cls.private_mutable_attrs = frozenset(private)
 
 
@@ -221,11 +209,6 @@ def _class_symbol(
     ctx: FileContext, module: str, node: ast.ClassDef
 ) -> ClassSymbol:
     qualname = f"{module}.{node.name}"
-    is_dataclass = any(
-        (_dotted(d.func if isinstance(d, ast.Call) else d) or "").split(".")[-1]
-        == "dataclass"
-        for d in node.decorator_list
-    )
     bases = tuple(
         dotted for dotted in (_dotted(b) for b in node.bases) if dotted
     )
@@ -236,9 +219,7 @@ def _class_symbol(
         ctx=ctx,
         node=node,
         bases=bases,
-        is_dataclass=is_dataclass,
     )
-    dataclass_fields: list[str] = []
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             cls.methods[stmt.name] = FunctionSymbol(
@@ -250,7 +231,6 @@ def _class_symbol(
                 owner=cls,
             )
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            dataclass_fields.append(stmt.target.id)
             if (
                 stmt.value is not None
                 and not stmt.target.id.isupper()
@@ -267,8 +247,6 @@ def _class_symbol(
                     and _is_mutable_value(stmt.value, ctx.imports)
                 ):
                     cls.class_mutable_attrs[target.id] = stmt
-    if is_dataclass:
-        cls.fields = tuple(dataclass_fields)
     _harvest_init(cls)
     return cls
 

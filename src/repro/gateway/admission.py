@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable
+
+from repro.obs.ledger import Ledger, Series, field
+from repro.obs.metrics import COUNTER
 
 
 class TokenBucket:
@@ -83,16 +85,23 @@ class TokenBucket:
         }
 
 
+_OUTCOME = Series(
+    COUNTER, "gateway_arrivals", "arrivals per admission outcome"
+)
+
+
 @dataclasses.dataclass
-class AdmissionAccounting:
+class AdmissionAccounting(Ledger):
     """Arrival-conservation ledger for one tenant at the gateway door."""
 
-    offered: int = 0
-    admitted: int = 0
-    throttled_tenant: int = 0
-    throttled_fleet: int = 0
-    rejected_auth: int = 0
-    rejected_quota: int = 0
+    offered: int = field(metric=_OUTCOME(outcome="offered"))
+    admitted: int = field(metric=_OUTCOME(outcome="admitted"))
+    throttled_tenant: int = field(metric=_OUTCOME(outcome="throttled_tenant"))
+    throttled_fleet: int = field(metric=_OUTCOME(outcome="throttled_fleet"))
+    rejected_auth: int = field(metric=_OUTCOME(outcome="rejected_auth"))
+    rejected_quota: int = field(metric=_OUTCOME(outcome="rejected_quota"))
+
+    DERIVED = ("throttled", "unaccounted")
 
     @property
     def throttled(self) -> int:
@@ -107,47 +116,3 @@ class AdmissionAccounting:
             - self.throttled_fleet - self.rejected_auth
             - self.rejected_quota
         )
-
-    def merge(self, other: "AdmissionAccounting") -> "AdmissionAccounting":
-        """Combine two ledgers for the same tenant (pure)."""
-        return AdmissionAccounting(
-            offered=self.offered + other.offered,
-            admitted=self.admitted + other.admitted,
-            throttled_tenant=self.throttled_tenant + other.throttled_tenant,
-            throttled_fleet=self.throttled_fleet + other.throttled_fleet,
-            rejected_auth=self.rejected_auth + other.rejected_auth,
-            rejected_quota=self.rejected_quota + other.rejected_quota,
-        )
-
-    @classmethod
-    def merged(
-        cls, accountings: Iterable["AdmissionAccounting"]
-    ) -> "AdmissionAccounting":
-        """Fold per-tenant (or per-run) ledgers into one view."""
-        total = cls()
-        for accounting in accountings:
-            total = total.merge(accounting)
-        return total
-
-    def as_dict(self) -> dict[str, int]:
-        data = dataclasses.asdict(self)
-        data["throttled"] = self.throttled
-        data["unaccounted"] = self.unaccounted
-        return data
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit this ledger into an observability registry."""
-        outcomes = registry.counter(
-            "gateway_arrivals", help="arrivals per admission outcome"
-        )
-        for outcome in (
-            "offered",
-            "admitted",
-            "throttled_tenant",
-            "throttled_fleet",
-            "rejected_auth",
-            "rejected_quota",
-        ):
-            outcomes.labels(outcome=outcome, **labels).inc(
-                getattr(self, outcome)
-            )

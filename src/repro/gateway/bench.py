@@ -180,9 +180,7 @@ def run_gateway_bench(
             "makespan_seconds": serve_telemetry.makespan_seconds,
             "load_skew": serve_telemetry.load_skew,
             "alerts_total": len(result.serve.alerts),
-            "alert_latency": (
-                serve_telemetry.merged_alert_latency().as_dict()
-            ),
+            "alert_latency": serve_telemetry.fleet().alert_latency.as_dict(),
             "fairness_skew": fairness_skew,
         },
         "isolation": isolation,
@@ -210,11 +208,14 @@ def compare_gateway_reports(
             "conservation",
             "admission ledger does not balance for every tenant",
         ))
-    if fleet.get("serve_unaccounted", 0) != 0:
+    if "serve_unaccounted" not in fleet:
+        failures.append(GateFailure(
+            "conservation", "report has no fleet serve_unaccounted count"
+        ))
+    elif fleet["serve_unaccounted"] != 0:
         failures.append(GateFailure(
             "conservation",
-            f"serve left {fleet.get('serve_unaccounted')} unaccounted "
-            "messages",
+            f"serve left {fleet['serve_unaccounted']} unaccounted messages",
         ))
     if report.get("isolation") != "ok":
         failures.append(GateFailure(

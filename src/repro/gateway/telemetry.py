@@ -1,11 +1,11 @@
 """Gateway telemetry: per-tenant ledgers, mergeable, snapshot-stable.
 
-Follows the repo's aggregation contract — every telemetry dataclass
-knows how to ``merge()`` with a peer, render itself ``as_dict()``
-(sorted, so snapshots are byte-stable), and ``populate_metrics()`` into
-the unified labeled registry — which is exactly what the MRG contract
-lints enforce.  All numbers are simulated-time arithmetic; nothing here
-reads a clock.
+:class:`TenantTelemetry` is a :class:`~repro.obs.ledger.Ledger`: its
+fields declare how they merge and which registry series they feed, and
+``merge``/``as_dict``/``populate_metrics`` follow from that.
+:class:`GatewayTelemetry` is the keyed union of those ledgers by tenant
+id, rendered sorted so snapshots are byte-stable.  All numbers are
+simulated-time arithmetic; nothing here reads a clock.
 """
 
 from __future__ import annotations
@@ -14,11 +14,22 @@ import dataclasses
 from typing import Iterable
 
 from repro.gateway.admission import AdmissionAccounting
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.ledger import ANY, SAME, Ledger, Series, field
+from repro.obs.metrics import (
+    COUNTER,
+    GAUGE,
+    HISTOGRAM,
+    LatencyHistogram,
+    MetricsRegistry,
+)
+
+_ALERTS = Series(
+    COUNTER, "gateway_alerts", "per-tenant alerts by delivery outcome"
+)
 
 
 @dataclasses.dataclass
-class TenantTelemetry:
+class TenantTelemetry(Ledger):
     """Everything the gateway learned about one tenant's traffic.
 
     ``registered`` distinguishes real tenants from presented-but-unknown
@@ -26,78 +37,26 @@ class TenantTelemetry:
     conserve too).  ``alerts_total`` counts the tenant's raw alert
     stream before the preference layer; ``alerts_delivered`` +
     ``alerts_suppressed`` partition it.  ``feed_latency`` is simulated
-    arrival-to-delivery time per delivered alert.
+    arrival-to-delivery time per delivered alert.  Only ledgers of the
+    same tenant merge.
     """
 
-    tenant: str
-    registered: bool = False
-    admission: AdmissionAccounting = dataclasses.field(
-        default_factory=AdmissionAccounting
-    )
-    alerts_total: int = 0
-    alerts_delivered: int = 0
-    alerts_suppressed: int = 0
-    feed_evicted: int = 0
-    feed_latency: LatencyHistogram = dataclasses.field(
-        default_factory=LatencyHistogram
-    )
-
-    def merge(self, other: "TenantTelemetry") -> "TenantTelemetry":
-        """Combine two ledgers for the same tenant id (pure)."""
-        if self.tenant != other.tenant:
-            raise ValueError(
-                f"cannot merge telemetry for different tenants: "
-                f"{self.tenant!r} vs {other.tenant!r}"
-            )
-        return TenantTelemetry(
-            tenant=self.tenant,
-            registered=self.registered or other.registered,
-            admission=self.admission.merge(other.admission),
-            alerts_total=self.alerts_total + other.alerts_total,
-            alerts_delivered=self.alerts_delivered + other.alerts_delivered,
-            alerts_suppressed=(
-                self.alerts_suppressed + other.alerts_suppressed
-            ),
-            feed_evicted=self.feed_evicted + other.feed_evicted,
-            feed_latency=self.feed_latency.merge(other.feed_latency),
-        )
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "registered": self.registered,
-            "admission": self.admission.as_dict(),
-            "alerts_total": self.alerts_total,
-            "alerts_delivered": self.alerts_delivered,
-            "alerts_suppressed": self.alerts_suppressed,
-            "feed_evicted": self.feed_evicted,
-            "feed_latency": self.feed_latency.as_dict(),
-        }
-
-    def populate_metrics(self, registry: MetricsRegistry) -> None:
-        """Project this tenant's ledgers into the labeled registry."""
-        labels = {"tenant": self.tenant}
-        self.admission.populate_metrics(registry, **labels)
-        registry.gauge(
-            "gateway_tenant_registered", help="1 if the tenant is registered"
-        ).labels(**labels).set(1 if self.registered else 0)
-        alerts = registry.counter(
-            "gateway_alerts", help="per-tenant alerts by delivery outcome"
-        )
-        alerts.labels(outcome="total", **labels).inc(self.alerts_total)
-        alerts.labels(outcome="delivered", **labels).inc(
-            self.alerts_delivered
-        )
-        alerts.labels(outcome="suppressed", **labels).inc(
-            self.alerts_suppressed
-        )
-        registry.counter(
-            "gateway_feed_evicted", help="alerts dropped from bounded feeds"
-        ).labels(**labels).inc(self.feed_evicted)
-        registry.histogram(
-            "gateway_feed_latency_seconds",
-            help="simulated arrival-to-delivery latency per delivered alert",
-        ).labels(**labels).merge_from(self.feed_latency)
+    tenant: str = field(dataclasses.MISSING, merge=SAME, label="tenant")
+    registered: bool = field(False, merge=ANY, metric=Series(
+        GAUGE, "gateway_tenant_registered", "1 if the tenant is registered"
+    ))
+    admission: AdmissionAccounting = field(AdmissionAccounting)
+    alerts_total: int = field(metric=_ALERTS(outcome="total"))
+    alerts_delivered: int = field(metric=_ALERTS(outcome="delivered"))
+    alerts_suppressed: int = field(metric=_ALERTS(outcome="suppressed"))
+    feed_evicted: int = field(metric=Series(
+        COUNTER, "gateway_feed_evicted", "alerts dropped from bounded feeds"
+    ))
+    feed_latency: LatencyHistogram = field(LatencyHistogram, metric=Series(
+        HISTOGRAM,
+        "gateway_feed_latency_seconds",
+        "simulated arrival-to-delivery latency per delivered alert",
+    ))
 
 
 @dataclasses.dataclass
@@ -138,12 +97,6 @@ class GatewayTelemetry:
             total = total.merge(telemetry)
         return total
 
-    def merged_admission(self) -> AdmissionAccounting:
-        """Fleet admission ledger across every presented tenant id."""
-        return AdmissionAccounting.merged(
-            self.tenants[tenant].admission for tenant in sorted(self.tenants)
-        )
-
     @property
     def conservation_ok(self) -> bool:
         """True iff every tenant's admission ledger balances exactly."""
@@ -156,7 +109,10 @@ class GatewayTelemetry:
         return {
             "runs": self.runs,
             "conservation_ok": self.conservation_ok,
-            "admission": self.merged_admission().as_dict(),
+            "admission": AdmissionAccounting.merged(
+                self.tenants[tenant].admission
+                for tenant in sorted(self.tenants)
+            ).as_dict(),
             "tenants": {
                 tenant: self.tenants[tenant].as_dict()
                 for tenant in sorted(self.tenants)

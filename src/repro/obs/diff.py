@@ -51,15 +51,20 @@ class MetricDelta:
 
 @dataclasses.dataclass(frozen=True)
 class Regression:
-    """A gated finding (currently: throughput below tolerance)."""
+    """A gated finding: throughput below tolerance, or gone entirely."""
 
     metric: str
     labels: str
     before: float
-    after: float
+    after: float | None  # None = the series is missing from the after run
     drop: float  # fractional
 
     def describe(self) -> str:
+        if self.after is None:
+            return (
+                f"{self.metric}{{{self.labels}}} is missing "
+                f"(was {self.before:,.1f})"
+            )
         return (
             f"{self.metric}{{{self.labels}}} dropped {self.drop:.1%}: "
             f"{self.before:,.1f} -> {self.after:,.1f}"
@@ -117,15 +122,16 @@ def find_regressions(
     deltas: list[MetricDelta], max_regression: float = 0.02
 ) -> list[Regression]:
     """Throughput gate: flag any tracked rate that dropped more than
-    ``max_regression`` (fractional) vs the before run."""
+    ``max_regression`` (fractional) vs the before run, or that the after
+    run no longer reports at all (counted as a 100% drop)."""
     regressions = []
     for delta in deltas:
         if delta.metric not in THROUGHPUT_METRICS:
             continue
-        if delta.before is None or delta.after is None or delta.before <= 0:
+        if delta.before is None or delta.before <= 0:
             continue
-        drop = (delta.before - delta.after) / delta.before
-        if drop > max_regression:
+        drop = (delta.before - (delta.after or 0.0)) / delta.before
+        if delta.after is None or drop > max_regression:
             regressions.append(Regression(
                 metric=delta.metric,
                 labels=delta.labels,

@@ -3,10 +3,12 @@
 One registry per run replaces the hand-rolled counter dicts that grew in
 parallel across the engine (``StageRecord`` tallies), the scoring core
 (``ScoreWork``), and the serve runtime (``ShardTelemetry`` /
-``QueueAccounting``).  Those types keep their ``merge()``/``as_dict()``
-shapes — the bench JSON schemas are load-bearing — and additionally
-*populate* a registry, so every operational signal is addressable by one
-``(metric name, labels)`` scheme instead of a per-subsystem schema.
+``QueueAccounting``).  Those telemetry types are ledgers
+(:mod:`repro.obs.ledger`) whose fields declare the series they feed; their
+``as_dict()`` shapes stay — the bench JSON schemas are load-bearing — and
+they additionally *populate* a registry, so every operational signal is
+addressable by one ``(metric name, labels)`` scheme instead of a
+per-subsystem schema.
 
 Determinism contract (same as the rest of the repo): a registry is a
 pure function of the calls made against it.  Snapshots sort families by

@@ -26,7 +26,7 @@ from repro.util.batching import iter_batches
 
 if TYPE_CHECKING:  # the serve layer sits above the core; type-only import
     from repro.obs.recorder import RunObserver
-    from repro.serve.batching import ServiceCostModel
+    from repro.serve.batching import CostBreakdown, ServiceCostModel
 
 
 @dataclasses.dataclass
@@ -40,7 +40,7 @@ class ScoreBenchResult:
     work: ScoreWork
     detections: int
     simulated_seconds: float
-    breakdown: dict[str, float]
+    breakdown: "CostBreakdown"
     cache_stats: dict[str, dict[str, int | float]]
 
     @property
@@ -66,7 +66,7 @@ class ScoreBenchResult:
             "simulated_seconds": self.simulated_seconds,
             "messages_per_second": self.messages_per_second,
             "extractions_per_message": self.extractions_per_message,
-            "busy_breakdown": dict(self.breakdown),
+            "busy_breakdown": self.breakdown.as_dict(),
             "work": self.work.as_dict(),
             "caches": self.cache_stats,
         }
@@ -80,13 +80,7 @@ class ScoreBenchResult:
         registry.counter(
             "score_bench_detections", help="messages over either threshold"
         ).labels().inc(self.detections)
-        busy = registry.counter(
-            "busy_seconds", help="simulated busy seconds per component"
-        )
-        for component, seconds in self.breakdown.items():
-            busy.labels(component=component.removesuffix("_seconds")).inc(
-                seconds
-            )
+        self.breakdown.populate_metrics(registry)
         registry.gauge(
             "score_bench_distinct_texts", help="distinct texts in the stream"
         ).labels().set(self.distinct_texts)
@@ -121,16 +115,14 @@ def run_score_bench(
     span per batch on the simulated clock (with the core's work ledger
     annotated), plus the labeled metrics snapshot.
     """
-    if cost is None:
-        # Runtime import: repro.serve imports the scoring core, so the
-        # dependency must stay one-way at module-import time.
-        from repro.serve.batching import CostBreakdown, ServiceCostModel
+    # Runtime import: repro.serve imports the scoring core, so the
+    # dependency must stay one-way at module-import time.
+    from repro.serve.batching import CostBreakdown, ServiceCostModel
 
+    if cost is None:
         cost = ServiceCostModel()
-    else:
-        from repro.serve.batching import CostBreakdown
     total = ScoreWork()
-    breakdown_totals = CostBreakdown.zero_totals()
+    breakdown_totals = CostBreakdown()
     n_messages = 0
     n_batches = 0
     detections = 0
@@ -161,8 +153,7 @@ def run_score_bench(
             batch_span.close(simulated, simulated + breakdown.total_seconds)
             batch_span.annotate(detections=n_detections)
         simulated += breakdown.total_seconds
-        for key, value in breakdown.as_dict().items():
-            breakdown_totals[key] += value
+        breakdown_totals.add(breakdown)
         total.add(scored.work)
         n_messages += len(batch)
         n_batches += 1

@@ -37,6 +37,8 @@ from scipy import sparse
 from repro.extraction.pii import extract_pii
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.tokenize import TokenHashCache
+from repro.obs.ledger import Ledger, Series, field
+from repro.obs.metrics import COUNTER
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import ExpertCoder
 from repro.util.cache import LRUCache
@@ -84,77 +86,52 @@ def extract_targets(text: str) -> Extraction:
     )
 
 
+_WORK = Series(
+    COUNTER, "score_work_messages",
+    "texts per component, split by cache hit/miss",
+)
+
+
 @dataclasses.dataclass
-class ScoreWork:
+class ScoreWork(Ledger):
     """Ledger of the text-processing work one batch actually performed.
 
     Cache hits and misses are split out so the serving cost model can
     charge only the work that really ran: a template-heavy batch whose
     texts all hit the caches costs (simulated) tokenize/extract time of
-    zero.  Counters are plain sums, so per-shard ledgers merge into a
-    fleet view the same way :class:`~repro.service.monitor.MonitorStats`
-    does.
+    zero.  Counters are plain sums.  In the registry, work that ran vs.
+    work a cache absorbed becomes one ``score_work_messages`` family
+    labeled ``component={tokenize,extract,code}`` x ``cache={hit,miss}``
+    — the cache-efficiency slice dashboards read.
     """
 
-    messages: int = 0
-    chars: int = 0
+    messages: int = field(metric=Series(
+        COUNTER, "score_messages", "messages through the scoring core"
+    ))
+    chars: int = field(metric=Series(
+        COUNTER, "score_chars", "characters through the scoring core"
+    ))
     #: texts actually tokenized (token-cache misses) and their chars
-    tokenized_messages: int = 0
+    tokenized_messages: int = field(
+        metric=_WORK(component="tokenize", cache="miss")
+    )
     tokenized_chars: int = 0
-    token_cache_hits: int = 0
+    token_cache_hits: int = field(
+        metric=_WORK(component="tokenize", cache="hit")
+    )
     #: texts actually run through the PII regex bank, and their chars
-    extracted_messages: int = 0
+    extracted_messages: int = field(
+        metric=_WORK(component="extract", cache="miss")
+    )
     extracted_chars: int = 0
-    extraction_cache_hits: int = 0
+    extraction_cache_hits: int = field(
+        metric=_WORK(component="extract", cache="hit")
+    )
     #: texts actually run through the taxonomy signature bank
-    coded_messages: int = 0
-    coding_cache_hits: int = 0
-
-    def merge(self, other: "ScoreWork") -> "ScoreWork":
-        """Counter-wise sum with ``other`` (neither operand is mutated)."""
-        return ScoreWork(**{
-            field.name: getattr(self, field.name) + getattr(other, field.name)
-            for field in dataclasses.fields(ScoreWork)
-        })
-
-    def add(self, other: "ScoreWork") -> None:
-        """Accumulate ``other`` into this ledger in place."""
-        for field in dataclasses.fields(ScoreWork):
-            setattr(
-                self, field.name,
-                getattr(self, field.name) + getattr(other, field.name),
-            )
-
-    def as_dict(self) -> dict[str, int]:
-        """Field-name -> count snapshot, stable field order."""
-        return dataclasses.asdict(self)
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit this ledger into an observability registry.
-
-        Work that ran vs. work a cache absorbed becomes one
-        ``score_work_messages`` counter family labeled
-        ``component={tokenize,extract,code}`` x ``cache={hit,miss}`` —
-        the cache-efficiency slice the autoscaler and dashboards read —
-        plus plain message/char throughput counters.
-        """
-        registry.counter(
-            "score_messages", help="messages through the scoring core"
-        ).labels(**labels).inc(self.messages)
-        registry.counter(
-            "score_chars", help="characters through the scoring core"
-        ).labels(**labels).inc(self.chars)
-        family = registry.counter(
-            "score_work_messages",
-            help="texts per component, split by cache hit/miss",
-        )
-        for component, ran, hits in (
-            ("tokenize", self.tokenized_messages, self.token_cache_hits),
-            ("extract", self.extracted_messages, self.extraction_cache_hits),
-            ("code", self.coded_messages, self.coding_cache_hits),
-        ):
-            family.labels(component=component, cache="miss", **labels).inc(ran)
-            family.labels(component=component, cache="hit", **labels).inc(hits)
+    coded_messages: int = field(metric=_WORK(component="code", cache="miss"))
+    coding_cache_hits: int = field(
+        metric=_WORK(component="code", cache="hit")
+    )
 
 
 @dataclasses.dataclass

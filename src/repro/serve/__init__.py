@@ -49,11 +49,7 @@ from repro.serve.runtime import (
     alert_sort_key,
     routing_key,
 )
-from repro.serve.telemetry import (
-    LatencyHistogram,
-    ServeTelemetry,
-    ShardTelemetry,
-)
+from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
 
 __all__ = [
     "Arrival",
@@ -63,7 +59,6 @@ __all__ = [
     "HashRing",
     "HotKeyPolicy",
     "KillSpec",
-    "LatencyHistogram",
     "LoadProfile",
     "MicroBatcher",
     "PlanKind",

@@ -19,6 +19,8 @@ import dataclasses
 import math
 from typing import Sequence
 
+from repro.obs.ledger import Ledger, Series, field
+from repro.obs.metrics import COUNTER
 from repro.score.core import ScoreWork
 from repro.serve.queueing import BoundedQueue
 
@@ -44,12 +46,6 @@ class MicroBatcher:
                 f"max_delay_seconds must be positive, got {self.max_delay_seconds}"
             )
 
-    def flush_time(
-        self, queue: BoundedQueue, upcoming_arrivals: Sequence[float]
-    ) -> float:
-        """Earliest simulated time the current head batch may flush."""
-        return self.flush_decision(queue, upcoming_arrivals)[0]
-
     def flush_decision(
         self, queue: BoundedQueue, upcoming_arrivals: Sequence[float]
     ) -> tuple[float, str]:
@@ -65,7 +61,7 @@ class MicroBatcher:
         trace span so overload triage can see *why* latency moved.
         """
         if not len(queue):
-            raise ValueError("flush_time is undefined for an empty queue")
+            raise ValueError("flush_decision is undefined for an empty queue")
         deadline = queue.enqueue_time_at(0) + self.max_delay_seconds
         need = self.batch_size - len(queue)
         if need <= 0:
@@ -77,21 +73,25 @@ class MicroBatcher:
         return deadline, FLUSH_DEADLINE
 
 
-@dataclasses.dataclass(frozen=True)
-class CostBreakdown:
-    """Simulated seconds one batch spent per scoring-path component.
+_BUSY = Series(COUNTER, "busy_seconds", "simulated busy seconds per component")
+
+
+@dataclasses.dataclass
+class CostBreakdown(Ledger):
+    """Simulated seconds spent per scoring-path component.
 
     The components mirror the message hot path: **tokenize** (hashing
     texts that missed the token cache), **score** (vectorizer dispatch
     plus model dot products — the only part every message always pays),
     **extract** (PII regex runs that missed the extraction cache), and
     **state** (per-detection target-state bookkeeping in the monitor).
+    One batch's bill, or the running total of a shard or a bench run.
     """
 
-    tokenize_seconds: float = 0.0
-    score_seconds: float = 0.0
-    extract_seconds: float = 0.0
-    state_seconds: float = 0.0
+    tokenize_seconds: float = field(0.0, metric=_BUSY(component="tokenize"))
+    score_seconds: float = field(0.0, metric=_BUSY(component="score"))
+    extract_seconds: float = field(0.0, metric=_BUSY(component="extract"))
+    state_seconds: float = field(0.0, metric=_BUSY(component="state"))
 
     @property
     def total_seconds(self) -> float:
@@ -101,35 +101,6 @@ class CostBreakdown:
             + self.extract_seconds
             + self.state_seconds
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def zero_totals() -> dict[str, float]:
-        """A zeroed component-accumulator dict in field order.
-
-        The one definition every busy-seconds accumulator starts from
-        (shard telemetry, fleet merge, score bench) — adding a
-        component here propagates everywhere.
-        """
-        return dict.fromkeys(BREAKDOWN_COMPONENTS, 0.0)
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit per-component busy seconds into a registry."""
-        family = registry.counter(
-            "busy_seconds", help="simulated busy seconds per component"
-        )
-        for component, seconds in self.as_dict().items():
-            family.labels(
-                component=component.removesuffix("_seconds"), **labels
-            ).inc(seconds)
-
-
-#: Component field names of :class:`CostBreakdown`, in declaration order.
-BREAKDOWN_COMPONENTS: tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(CostBreakdown)
-)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,19 +1,17 @@
-"""Serving telemetry: histograms, per-shard counters, JSON snapshots.
+"""Serving telemetry: per-shard ledgers and the fleet view over them.
 
 Everything here is simulated-time arithmetic over values the runtime
 hands in — no clock reads, no randomness — so two runs of the same
 configuration produce byte-identical snapshots (the serve-bench JSON
 report is diffable across machines, like ``repro cache ls``).
 
-Aggregation follows the ``MonitorStats`` idiom: every dataclass knows
-how to ``merge()`` with a peer and render itself ``as_dict()``, so the
-fleet-wide view is a fold over shards without reaching into fields.
-
-The histogram type itself lives in :mod:`repro.obs.metrics` (it is the
-registry's histogram series too) and is re-exported here for
-compatibility; ``populate_metrics`` projects every per-shard ledger
-into the unified labeled registry ``repro obs`` reads, while
-``as_dict()`` keeps the committed ``BENCH_serve.json`` schema stable.
+:class:`ShardTelemetry` is a :class:`~repro.obs.ledger.Ledger`: each
+field declares how it merges and which registry series it feeds, so
+the epoch fold, the fleet fold (:meth:`ServeTelemetry.fleet`), the JSON
+snapshot and the ``repro obs`` metrics all follow from one list of
+fields.  :class:`ServeTelemetry` is the keyed union of shard ledgers
+by shard id; its ``as_dict()`` keeps the committed ``BENCH_serve.json``
+schema.
 """
 
 from __future__ import annotations
@@ -21,78 +19,82 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
+from repro.obs.ledger import MAX, MIN, Ledger, Series, field
 from repro.obs.metrics import (
-    BUCKET_BOUNDS,
+    COUNTER,
+    HISTOGRAM,
     LatencyHistogram,
     MetricsRegistry,
-    merge_histograms,
 )
 from repro.score.core import ScoreWork
 from repro.service.monitor import MonitorStats
 from repro.serve.batching import CostBreakdown
 from repro.serve.queueing import QueueAccounting
 
-__all__ = [
-    "BUCKET_BOUNDS",
-    "LatencyHistogram",
-    "ServeTelemetry",
-    "ShardTelemetry",
-]
+__all__ = ["ServeTelemetry", "ShardTelemetry"]
 
 
 @dataclasses.dataclass
-class ShardTelemetry:
-    """Everything one shard learned about itself during a run."""
+class ShardTelemetry(Ledger):
+    """Everything one shard learned about itself during a run.
 
-    shard_id: int
-    queue: QueueAccounting = dataclasses.field(default_factory=QueueAccounting)
+    Two ledgers merge when a shard's epochs fold together, or when the
+    fleet view folds every shard into one: counts and busy seconds sum,
+    the time span widens to cover both operands, and the histograms
+    merge bucket-wise.  ``shard_id`` keeps the smaller id, so a fold
+    over any operand order lands on the same value.
+    """
+
+    shard_id: int = field(merge=MIN, label="shard")
+    queue: QueueAccounting = field(QueueAccounting)
     #: this shard's monitor in the keyed state pass: the messages it
     #: applied as owner of their routing key
-    monitor: MonitorStats = dataclasses.field(default_factory=MonitorStats)
-    batches: int = 0
-    messages_scored: int = 0
+    monitor: MonitorStats = field(MonitorStats)
+    batches: int = field(metric=Series(
+        COUNTER, "serve_batches", "micro-batches scored"
+    ))
+    messages_scored: int = field(metric=Series(
+        COUNTER, "serve_messages_scored", "messages scored"
+    ))
     #: alerts raised on messages this shard scored
-    alerts_raised: int = 0
+    alerts_raised: int = field(metric=Series(
+        COUNTER, "serve_alerts_raised", "alerts raised"
+    ))
     busy_seconds: float = 0.0
-    #: busy_seconds split by scoring-path component (tokenize / score /
-    #: extract / state); only populated when the runtime passes a
-    #: :class:`~repro.serve.batching.CostBreakdown` per batch.
-    busy_breakdown: dict[str, float] = dataclasses.field(
-        default_factory=CostBreakdown.zero_totals
-    )
+    #: busy_seconds split by scoring-path component
+    busy_breakdown: CostBreakdown = field(CostBreakdown)
     #: accumulated scoring-work ledger across this shard's batches
-    score_work: ScoreWork = dataclasses.field(default_factory=ScoreWork)
-    first_batch_start: float = float("inf")
-    last_batch_end: float = 0.0
-    service_time: LatencyHistogram = dataclasses.field(
-        default_factory=LatencyHistogram
-    )
-    queue_wait: LatencyHistogram = dataclasses.field(
-        default_factory=LatencyHistogram
-    )
+    score_work: ScoreWork = field(ScoreWork)
+    first_batch_start: float = field(float("inf"), merge=MIN)
+    last_batch_end: float = field(0.0, merge=MAX)
+    service_time: LatencyHistogram = field(LatencyHistogram, metric=Series(
+        HISTOGRAM, "service_time_seconds", "per-batch simulated service time"
+    ))
+    queue_wait: LatencyHistogram = field(LatencyHistogram, metric=Series(
+        HISTOGRAM, "queue_wait_seconds", "per-message simulated queue wait"
+    ))
     #: per-alert simulated latency (enqueue -> completion of the message
     #: raising it: its batch end, or later if a kill held it back for
     #: requeued messages), billed to the scoring shard
-    alert_latency: LatencyHistogram = dataclasses.field(
-        default_factory=LatencyHistogram
-    )
+    alert_latency: LatencyHistogram = field(LatencyHistogram, metric=Series(
+        HISTOGRAM,
+        "alert_latency_seconds",
+        "per-alert simulated enqueue-to-batch-end latency",
+    ))
 
     def record_batch(
         self,
         start: float,
         end: float,
         waits: Sequence[float],
-        breakdown: CostBreakdown | None = None,
-        work: ScoreWork | None = None,
+        breakdown: CostBreakdown,
+        work: ScoreWork,
     ) -> None:
         self.batches += 1
         self.messages_scored += len(waits)
         self.busy_seconds += end - start
-        if breakdown is not None:
-            for key, value in breakdown.as_dict().items():
-                self.busy_breakdown[key] += value
-        if work is not None:
-            self.score_work.add(work)
+        self.busy_breakdown.add(breakdown)
+        self.score_work.add(work)
         self.first_batch_start = min(self.first_batch_start, start)
         self.last_batch_end = max(self.last_batch_end, end)
         self.service_time.record(end - start)
@@ -104,92 +106,13 @@ class ShardTelemetry:
         self.alerts_raised += 1
         self.alert_latency.record(latency)
 
-    def merge(self, other: "ShardTelemetry") -> "ShardTelemetry":
-        """Combine two ledgers for the same logical shard (pure).
-
-        This is the failover/rebalancing fold: when a replacement worker
-        takes over a shard mid-run, its partial ledger merges with the
-        original's.  Counts sum, the busy breakdown sums per component,
-        the time span widens to cover both operands, and the histograms
-        merge bucket-wise.  ``shard_id`` keeps the smaller id so a fold
-        over any operand order lands on the same value.
-        """
-        breakdown = dict(self.busy_breakdown)
-        for key in sorted(other.busy_breakdown):
-            breakdown[key] = breakdown.get(key, 0.0) + other.busy_breakdown[key]
-        return ShardTelemetry(
-            shard_id=min(self.shard_id, other.shard_id),
-            queue=self.queue.merge(other.queue),
-            monitor=self.monitor.merge(other.monitor),
-            batches=self.batches + other.batches,
-            messages_scored=self.messages_scored + other.messages_scored,
-            alerts_raised=self.alerts_raised + other.alerts_raised,
-            busy_seconds=self.busy_seconds + other.busy_seconds,
-            busy_breakdown=breakdown,
-            score_work=self.score_work.merge(other.score_work),
-            first_batch_start=min(
-                self.first_batch_start, other.first_batch_start
-            ),
-            last_batch_end=max(self.last_batch_end, other.last_batch_end),
-            service_time=self.service_time.merge(other.service_time),
-            queue_wait=self.queue_wait.merge(other.queue_wait),
-            alert_latency=self.alert_latency.merge(other.alert_latency),
-        )
-
     def as_dict(self) -> dict[str, object]:
-        return {
-            "shard_id": self.shard_id,
-            "queue": self.queue.as_dict(),
-            "monitor": self.monitor.as_dict(),
-            "batches": self.batches,
-            "messages_scored": self.messages_scored,
-            "alerts_raised": self.alerts_raised,
-            "busy_seconds": self.busy_seconds,
-            "busy_breakdown": dict(self.busy_breakdown),
-            "score_work": self.score_work.as_dict(),
-            # None (not inf/0.0 sentinels) for a shard that never ran a
-            # batch, so the JSON snapshot stays valid and unambiguous.
-            "first_batch_start": (
-                self.first_batch_start if self.batches else None
-            ),
-            "last_batch_end": self.last_batch_end if self.batches else None,
-            "service_time": self.service_time.as_dict(),
-            "queue_wait": self.queue_wait.as_dict(),
-            "alert_latency": self.alert_latency.as_dict(),
-        }
-
-    def populate_metrics(self, registry: MetricsRegistry) -> None:
-        """Project this shard's ledgers into the labeled registry."""
-        labels = {"shard": str(self.shard_id)}
-        self.queue.populate_metrics(registry, **labels)
-        self.monitor.populate_metrics(registry, **labels)
-        self.score_work.populate_metrics(registry, **labels)
-        registry.counter(
-            "serve_batches", help="micro-batches scored"
-        ).labels(**labels).inc(self.batches)
-        registry.counter(
-            "serve_messages_scored", help="messages scored"
-        ).labels(**labels).inc(self.messages_scored)
-        registry.counter(
-            "serve_alerts_raised", help="alerts raised"
-        ).labels(**labels).inc(self.alerts_raised)
-        busy = registry.counter(
-            "busy_seconds", help="simulated busy seconds per component"
-        )
-        for component, seconds in self.busy_breakdown.items():
-            busy.labels(
-                component=component.removesuffix("_seconds"), **labels
-            ).inc(seconds)
-        registry.histogram(
-            "service_time_seconds", help="per-batch simulated service time"
-        ).labels(**labels).merge_from(self.service_time)
-        registry.histogram(
-            "queue_wait_seconds", help="per-message simulated queue wait"
-        ).labels(**labels).merge_from(self.queue_wait)
-        registry.histogram(
-            "alert_latency_seconds",
-            help="per-alert simulated enqueue-to-batch-end latency",
-        ).labels(**labels).merge_from(self.alert_latency)
+        # None (not inf/0.0 sentinels) for a shard that never ran a
+        # batch, so the JSON snapshot stays valid and unambiguous.
+        data = super().as_dict()
+        if not self.batches:
+            data["first_batch_start"] = data["last_batch_end"] = None
+        return data
 
 
 @dataclasses.dataclass
@@ -230,37 +153,17 @@ class ServeTelemetry:
             total = total.merge(telemetry)
         return total
 
-    def merged_accounting(self) -> QueueAccounting:
-        """Fleet queue ledger (counts sum, ``max_depth`` = worst shard)."""
-        return QueueAccounting.merged(s.queue for s in self.shards)
-
-    def merged_service_time(self) -> LatencyHistogram:
-        return merge_histograms(s.service_time for s in self.shards)
-
-    def merged_queue_wait(self) -> LatencyHistogram:
-        return merge_histograms(s.queue_wait for s in self.shards)
-
-    def merged_alert_latency(self) -> LatencyHistogram:
-        return merge_histograms(s.alert_latency for s in self.shards)
-
-    def merged_monitor_stats(self) -> MonitorStats:
-        """Fleet monitor totals: the sum over every shard's monitor."""
-        return MonitorStats.merged(s.monitor for s in self.shards)
+    def fleet(self) -> ShardTelemetry:
+        """Every shard's ledger folded into one fleet-wide ledger."""
+        return ShardTelemetry.merged(self.shards)
 
     def merged_busy_breakdown(self) -> dict[str, float]:
         """Fleet busy seconds per scoring-path component."""
-        totals = CostBreakdown.zero_totals()
-        for shard in self.shards:
-            for key, value in shard.busy_breakdown.items():
-                totals[key] += value
-        return totals
+        return self.fleet().busy_breakdown.as_dict()
 
     def merged_score_work(self) -> ScoreWork:
         """Fleet-wide scoring-work ledger."""
-        total = ScoreWork()
-        for shard in self.shards:
-            total.add(shard.score_work)
-        return total
+        return self.fleet().score_work
 
     @property
     def messages_scored(self) -> int:
@@ -298,19 +201,20 @@ class ServeTelemetry:
         return max(counts) / mean if mean > 0 else 0.0
 
     def as_dict(self) -> dict[str, object]:
+        fleet = self.fleet()
         return {
             "n_shards": len(self.shards),
             "messages_scored": self.messages_scored,
             "makespan_seconds": self.makespan_seconds,
             "throughput_per_second": self.throughput_per_second,
             "load_skew": self.load_skew,
-            "queue": self.merged_accounting().as_dict(),
-            "monitor": self.merged_monitor_stats().as_dict(),
-            "busy_breakdown": self.merged_busy_breakdown(),
-            "score_work": self.merged_score_work().as_dict(),
-            "service_time": self.merged_service_time().as_dict(),
-            "queue_wait": self.merged_queue_wait().as_dict(),
-            "alert_latency": self.merged_alert_latency().as_dict(),
+            "queue": fleet.queue.as_dict(),
+            "monitor": fleet.monitor.as_dict(),
+            "busy_breakdown": fleet.busy_breakdown.as_dict(),
+            "score_work": fleet.score_work.as_dict(),
+            "service_time": fleet.service_time.as_dict(),
+            "queue_wait": fleet.queue_wait.as_dict(),
+            "alert_latency": fleet.alert_latency.as_dict(),
             "per_shard": [s.as_dict() for s in self.shards],
         }
 

@@ -32,6 +32,8 @@ import dataclasses
 import enum
 from typing import Iterable, Mapping, Sequence
 
+from repro.obs.ledger import Ledger, Series, field
+from repro.obs.metrics import COUNTER
 from repro.score.core import ScoredBatch, ScoringCore
 from repro.service.stream import StreamMessage
 from repro.util.batching import iter_batches
@@ -150,45 +152,24 @@ class MonitorConfig:
             raise ValueError("campaign window must be positive")
 
 
+_EVENTS = Series(
+    COUNTER, "monitor_events", "monitor detections/alerts by kind"
+)
+
+
 @dataclasses.dataclass
-class MonitorStats:
-    messages_processed: int = 0
-    cth_detected: int = 0
-    dox_detected: int = 0
-    campaigns_alerted: int = 0
-    escalations_alerted: int = 0
+class MonitorStats(Ledger):
+    """Per-monitor detection and alert counts (a summing ledger)."""
 
-    def as_dict(self) -> dict[str, int]:
-        """Field-name -> count snapshot, stable field order."""
-        return dataclasses.asdict(self)
-
-    def merge(self, other: "MonitorStats") -> "MonitorStats":
-        """Counter-wise sum with ``other`` (neither operand is mutated)."""
-        return MonitorStats(**{
-            field.name: getattr(self, field.name) + getattr(other, field.name)
-            for field in dataclasses.fields(MonitorStats)
-        })
-
-    @classmethod
-    def merged(cls, stats: Iterable["MonitorStats"]) -> "MonitorStats":
-        """Aggregate per-shard stats into one snapshot."""
-        total = cls()
-        for item in stats:
-            total = total.merge(item)
-        return total
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit the counters into an observability registry.
-
-        One ``monitor_events`` counter family, labeled by event kind
-        (plus whatever the caller adds, e.g. ``shard=...``) — the
-        labeled-metrics shape the obs layer standardizes on.
-        """
-        family = registry.counter(
-            "monitor_events", help="monitor detections/alerts by kind"
-        )
-        for event, count in self.as_dict().items():
-            family.labels(event=event, **labels).inc(count)
+    messages_processed: int = field(
+        metric=_EVENTS(event="messages_processed")
+    )
+    cth_detected: int = field(metric=_EVENTS(event="cth_detected"))
+    dox_detected: int = field(metric=_EVENTS(event="dox_detected"))
+    campaigns_alerted: int = field(metric=_EVENTS(event="campaigns_alerted"))
+    escalations_alerted: int = field(
+        metric=_EVENTS(event="escalations_alerted")
+    )
 
 
 class HarassmentMonitor:

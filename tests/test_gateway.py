@@ -616,8 +616,8 @@ def test_gateway_telemetry_merge_and_metrics():
     assert list(merged.tenants) == ["alpha", "zeta"]
     assert merged.tenants["alpha"].admission.offered == 4
     assert merged.conservation_ok
-    assert merged.merged_admission().offered == 8
     snapshot = merged.as_dict()
+    assert snapshot["admission"]["offered"] == 8
     assert snapshot["conservation_ok"] is True
     from repro.obs.metrics import MetricsRegistry
 
@@ -778,3 +778,12 @@ def test_bench_gate_passes_against_itself_and_catches_regressions(
     }
     failures = compare_gateway_reports(thinned, report)
     assert any(f.check == "tenants" for f in failures)
+
+
+def test_bench_gate_fails_a_report_missing_serve_unaccounted(bench_outcome):
+    """A report that drops the serve conservation count must not pass."""
+    report, _, _ = bench_outcome
+    fleet = dict(report["fleet"])
+    del fleet["serve_unaccounted"]
+    failures = compare_gateway_reports(dict(report, fleet=fleet), report)
+    assert [f.check for f in failures] == ["conservation"]

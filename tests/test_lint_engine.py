@@ -23,19 +23,17 @@ def test_select_and_ignore_filter_rules():
     assert [r.id for r in select_rules()] == [
         "CONC001", "CONC002", "CONC003",
         "DET001", "DET002", "DET003",
-        "MRG001", "MRG002", "MRG003",
         "PUR001", "PUR002",
     ]
     assert [r.id for r in select_rules(select=["DET002"])] == ["DET002"]
     assert [r.id for r in select_rules(ignore=["DET001", "PUR002"])] == [
-        "CONC001", "CONC002", "CONC003", "DET002", "DET003",
-        "MRG001", "MRG002", "MRG003", "PUR001",
+        "CONC001", "CONC002", "CONC003", "DET002", "DET003", "PUR001",
     ]
 
 
 def test_select_expands_family_prefixes():
-    assert [r.id for r in select_rules(select=["CONC", "MRG"])] == [
-        "CONC001", "CONC002", "CONC003", "MRG001", "MRG002", "MRG003",
+    assert [r.id for r in select_rules(select=["CONC", "PUR"])] == [
+        "CONC001", "CONC002", "CONC003", "PUR001", "PUR002",
     ]
     assert [r.id for r in select_rules(select=["DET"], ignore=["DET00"])] == []
     with pytest.raises(LintUsageError, match="ZZZ"):
@@ -240,7 +238,7 @@ def test_cli_stats_reports_a_single_graph_build(tmp_path, capsys):
     victim = tmp_path / "plain.py"
     victim.write_text("def f():\n    return 1\n")
     assert main([
-        "lint", str(victim), "--select", "CONC,MRG", "--stats",
+        "lint", str(victim), "--select", "CONC", "--stats",
         "--baseline", str(tmp_path / "absent.json"),
     ]) == 0
     err = capsys.readouterr().err

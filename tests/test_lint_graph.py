@@ -1,10 +1,8 @@
 """Project call graph: resolution, reachability, caching, and the
-merge-contract gate that re-catches the PR 6 bug class forever."""
+whole-repo shard-isolation (CONC) gate."""
 
 import ast
 import pathlib
-
-import pytest
 
 from repro.analysis.lint import run_lint
 from repro.analysis.lint.engine import FileContext, lint_source, select_rules
@@ -175,7 +173,7 @@ def test_all_graph_rules_share_one_graph_build(tmp_path):
         "    def merge(self, other):\n"
         "        return Ledger()\n"
     )
-    result = run_lint([victim], select=["CONC", "MRG"])
+    result = run_lint([victim], select=["CONC"])
     assert result.project.graph_builds == 1
     assert result.stats.graph_builds == 1
     assert result.stats.graph_functions > 0
@@ -202,45 +200,13 @@ def test_project_rule_findings_honour_noqa():
     assert [f.rule for f in findings] == ["CONC003"]
 
 
-# -- the PR 6 bug class, structurally ----------------------------------------
-
-def test_seeded_mutation_dropping_a_merge_field_is_caught():
-    """Acceptance: delete one field from QueueAccounting.merge -> MRG001."""
-    source = (REPO_ROOT / "src/repro/serve/queueing.py").read_text()
-    clean = lint_source(source, "queueing.py", select_rules(["MRG"]))
-    assert clean == []
-    mutated = source.replace(
-        "            dropped=self.dropped + other.dropped,\n", ""
-    )
-    assert mutated != source, "seed line not found; update the mutation"
-    findings = lint_source(mutated, "queueing.py", select_rules(["MRG"]))
-    assert [f.rule for f in findings] == ["MRG001"]
-    assert "'dropped'" in findings[0].message
-
-
-def test_seeded_mutation_hiding_a_merged_field_from_as_dict_is_caught():
-    """Regression guard for the ShardTelemetry.as_dict parity fix."""
-    source = (REPO_ROOT / "src/repro/serve/telemetry.py").read_text()
-    assert lint_source(source, "telemetry.py", select_rules(["MRG"])) == []
-    span_lines = (
-        '            "first_batch_start": (\n'
-        "                self.first_batch_start if self.batches else None\n"
-        "            ),\n"
-        '            "last_batch_end": self.last_batch_end if self.batches'
-        " else None,\n"
-    )
-    assert span_lines in source, "as_dict span lines moved; update the mutation"
-    mutated = source.replace(span_lines, "")
-    findings = lint_source(mutated, "telemetry.py", select_rules(["MRG"]))
-    assert [f.rule for f in findings] == ["MRG002"]
-    assert "first_batch_start" in findings[0].message
-
+# -- the whole-repo gate ------------------------------------------------------
 
 def test_whole_repo_graph_packs_are_clean_beyond_justified_baseline():
-    """Acceptance: `repro lint --select CONC,MRG src/repro` gate holds."""
+    """Acceptance: `repro lint --select CONC src/repro` gate holds."""
     from repro.analysis.lint import Baseline
 
-    result = run_lint([REPO_ROOT / "src" / "repro"], select=["CONC", "MRG"])
+    result = run_lint([REPO_ROOT / "src" / "repro"], select=["CONC"])
     baseline = Baseline.load(REPO_ROOT / ".repro-lint-baseline.json")
     split = baseline.split(result.findings)
     assert split.new == ()
@@ -248,61 +214,6 @@ def test_whole_repo_graph_packs_are_clean_beyond_justified_baseline():
     for entry in baseline.entries:
         assert entry.justification
         assert "TODO" not in entry.justification
-    # and no source file sneaks a CONC/MRG suppression past the gate
+    # and no source file sneaks a CONC suppression past the gate
     for source in (REPO_ROOT / "src" / "repro").rglob("*.py"):
-        text = source.read_text()
-        assert "noqa[CONC" not in text and "noqa[MRG" not in text, source
-
-
-# -- merged telemetry behaves like the contract says -------------------------
-
-def test_shard_telemetry_merge_preserves_every_field():
-    from repro.serve.telemetry import ShardTelemetry
-
-    a = ShardTelemetry(shard_id=0)
-    a.record_batch(start=1.0, end=2.0, waits=[0.1, 0.2])
-    a.record_alert(1.0)
-    b = ShardTelemetry(shard_id=0)
-    b.record_batch(start=0.5, end=1.2, waits=[0.3])
-    b.record_alert(0.7)
-    b.record_alert(0.7)
-    merged = a.merge(b)
-    assert merged.batches == 2
-    assert merged.messages_scored == 3
-    assert merged.alerts_raised == 3
-    assert merged.busy_seconds == pytest.approx(1.7)
-    assert merged.first_batch_start == 0.5
-    assert merged.last_batch_end == 2.0
-    assert merged.service_time.count == 2
-    assert merged.queue_wait.count == 3
-    # merge is pure
-    assert a.batches == 1 and b.batches == 1
-    # and as_dict surfaces the span fields merge combines (the parity fix)
-    snapshot = merged.as_dict()
-    assert snapshot["first_batch_start"] == 0.5
-    assert snapshot["last_batch_end"] == 2.0
-
-
-def test_shard_telemetry_as_dict_uses_none_for_idle_shards():
-    from repro.serve.telemetry import ShardTelemetry
-
-    idle = ShardTelemetry(shard_id=3).as_dict()
-    assert idle["first_batch_start"] is None
-    assert idle["last_batch_end"] is None
-
-
-def test_serve_telemetry_merge_folds_matching_shards():
-    from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
-
-    a0 = ShardTelemetry(shard_id=0)
-    a0.record_batch(start=0.0, end=1.0, waits=[0.1])
-    b0 = ShardTelemetry(shard_id=0)
-    b0.record_batch(start=1.0, end=2.0, waits=[0.2])
-    b0.record_alert(1.0)
-    b1 = ShardTelemetry(shard_id=1)
-    b1.record_batch(start=0.0, end=0.5, waits=[0.3])
-    merged = ServeTelemetry(shards=[a0]).merge(ServeTelemetry(shards=[b0, b1]))
-    assert [s.shard_id for s in merged.shards] == [0, 1]
-    assert merged.shards[0].batches == 2
-    assert merged.shards[1].batches == 1
-    assert merged.messages_scored == 3
+        assert "noqa[CONC" not in source.read_text(), source

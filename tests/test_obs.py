@@ -377,6 +377,18 @@ def test_diff_flags_injected_throughput_regression():
     assert not find_regressions(diff_metrics(regressed, before), 0.02)
 
 
+def test_diff_flags_a_gated_gauge_missing_after():
+    """A throughput gauge the after run no longer reports fails the gate,
+    just as a drop to zero does."""
+    before = _registry_with_throughput(1000.0).as_dict()
+    after = dict(before)
+    del after["throughput_msgs_per_second"]
+    hits = find_regressions(diff_metrics(before, after), max_regression=0.02)
+    assert [hit.metric for hit in hits] == ["throughput_msgs_per_second"]
+    assert hits[0].after is None and hits[0].drop == 1.0
+    assert "missing" in hits[0].describe()
+
+
 def test_diff_reports_added_and_removed_series():
     before = MetricsRegistry()
     before.counter("alerts").labels(kind="dox").inc(2)
@@ -410,10 +422,8 @@ def test_obs_package_is_det_lint_clean_with_no_suppressions():
 
     package = pathlib.Path("src/repro/obs")
     assert package.is_dir()
-    # DET/PUR/CONC must hold with zero findings and zero suppressions.
-    # The MRG pack is gated separately: the registry primitives carry two
-    # justified MRG003 baseline entries (see .repro-lint-baseline.json),
-    # and the baselined whole-repo gate is covered by the dogfood tests.
+    # Every rule pack (DET/PUR/CONC) must hold with zero findings and
+    # zero suppressions, with no baseline to lean on.
     findings = lint_paths([str(package)], select=["DET", "PUR", "CONC"])
     assert findings == [], [f"{f.rule}:{f.path}:{f.line}" for f in findings]
     for source in package.glob("*.py"):

@@ -320,7 +320,7 @@ def test_rebalance_schedule_preserves_alerts(
     assert result.rebalances[0]["shards_after"] == [0, 1, 2, 3]
     assert result.rebalances[1]["shards_after"] == [0, 1, 2]
     assert tuple(result.ring.shard_ids) == (0, 1, 2)
-    assert result.telemetry.merged_monitor_stats().messages_processed == len(
+    assert result.telemetry.fleet().monitor.messages_processed == len(
         corpus_stream
     )
 
@@ -479,7 +479,7 @@ def test_hot_handle_alerts_are_timed_and_complete_in_their_batches(
     assert result.alerts == _baseline(factory, stream, batch_size=16)
     # Every alert, hot handle or not, is in the latency histogram and
     # in the trace.
-    assert result.telemetry.merged_alert_latency().count == len(result.alerts)
+    assert result.telemetry.fleet().alert_latency.count == len(result.alerts)
     alert_events = [e for e in recorder.tracer.events() if e.name == "alert"]
     assert len(alert_events) == len(result.alerts)
     # Every message completes when the batch that scored it ends.
@@ -512,7 +512,7 @@ def test_conservation_across_mid_drain_rebalance(serve_models):
         schedule=RebalanceSchedule.parse("2,3,2"),
     )
     _assert_conservation(result)
-    fleet = result.telemetry.merged_accounting()
+    fleet = result.telemetry.fleet().queue
     assert fleet.dropped > 0  # overload actually bit
     assert fleet.taken + fleet.dropped + fleet.shed + fleet.requeued == fleet.offered
 
@@ -528,7 +528,7 @@ def test_conservation_across_drop_oldest_shard_kill(serve_models):
         kill=KillSpec(shard=HOTTEST, at_fraction=0.5),
     )
     _assert_conservation(result)
-    fleet = result.telemetry.merged_accounting()
+    fleet = result.telemetry.fleet().queue
     assert fleet.dropped > 0
     assert fleet.requeued == result.failover["requeued_messages"]
     # Requeued messages were re-offered downstream: the fleet saw more
@@ -547,7 +547,7 @@ def test_shed_newest_kill_conservation(serve_models):
         kill=KillSpec(shard=HOTTEST, at_fraction=0.5),
     )
     _assert_conservation(result)
-    assert result.telemetry.merged_accounting().shed > 0
+    assert result.telemetry.fleet().queue.shed > 0
 
 
 # -- determinism of the elastic paths ------------------------------------------

@@ -135,7 +135,7 @@ def test_secondary_handle_state_follows_its_owner(n_shards, jobs):
         _factory(), ServeConfig(n_shards=n_shards, batch_size=8)
     ).serve_stream(stream, LoadProfile(rate_per_second=5000, seed=3), jobs=jobs)
     assert result.alerts == expected
-    assert result.telemetry.merged_monitor_stats().as_dict() == stats.as_dict()
+    assert result.telemetry.fleet().monitor.as_dict() == stats.as_dict()
 
 
 def test_secondary_handle_state_survives_a_kill():
@@ -151,7 +151,7 @@ def test_secondary_handle_state_survives_a_kill():
     )
     assert result.failover["requeued_messages"] > 0
     assert result.alerts == expected
-    assert result.telemetry.merged_monitor_stats().as_dict() == stats.as_dict()
+    assert result.telemetry.fleet().monitor.as_dict() == stats.as_dict()
     assert result.unaccounted == 0
 
 
@@ -199,7 +199,7 @@ def test_held_messages_complete_after_the_requeued_ones_they_wait_for():
     assert sorted(alert_times) == sorted(
         done[a.message_id] for a in result.alerts
     )
-    assert result.telemetry.merged_alert_latency().count == len(result.alerts)
+    assert result.telemetry.fleet().alert_latency.count == len(result.alerts)
     last_batch_end = max(s.last_batch_end for s in result.telemetry.shards)
     assert max(done.values()) <= last_batch_end
 

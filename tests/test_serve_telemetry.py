@@ -4,18 +4,18 @@ import json
 
 import pytest
 
+from repro.obs.metrics import BUCKET_BOUNDS, LatencyHistogram
 from repro.score.core import ScoreWork
-from repro.serve.batching import MicroBatcher, ServiceCostModel
+from repro.serve.batching import CostBreakdown, MicroBatcher, ServiceCostModel
 from repro.serve.loadgen import LoadProfile, generate_arrivals
 from repro.serve.queueing import BackpressurePolicy, BoundedQueue
-from repro.serve.telemetry import (
-    BUCKET_BOUNDS,
-    LatencyHistogram,
-    ServeTelemetry,
-    ShardTelemetry,
-)
+from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
 from repro.service.stream import StreamMessage
 from repro.types import Platform, Source
+
+#: ``record_batch`` arguments for a batch whose component bill and work
+#: ledger these tests do not look at
+_NO_WORK = {"breakdown": CostBreakdown(), "work": ScoreWork()}
 
 
 def _msg(i, text="hello", channel="c"):
@@ -124,28 +124,28 @@ def test_batcher_flushes_when_full():
     batcher = MicroBatcher(batch_size=3, max_delay_seconds=10.0)
     queue = _queue_with([0.0, 1.0, 2.0])
     # Full batch: constrained by the youngest rider, not the deadline.
-    assert batcher.flush_time(queue, []) == 2.0
+    assert batcher.flush_decision(queue, [])[0] == 2.0
 
 
 def test_batcher_flushes_on_deadline():
     batcher = MicroBatcher(batch_size=8, max_delay_seconds=0.5)
     queue = _queue_with([1.0])
-    assert batcher.flush_time(queue, []) == pytest.approx(1.5)
+    assert batcher.flush_decision(queue, [])[0] == pytest.approx(1.5)
 
 
 def test_batcher_waits_for_completing_arrival_if_sooner():
     batcher = MicroBatcher(batch_size=3, max_delay_seconds=10.0)
     queue = _queue_with([0.0, 0.1])
     # The third message arrives at 0.4 — flush then, not at the deadline.
-    assert batcher.flush_time(queue, [0.4, 99.0]) == pytest.approx(0.4)
+    assert batcher.flush_decision(queue, [0.4, 99.0])[0] == pytest.approx(0.4)
     # If it arrived after the deadline, the deadline wins.
-    assert batcher.flush_time(queue, [20.0]) == pytest.approx(10.0)
+    assert batcher.flush_decision(queue, [20.0])[0] == pytest.approx(10.0)
 
 
 def test_batcher_empty_queue_and_validation():
     batcher = MicroBatcher(batch_size=2, max_delay_seconds=1.0)
     with pytest.raises(ValueError):
-        batcher.flush_time(BoundedQueue(4, BackpressurePolicy.BLOCK), [])
+        batcher.flush_decision(BoundedQueue(4, BackpressurePolicy.BLOCK), [])
     with pytest.raises(ValueError):
         MicroBatcher(batch_size=0, max_delay_seconds=1.0)
     with pytest.raises(ValueError):
@@ -214,9 +214,9 @@ def test_loadgen_validation_and_empty():
 
 def test_shard_telemetry_record_batch():
     shard = ShardTelemetry(shard_id=0)
-    shard.record_batch(1.0, 1.5, waits=[0.2, 0.3])
+    shard.record_batch(1.0, 1.5, waits=[0.2, 0.3], **_NO_WORK)
     shard.record_alert(0.5)
-    shard.record_batch(2.0, 2.25, waits=[0.0])
+    shard.record_batch(2.0, 2.25, waits=[0.0], **_NO_WORK)
     assert shard.batches == 2
     assert shard.messages_scored == 3
     assert shard.alerts_raised == 1
@@ -227,10 +227,10 @@ def test_shard_telemetry_record_batch():
 
 def test_fleet_telemetry_aggregates_and_serializes():
     a, b = ShardTelemetry(shard_id=0), ShardTelemetry(shard_id=1)
-    a.record_batch(0.0, 1.0, waits=[0.1, 0.1])
+    a.record_batch(0.0, 1.0, waits=[0.1, 0.1], **_NO_WORK)
     a.record_alert(1.0)
     a.record_alert(0.9)
-    b.record_batch(0.5, 3.0, waits=[0.2])
+    b.record_batch(0.5, 3.0, waits=[0.2], **_NO_WORK)
     a.queue.offered = a.queue.admitted = a.queue.taken = 2
     a.queue.max_depth = 7
     b.queue.offered = 3
@@ -259,13 +259,15 @@ def test_empty_fleet_telemetry():
 
 
 def test_empty_fleet_merged_views_are_total():
-    # All-shards-failed: every merged_* accessor must stay well-defined
-    # on an empty shard list, not raise.
+    # All-shards-failed: the fleet fold and every merged view must stay
+    # well-defined on an empty shard list, not raise.
     fleet = ServeTelemetry(shards=[])
-    assert fleet.merged_accounting().offered == 0
-    assert fleet.merged_service_time().count == 0
-    assert fleet.merged_queue_wait().count == 0
-    assert fleet.merged_monitor_stats().messages_processed == 0
+    total = fleet.fleet()
+    assert total.queue.offered == 0
+    assert total.service_time.count == 0
+    assert total.queue_wait.count == 0
+    assert total.alert_latency.count == 0
+    assert total.monitor.messages_processed == 0
     assert fleet.merged_score_work().as_dict()
     assert sum(fleet.merged_busy_breakdown().values()) == 0.0
     assert fleet.load_skew == 0.0
@@ -281,11 +283,11 @@ def test_merged_fold_handles_empty_and_epochs():
     ).as_dict()
     # Epoch fold: same shard id on both sides merges into one ledger.
     early, late = ShardTelemetry(shard_id=0), ShardTelemetry(shard_id=0)
-    early.record_batch(0.0, 1.0, waits=[0.1])
-    late.record_batch(2.0, 3.0, waits=[0.2, 0.3])
+    early.record_batch(0.0, 1.0, waits=[0.1], **_NO_WORK)
+    late.record_batch(2.0, 3.0, waits=[0.2, 0.3], **_NO_WORK)
     late.record_alert(1.0)
     other = ShardTelemetry(shard_id=1)
-    other.record_batch(0.0, 0.5, waits=[0.0])
+    other.record_batch(0.0, 0.5, waits=[0.0], **_NO_WORK)
     fold = ServeTelemetry.merged([
         ServeTelemetry(shards=[early]),
         ServeTelemetry(shards=[late, other]),
@@ -309,7 +311,7 @@ def test_load_skew_is_max_over_mean():
     assert ServeTelemetry(shards=[idle]).load_skew == 0.0
 
 
-# -- queue-accounting merge (MonitorStats idiom) -------------------------------
+# -- queue-accounting merge (a Ledger) -----------------------------------------
 
 def _acct(**kwargs):
     from repro.serve.queueing import QueueAccounting
@@ -398,10 +400,12 @@ def test_flush_decision_reports_reason():
 
 def test_cost_breakdown_zero_totals_and_registry():
     from repro.obs import MetricsRegistry
-    from repro.serve.batching import BREAKDOWN_COMPONENTS, CostBreakdown
 
-    totals = CostBreakdown.zero_totals()
-    assert tuple(totals) == BREAKDOWN_COMPONENTS
+    totals = CostBreakdown().as_dict()
+    assert tuple(totals) == (
+        "tokenize_seconds", "score_seconds", "extract_seconds",
+        "state_seconds",
+    )
     assert set(totals.values()) == {0.0}
     registry = MetricsRegistry()
     CostBreakdown(
@@ -414,3 +418,57 @@ def test_cost_breakdown_zero_totals_and_registry():
     assert components == {
         "tokenize": 0.1, "score": 0.2, "extract": 0.0, "state": 0.0
     }
+
+
+# -- merged telemetry behaves like the contract says -------------------------
+
+def test_shard_telemetry_merge_preserves_every_field():
+    from repro.serve.telemetry import ShardTelemetry
+
+    a = ShardTelemetry(shard_id=0)
+    a.record_batch(start=1.0, end=2.0, waits=[0.1, 0.2], **_NO_WORK)
+    a.record_alert(1.0)
+    b = ShardTelemetry(shard_id=0)
+    b.record_batch(start=0.5, end=1.2, waits=[0.3], **_NO_WORK)
+    b.record_alert(0.7)
+    b.record_alert(0.7)
+    merged = a.merge(b)
+    assert merged.batches == 2
+    assert merged.messages_scored == 3
+    assert merged.alerts_raised == 3
+    assert merged.busy_seconds == pytest.approx(1.7)
+    assert merged.first_batch_start == 0.5
+    assert merged.last_batch_end == 2.0
+    assert merged.service_time.count == 2
+    assert merged.queue_wait.count == 3
+    # merge is pure
+    assert a.batches == 1 and b.batches == 1
+    # and as_dict surfaces the span fields merge combines (the parity fix)
+    snapshot = merged.as_dict()
+    assert snapshot["first_batch_start"] == 0.5
+    assert snapshot["last_batch_end"] == 2.0
+
+
+def test_shard_telemetry_as_dict_uses_none_for_idle_shards():
+    from repro.serve.telemetry import ShardTelemetry
+
+    idle = ShardTelemetry(shard_id=3).as_dict()
+    assert idle["first_batch_start"] is None
+    assert idle["last_batch_end"] is None
+
+
+def test_serve_telemetry_merge_folds_matching_shards():
+    from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
+
+    a0 = ShardTelemetry(shard_id=0)
+    a0.record_batch(start=0.0, end=1.0, waits=[0.1], **_NO_WORK)
+    b0 = ShardTelemetry(shard_id=0)
+    b0.record_batch(start=1.0, end=2.0, waits=[0.2], **_NO_WORK)
+    b0.record_alert(1.0)
+    b1 = ShardTelemetry(shard_id=1)
+    b1.record_batch(start=0.0, end=0.5, waits=[0.3], **_NO_WORK)
+    merged = ServeTelemetry(shards=[a0]).merge(ServeTelemetry(shards=[b0, b1]))
+    assert [s.shard_id for s in merged.shards] == [0, 1]
+    assert merged.shards[0].batches == 2
+    assert merged.shards[1].batches == 1
+    assert merged.messages_scored == 3
