@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-repro lint-concurrency bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
+.PHONY: install test lint lint-repro lint-concurrency check-kernels bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
 
 CACHE_DIR ?= .study-cache
 
@@ -23,6 +23,13 @@ lint-repro:
 # the shared-call-graph timing line on stderr.
 lint-concurrency:
 	PYTHONPATH=src python -m repro.cli lint src --select CONC --stats
+
+# Full-corpus equivalence of the one-pass CSR build and the gated PII
+# bank against their kept references (tests/kernel_reference.py), over
+# every distinct text and every corpus/perturb.py variant of it; the
+# tiny-corpus half runs in tier-1.  Three to five minutes.
+check-kernels:
+	python scripts/check_kernels.py
 
 # Run the study on the staged execution engine; warm re-runs execute
 # zero stages.  Scale/parallelism: make study ARGS="--full --jobs 8".

@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Check the optimised text kernels against their references on the full corpus.
+
+``tests/test_kernel_equivalence.py`` holds the one-pass CSR build and the
+gated PII bank to the implementations they replaced on the tiny corpora.
+Building the full-scale ``CorpusConfig()`` alone takes about half a
+minute, so the full-profile check runs here instead, with the same
+references (``tests/kernel_reference.py``):
+
+    python scripts/check_kernels.py
+
+Every distinct document text of the full corpus, and every
+``repro.corpus.perturb`` transform of each of them, must give
+byte-identical CSR rows (at three vectorizer settings) and identical
+extractions.  Rows are vectorized in batches of ``BATCH_ROWS`` so memory
+stays bounded.  Prints one line per input set and exits 1 on any
+mismatch.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from repro.corpus import CorpusBuilder, CorpusConfig  # noqa: E402
+from repro.nlp.features import HashingVectorizer  # noqa: E402
+from repro.nlp.tokenize import hash_text  # noqa: E402
+from tests.kernel_reference import (  # noqa: E402
+    csr_differences,
+    perturbed_variants,
+    pii_mismatches,
+    reference_transform_hashes,
+)
+
+#: Seed of the full corpus and of its perturbed variants.
+SEED = 7
+
+#: Rows per vectorizer call; bounds the one-pass build's memory.
+BATCH_ROWS = 20_000
+
+#: The serving and study default, a small feature space (many collisions)
+#: and unigrams only.
+VECTORIZERS = (
+    HashingVectorizer(),
+    HashingVectorizer(n_bits=10),
+    HashingVectorizer(use_bigrams=False),
+)
+
+
+def check(name: str, texts: list[str]) -> bool:
+    """Compare both kernels with their references on ``texts``; print a line."""
+    start = time.perf_counter()
+    pii_bad = pii_mismatches(texts)
+    csr_bad = []
+    for offset in range(0, len(texts), BATCH_ROWS):
+        arrays = [hash_text(text) for text in texts[offset:offset + BATCH_ROWS]]
+        for vectorizer in VECTORIZERS:
+            problems = csr_differences(
+                vectorizer.transform_hashes(arrays),
+                reference_transform_hashes(vectorizer, arrays),
+            )
+            if problems:
+                csr_bad.append(
+                    f"rows {offset}+ at n_bits={vectorizer.n_bits} "
+                    f"bigrams={vectorizer.use_bigrams}: {'; '.join(problems)}"
+                )
+    print(
+        f"{name:<16} {len(texts):>8} texts  pii mismatches {len(pii_bad):>3}  "
+        f"csr mismatches {len(csr_bad):>3}  {time.perf_counter() - start:6.1f}s",
+        flush=True,
+    )
+    for text in pii_bad[:5]:
+        print(f"  pii: {text!r}")
+    for problem in csr_bad[:5]:
+        print(f"  csr: {problem}")
+    return not pii_bad and not csr_bad
+
+
+def main() -> int:
+    start = time.perf_counter()
+    documents = CorpusBuilder(CorpusConfig(seed=SEED)).build()
+    texts = list(dict.fromkeys(doc.text for doc in documents))
+    print(
+        f"full corpus seed {SEED}: {len(documents)} documents, "
+        f"{len(texts)} distinct texts, built in {time.perf_counter() - start:.1f}s",
+        flush=True,
+    )
+    del documents
+
+    inputs = {"original": texts, **perturbed_variants(texts, SEED)}
+
+    ok = all([check(name, batch) for name, batch in inputs.items()])
+    print("kernel equivalence:", "ok" if ok else "MISMATCH")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

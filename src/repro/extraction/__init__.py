@@ -3,7 +3,6 @@
 from repro.extraction.pii import (
     PII_EXTRACTORS,
     extract_pii,
-    extract_pii_batch,
     pii_categories_present,
     evaluate_extractors,
 )
@@ -12,7 +11,6 @@ from repro.extraction.gender import infer_gender, evaluate_gender_inference
 __all__ = [
     "PII_EXTRACTORS",
     "extract_pii",
-    "extract_pii_batch",
     "pii_categories_present",
     "evaluate_extractors",
     "infer_gender",

@@ -1,4 +1,4 @@
-"""PII extraction with 12 precision-optimised regular expressions (§5.6).
+"""PII extraction with 16 precision-optimised regular expressions (§5.6).
 
 The paper extracts nine PII categories: US street addresses, credit-card
 numbers (one pattern per issuer, for precision), email addresses, Facebook
@@ -12,6 +12,12 @@ and YouTube channels.  Social-media profiles use two pattern styles:
 
 All patterns are deliberately precision-first, matching the paper's
 reported >= 95 % accuracy on a labelled dox sample.
+
+Most texts hold no PII, so the bank first drops the categories a text
+cannot match: every match of a category contains one of its
+:data:`PII_TRIGGERS` (a digit, ``@``, or a platform-name literal), and a
+lowercase copy, one digit search and a few substring tests decide which
+patterns run at all.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 from repro.corpus.documents import Document
-from repro.util.cache import LRUCache
 
 _STREET_TYPES = r"(?:St|Ave|Blvd|Dr|Ln|Rd|Ct|Way|Street|Avenue|Boulevard|Drive|Lane|Road|Court)"
 
@@ -47,7 +52,8 @@ def _label_pattern(names: str, username: str) -> re.Pattern[str]:
     )
 
 
-#: The 12 regular expressions, grouped into the 9 PII categories.
+#: The 16 regular expressions (:data:`N_PATTERNS`), grouped into the 9 PII
+#: categories.
 PII_EXTRACTORS: Mapping[str, tuple[re.Pattern[str], ...]] = {
     "address": (
         re.compile(
@@ -91,16 +97,60 @@ PII_EXTRACTORS: Mapping[str, tuple[re.Pattern[str], ...]] = {
     ),
 }
 
+#: What every match of a category contains: ``None`` for a decimal digit
+#: (each digit-led pattern starts its match with ``\d``), otherwise
+#: lowercase literals of which every match holds at least one — the ``@``
+#: of an email, the platform names of the URL and label patterns.  A
+#: category whose trigger is absent from a text cannot match it, so
+#: :func:`_open_categories` skips its patterns.
+PII_TRIGGERS: Mapping[str, tuple[str, ...] | None] = {
+    "address": None,
+    "credit_card": None,
+    "email": ("@",),
+    "facebook": ("facebook", "fb"),
+    "instagram": ("insta", "ig"),
+    "phone": None,
+    "ssn": None,
+    "twitter": ("twitter", "twtr"),
+    "youtube": ("youtube", "yt"),
+}
+
 #: Total number of compiled patterns — the paper's "12 regular expressions"
 #: counts the social-URL and label styles jointly per category; this
 #: implementation exposes the full per-issuer/per-style breakdown.
 N_PATTERNS = sum(len(patterns) for patterns in PII_EXTRACTORS.values())
 
+_DIGIT = re.compile(r"\d")
+
+
+def _open_categories(text: str) -> Iterable[tuple[str, tuple[re.Pattern[str], ...]]]:
+    """The ``PII_EXTRACTORS`` items whose triggers occur in ``text``.
+
+    The gate is exact, not a heuristic: a skipped category could not
+    have matched.  Under ``re.IGNORECASE`` the non-ASCII ``ı``, ``İ``,
+    ``ſ`` and Kelvin sign match ASCII letters that ``str.lower()`` does
+    not produce from them (``"ıg: alice"`` is an Instagram label but
+    holds no ``"ig"``), so non-ASCII text runs every pattern.
+    """
+    if not text.isascii():
+        return PII_EXTRACTORS.items()
+    lowered = text.lower()
+    has_digit = _DIGIT.search(text) is not None
+    return [
+        (category, patterns)
+        for category, patterns in PII_EXTRACTORS.items()
+        if (
+            has_digit
+            if (triggers := PII_TRIGGERS[category]) is None
+            else any(trigger in lowered for trigger in triggers)
+        )
+    ]
+
 
 def extract_pii(text: str) -> dict[str, list[str]]:
     """All PII matches per category (deduplicated, order preserved)."""
     found: dict[str, list[str]] = {}
-    for category, patterns in PII_EXTRACTORS.items():
+    for category, patterns in _open_categories(text):
         values = dict.fromkeys(
             match.group(1) if match.groups() else match.group(0)
             for pattern in patterns
@@ -111,30 +161,13 @@ def extract_pii(text: str) -> dict[str, list[str]]:
     return found
 
 
-def extract_pii_batch(
-    texts: Sequence[str],
-    cache: LRUCache[str, dict[str, list[str]]] | None = None,
-) -> list[dict[str, list[str]]]:
-    """:func:`extract_pii` over a batch, optionally memoised per text.
-
-    With ``cache``, each *distinct* text runs the regex bank at most
-    once — on template-heavy streams (repeated copypasta, the paper's
-    coordinated-incitement shape) that removes nearly all extraction
-    work.  Callers must treat returned dicts as read-only; repeats of a
-    text share one dict object.
-    """
-    if cache is None:
-        return [extract_pii(text) for text in texts]
-    return [cache.get_or_compute(text, extract_pii)[0] for text in texts]
-
-
 def pii_categories_present(text: str) -> frozenset[str]:
     """Which PII categories appear in ``text`` (presence only; faster)."""
-    present = set()
-    for category, patterns in PII_EXTRACTORS.items():
-        if any(pattern.search(text) for pattern in patterns):
-            present.add(category)
-    return frozenset(present)
+    return frozenset(
+        category
+        for category, patterns in _open_categories(text)
+        if any(pattern.search(text) for pattern in patterns)
+    )
 
 
 def evaluate_extractors(documents: Iterable[Document]) -> dict[str, float]:

@@ -33,41 +33,42 @@ class HashingVectorizer:
     def n_features(self) -> int:
         return 1 << self.n_bits
 
-    def _feature_ids(self, hashes: np.ndarray) -> np.ndarray:
-        """Map a token-hash array to hashed unigram (+bigram) feature ids."""
+    def _feature_keys(self, hash_arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Every unigram and in-row bigram as a key ``row << n_bits | id``."""
+        hashes = np.concatenate([np.empty(0, dtype=np.uint64), *hash_arrays])
+        lengths = [row.size for row in hash_arrays]
+        rows = np.repeat(np.arange(len(hash_arrays), dtype=np.int64), lengths)
         mask = np.uint64(self.n_features - 1)
-        ids = hashes & mask
-        if self.use_bigrams and hashes.size >= 2:
-            bigrams = ((hashes[:-1] * _MIX) ^ hashes[1:]) & mask
-            ids = np.concatenate([ids, bigrams])
-        return ids.astype(np.int64)
+        keys = (rows << self.n_bits) | (hashes & mask).astype(np.int64)
+        if not self.use_bigrams:
+            return keys
+        pairs = np.flatnonzero(rows[1:] == rows[:-1])  # no bigram spans two rows
+        bigrams = ((hashes[pairs] * _MIX) ^ hashes[pairs + 1]) & mask
+        return np.concatenate(
+            [keys, (rows[pairs] << self.n_bits) | bigrams.astype(np.int64)]
+        )
 
     def transform_hashes(self, hash_arrays: Sequence[np.ndarray]) -> sparse.csr_matrix:
-        """Vectorize pre-hashed documents (or spans) into one CSR matrix."""
-        indptr = [0]
-        indices_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
-        for hashes in hash_arrays:
-            if hashes.size == 0:
-                indptr.append(indptr[-1])
-                continue
-            ids = self._feature_ids(hashes)
-            uniq, counts = np.unique(ids, return_counts=True)
-            values = counts.astype(np.float64)
-            norm = np.sqrt((values * values).sum())
-            values /= norm
-            indices_parts.append(uniq)
-            data_parts.append(values)
-            indptr.append(indptr[-1] + uniq.size)
-        if indices_parts:
-            indices = np.concatenate(indices_parts)
-            data = np.concatenate(data_parts)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
+        """Vectorize pre-hashed documents (or spans) into one CSR matrix.
+
+        One pass over the whole batch: a single ``np.unique`` over the
+        packed keys yields each row's sorted feature ids with their
+        counts, exactly as a ``np.unique`` per row would.  Squared counts
+        are small integers, so the row norms are exact in float64
+        whatever the summation order.
+        """
+        n_rows = len(hash_arrays)
+        keys, counts = np.unique(self._feature_keys(hash_arrays), return_counts=True)
+        key_rows = keys >> self.n_bits
+        norms = np.sqrt(
+            np.bincount(key_rows, weights=counts * counts, minlength=n_rows)
+        )
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key_rows, minlength=n_rows), out=indptr[1:])
+        data = counts / norms[key_rows]
+        indices = keys & np.int64(self.n_features - 1)
         return sparse.csr_matrix(
-            (data, indices, np.array(indptr, dtype=np.int64)),
-            shape=(len(hash_arrays), self.n_features),
+            (data, indices, indptr), shape=(n_rows, self.n_features)
         )
 
     def transform_cache(self, cache: TokenCache) -> sparse.csr_matrix:

@@ -254,11 +254,6 @@ class ScoringCore:
                 work.extracted_chars += len(text)
         return extraction
 
-    def extract_batch(
-        self, texts: Sequence[str], work: ScoreWork | None = None
-    ) -> list[Extraction]:
-        return [self.extract(text, work=work) for text in texts]
-
     def code_text(
         self, text: str, work: ScoreWork | None = None
     ) -> tuple[AttackSubtype, ...]:

@@ -1,0 +1,146 @@
+"""Reference implementations of the two optimised text kernels.
+
+:meth:`repro.nlp.features.HashingVectorizer.transform_hashes` builds its
+CSR matrix in one pass over the batch, and
+:func:`repro.extraction.pii.extract_pii` skips the categories whose
+triggers a text lacks.  The per-row build and the ungated regex bank they
+replaced live on here, outside the package, as the oracles both kernels
+must match byte for byte.  ``tests/test_kernel_equivalence.py`` checks
+them on the tiny corpora and adversarial inputs;
+``scripts/check_kernels.py`` checks them on the full corpus.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+from scipy import sparse
+
+from repro.corpus.perturb import PERTURBATIONS
+from repro.extraction.pii import (
+    PII_EXTRACTORS,
+    extract_pii,
+    pii_categories_present,
+)
+from repro.nlp.features import _MIX, HashingVectorizer
+from repro.util.rng import child_rng
+
+# -- hashing vectorizer: one np.unique per row ------------------------------
+
+
+def reference_feature_ids(
+    vectorizer: HashingVectorizer, hashes: np.ndarray
+) -> np.ndarray:
+    """Map a token-hash array to hashed unigram (+bigram) feature ids."""
+    mask = np.uint64(vectorizer.n_features - 1)
+    ids = hashes & mask
+    if vectorizer.use_bigrams and hashes.size >= 2:
+        bigrams = ((hashes[:-1] * _MIX) ^ hashes[1:]) & mask
+        ids = np.concatenate([ids, bigrams])
+    return ids.astype(np.int64)
+
+
+def reference_transform_hashes(
+    vectorizer: HashingVectorizer, hash_arrays: Sequence[np.ndarray]
+) -> sparse.csr_matrix:
+    """Vectorize pre-hashed documents row by row into one CSR matrix."""
+    indptr = [0]
+    indices_parts: list[np.ndarray] = []
+    data_parts: list[np.ndarray] = []
+    for hashes in hash_arrays:
+        if hashes.size == 0:
+            indptr.append(indptr[-1])
+            continue
+        ids = reference_feature_ids(vectorizer, hashes)
+        uniq, counts = np.unique(ids, return_counts=True)
+        values = counts.astype(np.float64)
+        norm = np.sqrt((values * values).sum())
+        values /= norm
+        indices_parts.append(uniq)
+        data_parts.append(values)
+        indptr.append(indptr[-1] + uniq.size)
+    if indices_parts:
+        indices = np.concatenate(indices_parts)
+        data = np.concatenate(data_parts)
+    else:
+        indices = np.empty(0, dtype=np.int64)
+        data = np.empty(0, dtype=np.float64)
+    return sparse.csr_matrix(
+        (data, indices, np.array(indptr, dtype=np.int64)),
+        shape=(len(hash_arrays), vectorizer.n_features),
+    )
+
+
+def csr_differences(
+    actual: sparse.csr_matrix, expected: sparse.csr_matrix
+) -> list[str]:
+    """How two CSR matrices differ in shape, dtypes or bytes ([] if not)."""
+    problems = []
+    if actual.shape != expected.shape:
+        problems.append(f"shape {actual.shape} != {expected.shape}")
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        if got.dtype != want.dtype:
+            problems.append(f"{name} dtype {got.dtype} != {want.dtype}")
+        elif got.tobytes() != want.tobytes():
+            problems.append(f"{name} bytes differ")
+    return problems
+
+
+# -- PII bank: every pattern on every text ----------------------------------
+
+
+def reference_extract_pii(text: str) -> dict[str, list[str]]:
+    """All PII matches per category (deduplicated, order preserved)."""
+    found: dict[str, list[str]] = {}
+    for category, patterns in PII_EXTRACTORS.items():
+        values = dict.fromkeys(
+            match.group(1) if match.groups() else match.group(0)
+            for pattern in patterns
+            for match in pattern.finditer(text)
+        )
+        if values:
+            found[category] = list(values)
+    return found
+
+
+def reference_pii_categories_present(text: str) -> frozenset[str]:
+    """Which PII categories appear in ``text`` (presence only)."""
+    return frozenset(
+        category
+        for category, patterns in PII_EXTRACTORS.items()
+        if any(pattern.search(text) for pattern in patterns)
+    )
+
+
+def pii_mismatches(texts: Iterable[str]) -> list[str]:
+    """The texts on which the gated bank and the reference disagree.
+
+    Extractions compare as item lists, not dicts: dict equality ignores
+    key order, and ``Extraction.pii`` keeps the category order.
+    """
+    mismatches = []
+    for text in texts:
+        expected = reference_extract_pii(text)
+        if list(extract_pii(text).items()) != list(expected.items()) or (
+            pii_categories_present(text) != frozenset(expected)
+        ):
+            mismatches.append(text)
+    return mismatches
+
+
+# -- adversarial inputs -------------------------------------------------------
+
+
+def perturbed_variants(texts: Sequence[str], seed: int) -> dict[str, list[str]]:
+    """``texts`` under every :mod:`repro.corpus.perturb` transform.
+
+    Each transform draws from its own named stream, so one variant set
+    does not depend on which transforms ran before it.
+    """
+    variants = {}
+    for name, perturb in PERTURBATIONS.items():
+        rng = child_rng(seed, "kernel-equivalence", name)
+        variants[name] = [perturb(text, rng) for text in texts]
+    return variants

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.corpus.documents import Document, GroundTruth
-from repro.extraction.pii import extract_pii, extract_pii_batch
+from repro.extraction.pii import extract_pii
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.spans import SpanStrategy
 from repro.nlp.tokenize import TokenHashCache, hash_text
@@ -132,18 +132,7 @@ def test_transform_texts_through_token_cache_identical():
     assert (plain != cached).nnz == 0
 
 
-# -- extraction batch + coding batch ------------------------------------------
-
-def test_extract_pii_batch_memoises_distinct_texts():
-    texts = [TEMPLATES[2], TEMPLATES[2], TEMPLATES[3], TEMPLATES[2]]
-    plain = extract_pii_batch(texts)
-    cache = LRUCache(16)
-    cached = extract_pii_batch(texts, cache=cache)
-    assert cached == plain == [extract_pii(t) for t in texts]
-    assert cache.misses == 2 and cache.hits == 2
-    # Repeats share one dict object — that is the memoisation.
-    assert cached[0] is cached[1]
-
+# -- coding cache -------------------------------------------------------------
 
 def test_expert_coder_cache_transparent():
     texts = [TEMPLATES[i % 4] for i in range(12)]
