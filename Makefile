@@ -99,7 +99,9 @@ test-obs:
 # The CI observability check, runnable locally: trace two identical
 # serve-bench runs, byte-compare their traces and metric snapshots,
 # then read them back through the repro obs CLI (diff gates throughput
-# regressions >2%).
+# regressions >2%).  An elastic run (2,4,3 schedule plus a kill of the
+# hottest shard) at --jobs 1 and 2 must match byte for byte too:
+# report, trace and metrics.
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
 	PYTHONPATH=src python -m repro.cli serve-bench --tiny --shards 4 \
@@ -108,6 +110,16 @@ obs-smoke:
 		--report .obs-smoke/run_b.json --trace-dir .obs-smoke/run_b
 	cmp .obs-smoke/run_a/trace.jsonl .obs-smoke/run_b/trace.jsonl
 	cmp .obs-smoke/run_a/metrics.json .obs-smoke/run_b/metrics.json
+	for jobs in 1 2; do \
+		PYTHONPATH=src python -m repro.cli serve-bench --tiny --shards 4 \
+			--rebalance-schedule 2,4,3 --kill-shard hottest --kill-at 0.5 \
+			--check-equivalence --jobs $$jobs \
+			--report .obs-smoke/elastic_jobs$$jobs.json \
+			--trace-dir .obs-smoke/elastic_jobs$$jobs || exit 1; \
+	done
+	cmp .obs-smoke/elastic_jobs1.json .obs-smoke/elastic_jobs2.json
+	cmp .obs-smoke/elastic_jobs1/trace.jsonl .obs-smoke/elastic_jobs2/trace.jsonl
+	cmp .obs-smoke/elastic_jobs1/metrics.json .obs-smoke/elastic_jobs2/metrics.json
 	PYTHONPATH=src python -m repro.cli obs report .obs-smoke/run_a
 	PYTHONPATH=src python -m repro.cli obs diff .obs-smoke/run_a .obs-smoke/run_b
 

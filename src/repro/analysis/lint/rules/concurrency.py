@@ -17,8 +17,10 @@ These rules make that argument structural:
   trace bytes depend on the thread schedule.
 - **CONC003** — per-target monitor state (underscore-prefixed mutable
   instance attributes) accessed from outside the owning class's own
-  methods.  That state is shard-local by routing; reaching into it from
-  another class bypasses the ownership the routing guarantees.
+  methods.  The runtime changes that state only through the state
+  monitor's own methods, one message at a time in stream order;
+  reaching into it from another class — a shard worker above all —
+  bypasses that order.
 
 Reachability starts from :data:`WORKER_ENTRY_SUFFIXES` — the functions
 that run on shard workers (or, for the ``Tracer`` methods, that workers
@@ -175,8 +177,8 @@ class MonitorStateOutsideOwner(ProjectRule):
     summary = "per-target monitor state accessed outside its owning class"
     hint = (
         "add a method on the owning class and call that; private per-target "
-        "state must only be touched via the owner so shard routing keeps it "
-        "isolated"
+        "state must only be touched via the owner so it changes in stream "
+        "order"
     )
 
     def check_project(self, project: "Project") -> Iterator[Finding]:

@@ -384,15 +384,13 @@ def cmd_serve_bench(args) -> int:
     for change in result.rebalances:
         print(
             f"rebalance at t={change['time']:.2f}s: "
-            f"{change['shards_before']} -> {change['shards_after']} "
-            f"({change['migrated_handles']} handles migrated)"
+            f"{change['shards_before']} -> {change['shards_after']}"
         )
     if result.failover:
         print(
             f"failover at t={result.failover['time']:.2f}s: killed shard "
             f"{result.failover['killed_shard']}, requeued "
-            f"{result.failover['requeued_messages']} messages, migrated "
-            f"{result.failover['migrated_handles']} handles"
+            f"{result.failover['requeued_messages']} messages"
         )
     if result.hot_keys or result.rebalances or result.failover:
         print()
@@ -1002,8 +1000,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--kill-shard", default=None, metavar="SHARD",
-        help="kill one shard mid-run and fail its queue and target "
-        "state over to the survivors: a shard id, or 'hottest'",
+        help="kill one shard mid-run and requeue its queued messages "
+        "to the survivors (target state stays in the keyed state "
+        "monitor): a shard id, or 'hottest'",
     )
     p_serve.add_argument(
         "--kill-at", type=float, default=0.5, metavar="FRACTION",

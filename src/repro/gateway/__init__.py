@@ -5,9 +5,9 @@ parties (platforms, trust-and-safety teams, researchers) stream
 messages in through API-key auth and admission control, and consume
 their own isolated alert feeds out — all in simulated time over the
 one shared fleet.  The fleet scores messages on stateless shards, then
-applies them in stream order to per-target state held by each scoped
-handle's ring owner.  See ``DESIGN.md`` §15 for the architecture and
-the tenant-isolation invariant.
+applies them in stream order to one keyed state monitor, whose tables
+key each target by its tenant-scoped handle.  See ``DESIGN.md`` §15
+for the architecture and the tenant-isolation invariant.
 """
 
 from repro.gateway.admission import AdmissionAccounting, TokenBucket

@@ -7,8 +7,8 @@ admission control (per-tenant token bucket + shared fleet-capacity
 bucket + hard quotas, all on simulated time), stamp admitted messages
 with their tenant id, and serve them through the shared fleet.  The
 fleet scores the messages on stateless shards, then applies them in
-stream order to keyed state: the state of handle *h* for tenant *t*
-lives only on the ring owner of ``tenant_scope(t) + h``
+stream order to one keyed state monitor: the state of handle *h* for
+tenant *t* is keyed ``tenant_scope(t) + h``
 (:func:`repro.service.monitor.tenant_scope`), and after a shard kill
 every later message waits for the requeued ones.  The scope prefix
 keeps two tenants naming the same target apart, which yields the
@@ -23,7 +23,10 @@ Alerts flow out through per-tenant preference filters (threshold
 overrides, enabled kinds) into bounded cursor-resumable
 :class:`~repro.gateway.feeds.AlertFeed` buffers.  Feeds, quotas,
 buckets, and telemetry persist across ``handle()`` calls; monitor state
-is per-call (each round is one complete simulated serve).
+is per-call (each round is one complete simulated serve).  A round's
+alert-feed latency comes from :attr:`ServeResult.completions
+<repro.serve.runtime.ServeResult.completions>`, which times every
+alerting message.
 
 Everything is deterministic: no wall clock, no process-salted hashing,
 single-threaded admission before the serve fan-out, sorted iteration
@@ -139,11 +142,9 @@ class Gateway:
     ) -> None:
         self.registry = registry
         self.config = config or GatewayConfig()
-        base = serve_config or ServeConfig()
-        # Completion times feed the per-alert delivery-latency
-        # histograms; the gateway always needs them.
-        self._serve_config = dataclasses.replace(base, track_completions=True)
-        self._runtime = ServingRuntime(monitor_factory, self._serve_config)
+        self._runtime = ServingRuntime(
+            monitor_factory, serve_config or ServeConfig()
+        )
         self._fleet_bucket = TokenBucket(
             self.config.fleet_rate_per_second, self.config.fleet_burst
         )

@@ -8,15 +8,15 @@ ring (seeded virtual nodes) partitions the stream across shards, each
 consuming a bounded queue through a micro-batcher with configurable
 overload policies; hot routing keys fan out over salted sub-keys.
 Keyed state: the coordinator then applies the scored messages in stream
-order, with each target handle's campaign/escalation state held by the
-ring owner of that handle.  Telemetry plus a deterministic open-loop
-load generator make latency, throughput, and shed/drop behaviour
-measurable without ever reading a wall clock.  The ring is elastic: a
-rebalance schedule (explicit or telemetry-planned) resizes the fleet at
-epoch boundaries with per-target state migrating to the new owners, and
-a mid-run shard kill requeues queued work and fails serialized target
-state over to the survivors, and later messages wait for the requeued
-ones before their state is applied.
+order to one state monitor per run, which keys every target handle's
+campaign/escalation state by handle.  Telemetry plus a deterministic
+open-loop load generator make latency, throughput, and shed/drop
+behaviour measurable without ever reading a wall clock.  The ring is
+elastic: a rebalance schedule (explicit or telemetry-planned) resizes
+the fleet at epoch boundaries, and a mid-run shard kill requeues queued
+work to the survivors; later messages wait for the requeued ones
+before their state is applied.  Both only change which shard scores
+what; no target state moves.
 
 ``repro serve-bench`` drives it from the CLI; the headline invariant —
 merged sharded alerts identical to single-monitor output — is asserted

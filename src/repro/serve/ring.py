@@ -2,8 +2,8 @@
 
 Routing in :mod:`repro.serve.runtime` used to be ``stable_hash(key) %
 n_shards`` — changing the shard count rehashed nearly every key, so the
-fleet could never grow or shrink without moving nearly all per-target
-campaign state.  The :class:`HashRing` here places ``vnodes`` seeded
+fleet could never grow or shrink without re-homing nearly every
+routing key.  The :class:`HashRing` here places ``vnodes`` seeded
 virtual nodes per shard on a 64-bit ring (every point is
 ``stable_hash("serve-ring", shard, replica)``, so placement is a pure
 function of the shard id — no wall clock, no process salt); a key is
@@ -18,8 +18,8 @@ Two more pieces live here because they are pure policy over the ring:
   shard no matter how the ring is balanced.  :func:`detect_hot_keys`
   finds routing keys whose traffic share crosses a threshold and
   :func:`salt_key` fans each one out over deterministic salted
-  sub-keys.  The runtime salts only its stateless scoring stage; the
-  target's state stays with the owner of the unsalted key (see
+  sub-keys.  The runtime salts only its stateless scoring stage; target
+  state lives in one keyed state monitor whatever the routing (see
   ``DESIGN.md`` §14).
 * **Rebalance plans** — :class:`RebalancePlanner` turns the queue-depth
   and latency signals already in
@@ -388,10 +388,11 @@ class RebalanceSchedule:
     """Explicit shard-count trajectory over equal arrival-count epochs.
 
     ``shard_counts=(2, 4, 3)`` serves the first third of the arrivals on
-    2 shards, the middle third on 4, and the rest on 3, migrating
-    per-target monitor state at each boundary.  ``planned=True``
-    (``parse("auto:N")``) instead runs ``N`` equal epochs and lets a
-    :class:`RebalancePlanner` decide the topology at each boundary.
+    2 shards, the middle third on 4, and the rest on 3; a boundary only
+    changes which shard scores what, and no target state moves.
+    ``planned=True`` (``parse("auto:N")``) instead runs ``N`` equal
+    epochs and lets a :class:`RebalancePlanner` decide the topology at
+    each boundary.
     """
 
     shard_counts: tuple[int, ...] = ()
@@ -444,9 +445,9 @@ class KillSpec:
     ``shard`` is an explicit shard id or :data:`HOTTEST` (resolve to the
     shard with the most scored messages when the kill fires).  The kill
     lands after ``at_fraction`` of the arrivals have been routed: the
-    victim finishes its in-flight batch, its queued messages are
-    requeued to the surviving owners, and its per-target monitor state
-    migrates to them.
+    victim finishes its in-flight batch and its queued messages are
+    requeued to the surviving owners.  The victim only scored, so no
+    target state moves.
     """
 
     shard: int | str = HOTTEST

@@ -1,4 +1,4 @@
-"""Sharded serving runtime: stateless scoring, then a keyed state pass.
+"""Sharded serving runtime: stateless scoring, then one keyed state pass.
 
 :meth:`ServingRuntime.run` serves an arrival stream in epochs, and each
 epoch in two stages:
@@ -17,14 +17,13 @@ epoch in two stages:
    scores them on a thread pool with identical results.  This stage
    alone fixes every batch's simulated time.
 2. **State** (keyed).  The coordinator applies the epoch's scored
-   messages in stream order through
-   :meth:`HarassmentMonitor.process_scored`, the one copy of the alert
-   rules.  The state of handle *h* for tenant *t* lives only on the
-   monitor of ``ring.owner(tenant_scope(t) + h)``.  A message is applied
-   on the owner of its unsalted routing key; a detection naming further
-   handles that other shards own borrows their state for that one call
-   and hands it back.  Only scores and extractions cross between the
-   stages, never feature matrices.
+   messages in stream order, in slices of ``batch_size``, to the run's
+   one state monitor through :meth:`HarassmentMonitor.process_scored`,
+   the one copy of the alert rules.  Its tables are keyed by scoped
+   handle (:func:`~repro.service.monitor.tenant_scope`), so every
+   detection reaches each of its targets' windows in stream order,
+   whichever shard scored it.  Only scores and extractions cross
+   between the stages, never feature matrices.
 
 That gives the headline invariant:
 
@@ -34,22 +33,20 @@ That gives the headline invariant:
     shard count, any rebalance schedule, any hot-key split, and any
     kill-and-failover sequence.
 
-Two elastic mechanisms change the ring at epoch boundaries, and per-
-target state migrates to each handle's new owner through the
-:class:`~repro.service.monitor.TargetStateSnapshot` contract:
+Two elastic mechanisms change the ring at epoch boundaries.  They only
+change which shard scores what; target state stays where it is:
 
 * **Rebalancing** — a :class:`~repro.serve.ring.RebalanceSchedule`
   resizes the fleet to explicit shard counts, or lets a
   :class:`~repro.serve.ring.RebalancePlanner` decide from telemetry.
 * **Failover** — a :class:`~repro.serve.ring.KillSpec` kills a shard
-  mid-run: it finishes its in-flight batch, its queued messages are
+  mid-run: it finishes its in-flight batch, and its queued messages are
   requeued to the surviving owners (accounted through the ``requeued``
-  bucket, never lost), and its state round-trips through the snapshot's
-  JSON form into the survivors.  A requeued message must apply its
-  state before any later message, so the state pass holds back every
-  message after the first requeued one until the requeued ones have
-  been scored in the next epoch.  A held message completes, and its
-  alerts are timed, no earlier than the requeued messages before it.
+  bucket, never lost).  A requeued message must apply its state before
+  any later message, so the state pass holds back every message after
+  the first requeued one until the requeued ones have been scored in
+  the next epoch.  A held message completes, and its alerts are timed,
+  no earlier than the requeued messages before it.
 """
 
 from __future__ import annotations
@@ -64,14 +61,8 @@ from typing import Callable, Iterable, Sequence
 
 from repro.obs.recorder import RunObserver
 from repro.obs.trace import SpanContext, Tracer
-from repro.score.core import Extraction, ScoredBatch, extract_targets
-from repro.service.monitor import (
-    Alert,
-    HarassmentMonitor,
-    MonitorStats,
-    TargetStateSnapshot,
-    tenant_scope,
-)
+from repro.score.core import Extraction, ScoredBatch, ScoreWork, extract_targets
+from repro.service.monitor import Alert, HarassmentMonitor, tenant_scope
 from repro.service.stream import StreamMessage
 from repro.serve.batching import FLUSH_DRAIN, MicroBatcher, ServiceCostModel
 from repro.serve.loadgen import Arrival, LoadProfile, generate_arrivals
@@ -105,10 +96,10 @@ def routing_key(message: StreamMessage, extraction: Extraction) -> str:
     ``channel:twitter:news`` must likewise be one key, not two.
 
     A message carrying a gateway tenant id routes under the tenant's
-    scope prefix (:func:`repro.service.monitor.tenant_scope`) — the same
-    prefix the monitor keys its per-target state with, so the ring owner
-    of the key is the owner of the primary handle's state.  Two tenants
-    naming the same target are two keys, never one shared window.
+    scope prefix (:func:`repro.service.monitor.tenant_scope`), so two
+    tenants naming the same target are two keys.  The key only picks
+    the scoring shard; tenant isolation rests on the monitor keying its
+    state with the same prefix.
     """
     scope = tenant_scope(message.tenant)
     if extraction.primary_handle is not None:
@@ -134,15 +125,10 @@ class ServeConfig:
     #: virtual nodes per shard on the consistent-hash ring
     ring_vnodes: int = 128
     #: traffic share at which a routing key's scoring is split (0
-    #: disables); state stays with the unsalted key's owner
+    #: disables); target state is keyed by handle either way
     hot_key_share: float = 0.02
     #: salted sub-keys a hot key fans out over
     hot_key_fanout: int = 8
-    #: capture per-message completion times (simulated batch-end) in
-    #: :attr:`ServeResult.completions`; off by default because it is
-    #: O(messages) memory the classic serve path never reads — the
-    #: gateway turns it on to measure alert-feed delivery latency
-    track_completions: bool = False
 
     def __post_init__(self) -> None:
         # Explicit per-field validation: a config error names the
@@ -199,7 +185,6 @@ class ServeConfig:
             "ring_vnodes": self.ring_vnodes,
             "hot_key_share": self.hot_key_share,
             "hot_key_fanout": self.hot_key_fanout,
-            "track_completions": self.track_completions,
         }
 
 
@@ -218,10 +203,10 @@ class ServeResult:
     rebalances: list[dict] = dataclasses.field(default_factory=list)
     #: kill/failover summary, when a KillSpec fired
     failover: dict | None = None
-    #: message_id -> simulated completion time (the end of the batch
-    #: that scored it, or of the last requeued message it was held
-    #: for); populated only when ``config.track_completions`` is set.  Per-message data, so it is deliberately excluded from
-    #: :meth:`as_dict` snapshots.
+    #: message_id -> simulated completion time of every message that
+    #: raised an alert (the end of the batch that scored it, or of the
+    #: last requeued message it was held for).  Per-message data, so it
+    #: is deliberately excluded from :meth:`as_dict` snapshots.
     completions: dict[int, float] = dataclasses.field(default_factory=dict)
 
     @property
@@ -266,8 +251,7 @@ class _Routed:
 
     seq: int  # stream position: the state pass applies in this order
     arrival: Arrival
-    key: str  # routing key; its owner holds the primary handle's state
-    route: str  # scoring key: ``key``, or a salted sub-key of a hot key
+    route: str  # scoring key: the routing key, or a salted sub-key of it
     extraction: Extraction
     fresh: bool  # extraction was fresh regex work, not a router-cache hit
 
@@ -278,11 +262,9 @@ class _Scored:
 
     seq: int
     message: StreamMessage
-    key: str
     extraction: Extraction
     cth_score: float
     dox_score: float
-    detected: bool  # over either threshold: only these touch target state
     shard: int  # the shard that scored it
     enqueue_time: float
     #: completion time: the end of its batch, or later if the kill hold
@@ -314,7 +296,7 @@ def _boundaries(
 
 
 class ServingRuntime:
-    """Ring-routed scoring shards plus a keyed, ring-owned state pass."""
+    """Ring-routed scoring shards plus one keyed state monitor per run."""
 
     def __init__(
         self,
@@ -348,7 +330,6 @@ class ServingRuntime:
             _Routed(
                 seq=seq,
                 arrival=arrival,
-                key=key,
                 route=(
                     salt_key(key, arrival.message.message_id, policy.fanout)
                     if key in hot else key
@@ -436,12 +417,12 @@ class ServingRuntime:
             n_detected = int(detected.sum())
             breakdown = config.cost.breakdown(scored.work, n_detected)
             end = start + breakdown.total_seconds
-            for q, r, cth, dox, hit in zip(
+            for q, r, cth, dox in zip(
                 batch, infos, scored.cth_scores.tolist(),
-                scored.dox_scores.tolist(), detected.tolist(),
+                scored.dox_scores.tolist(),
             ):
                 scored_out.append(_Scored(
-                    r.seq, q.message, r.key, r.extraction, cth, dox, hit,
+                    r.seq, q.message, r.extraction, cth, dox,
                     shard_id, q.enqueue_time, end,
                 ))
             telemetry.record_batch(
@@ -524,28 +505,25 @@ class ServingRuntime:
 
     def _apply_state(
         self,
-        monitors: dict[int, HarassmentMonitor],
-        ring: HashRing,
+        monitor: HarassmentMonitor,
         items: Sequence[_Scored],
+        work: ScoreWork,
         shards: dict[int, ShardTelemetry],
+        completions: dict[int, float],
         span: SpanContext | None,
     ) -> list[Alert]:
-        """Apply scored messages to ring-owned target state, in order.
+        """Apply scored messages to the run's state monitor, in order.
 
-        A message goes to the monitor owning its routing key.  Messages
-        that only touch their own monitor's state commute with those of
-        other monitors, so they are batched per monitor; a detection
-        naming a handle another shard owns first flushes the monitors it
-        touches, then borrows that handle's state for its own call and
-        hands it back.  Every monitor ends with a call, empty or not, so
-        each owner evicts stale targets on every pass.
+        ``items`` go through in slices of ``batch_size``, the batch size
+        of the single-monitor reference, so stale targets are evicted as
+        often as in the reference.  The pass codes CTH detections'
+        taxonomy into ``work``; each alert is billed to the shard that
+        scored its message and completes when that message does.
         """
         alerts: list[Alert] = []
-        batches: dict[int, list[_Scored]] = {}
-        owner_of = functools.cache(ring.owner)  # keys repeat a lot
-
-        def process(home: int, batch: list[_Scored]) -> None:
-            monitor = monitors[home]
+        size = self.config.batch_size
+        for offset in range(0, len(items), size):
+            batch = items[offset : offset + size]
             scored = ScoredBatch.from_precomputed(
                 [item.message for item in batch],
                 [item.cth_score for item in batch],
@@ -554,79 +532,19 @@ class ServingRuntime:
                 core=monitor.core,
             )
             raised = monitor.process_scored(scored)
-            # The pass codes CTH detections' taxonomy; bill the owner.
-            shards[home].score_work.add(scored.work)
+            work.add(scored.work)
             by_id = {item.message.message_id: item for item in batch}
             for alert in raised:
                 item = by_id[alert.message_id]
                 shards[item.shard].record_alert(item.end - item.enqueue_time)
+                completions[alert.message_id] = item.end
                 if span is not None:
                     span.event(
                         "alert", item.end,
                         shard=item.shard, kind=alert.kind.value,
                     )
             alerts.extend(raised)
-
-        def flush(homes: Iterable[int]) -> None:
-            for home in sorted(homes):
-                process(home, batches.pop(home, []))
-
-        for item in items:
-            home = owner_of(item.key)
-            lent: dict[int, list[str]] = {}
-            if item.detected:
-                scope = tenant_scope(item.message.tenant)
-                for handle in item.extraction.handles[1:]:
-                    owner = owner_of(scope + handle)
-                    if owner != home:
-                        lent.setdefault(owner, []).append(scope + handle)
-            if not lent:
-                batches.setdefault(home, []).append(item)
-                continue
-            flush({home, *lent} & batches.keys())
-            for owner in sorted(lent):
-                monitors[home].restore_target_state(
-                    monitors[owner].extract_target_state(lent[owner])
-                )
-            process(home, [item])
-            for owner in sorted(lent):
-                monitors[owner].restore_target_state(
-                    monitors[home].extract_target_state(lent[owner])
-                )
-        flush(monitors)
         return alerts
-
-    # -- state migration -----------------------------------------------------
-
-    def _migrate_state(
-        self,
-        monitors: dict[int, HarassmentMonitor],
-        ring: HashRing,
-        serialize: bool = False,
-    ) -> int:
-        """Move every handle's state to its owner under ``ring``.
-
-        ``serialize=True`` — the failover path — round-trips every
-        snapshot through its JSON dict form, proving the serialization
-        contract in the hot path.  Returns the number of handles moved.
-        """
-        moved = 0
-        for shard_id in sorted(monitors):
-            monitor = monitors[shard_id]
-            by_dest: dict[int, list[str]] = {}
-            for handle in monitor.state_handles():
-                owner = ring.owner(handle)
-                if owner != shard_id:
-                    by_dest.setdefault(owner, []).append(handle)
-            for owner in sorted(by_dest):
-                snapshot = monitor.extract_target_state(by_dest[owner])
-                if serialize:
-                    snapshot = TargetStateSnapshot.from_dict(
-                        snapshot.as_dict()
-                    )
-                monitors[owner].restore_target_state(snapshot)
-                moved += len(by_dest[owner])
-        return moved
 
     # -- public --------------------------------------------------------------
 
@@ -662,9 +580,13 @@ class ServingRuntime:
             else config.n_shards
         )
         ring = HashRing.uniform(range(initial), config.ring_vnodes)
+        # Each shard scores through its own monitor's core; the run's
+        # target state lives in one more monitor, built after them.
         monitors = {
             shard_id: self._monitor_factory() for shard_id in range(initial)
         }
+        state = self._monitor_factory()
+        state_work = ScoreWork()
         killed: set[int] = set()
         routed_totals: dict[int, int] = {}
         epoch_telemetries: list[ServeTelemetry] = []
@@ -770,10 +692,6 @@ class ServingRuntime:
             ready, pending = pending[:split], pending[split:]
             held = {item.seq for item in pending}
             requeued = {r.seq for r in leftovers}
-            if config.track_completions:
-                completions.update(
-                    (item.message.message_id, item.end) for item in ready
-                )
             state_span = (
                 recorder.tracer.span(
                     "state_pass",
@@ -784,16 +702,11 @@ class ServingRuntime:
                 if recorder is not None and ready else None
             )
             raised = self._apply_state(
-                monitors, ring, ready, latest, state_span
+                state, ready, state_work, latest, completions, state_span
             )
             merged.extend(raised)
             if state_span is not None:
                 state_span.annotate(alerts=len(raised))
-            # Per-epoch monitor stats: capture the delta and reset, so
-            # cross-epoch ShardTelemetry.merge never double-counts.
-            for telemetry in epoch_shards:
-                monitor = monitors[telemetry.shard_id]
-                telemetry.monitor, monitor.stats = monitor.stats, MonitorStats()
 
             # -- apply the boundary action -----------------------------------
             if action == "end":
@@ -821,9 +734,6 @@ class ServingRuntime:
             for shard_id in new_ids:
                 if shard_id not in monitors:
                     monitors[shard_id] = self._monitor_factory()
-            moved = self._migrate_state(
-                monitors, new_ring, serialize=action == "kill"
-            )
             for shard_id in set(live) - set(new_ids):
                 monitors.pop(shard_id)
             ring = new_ring
@@ -841,13 +751,12 @@ class ServingRuntime:
                     "time": boundary_time,
                     "killed_shard": victim,
                     "requeued_messages": len(leftovers),
-                    "migrated_handles": moved,
                     "survivors": new_ids,
                 }
                 if recorder is not None:
                     recorder.tracer.event(
                         "failover", boundary_time,
-                        killed=victim, requeued=len(leftovers), migrated=moved,
+                        killed=victim, requeued=len(leftovers),
                     )
                 continue
             entry: dict[str, object] = {
@@ -857,19 +766,22 @@ class ServingRuntime:
             if plans is not None:
                 entry["plans"] = [plan.as_dict() for plan in plans]
                 labels["plans"] = len(plans)
-            entry.update(
-                shards_before=live, shards_after=new_ids, migrated_handles=moved
-            )
+            entry.update(shards_before=live, shards_after=new_ids)
             rebalance_log.append(entry)
             if recorder is not None:
                 recorder.tracer.event(
                     "rebalance", boundary_time, **labels,
-                    before=len(live), after=len(new_ids), migrated=moved,
+                    before=len(live), after=len(new_ids),
                 )
         merged.sort(key=alert_sort_key)
         result = ServeResult(
             alerts=merged,
-            telemetry=ServeTelemetry.merged(epoch_telemetries),
+            telemetry=ServeTelemetry.merged([
+                *epoch_telemetries,
+                ServeTelemetry(
+                    shards=[], monitor=state.stats, score_work=state_work
+                ),
+            ]),
             config=config,
             ring=ring,
             hot_keys=hot_shares,

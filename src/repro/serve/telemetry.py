@@ -1,4 +1,4 @@
-"""Serving telemetry: per-shard ledgers and the fleet view over them.
+"""Serving telemetry: per-shard ledgers, the state pass, the fleet view.
 
 Everything here is simulated-time arithmetic over values the runtime
 hands in — no clock reads, no randomness — so two runs of the same
@@ -9,9 +9,12 @@ report is diffable across machines, like ``repro cache ls``).
 field declares how it merges and which registry series it feeds, so
 the epoch fold, the fleet fold (:meth:`ServeTelemetry.fleet`), the JSON
 snapshot and the ``repro obs`` metrics all follow from one list of
-fields.  :class:`ServeTelemetry` is the keyed union of shard ledgers
-by shard id; its ``as_dict()`` keeps the committed ``BENCH_serve.json``
-schema.
+fields.  A shard only scores, so its ledger holds no monitor counts.
+:class:`ServeTelemetry` is the keyed union of shard ledgers by shard
+id plus the keyed state pass's two ledgers: the state monitor's
+:class:`~repro.service.monitor.MonitorStats` and the
+:class:`~repro.score.core.ScoreWork` of its taxonomy coding.  Its
+``as_dict()`` keeps the committed ``BENCH_serve.json`` schema.
 """
 
 from __future__ import annotations
@@ -47,9 +50,6 @@ class ShardTelemetry(Ledger):
 
     shard_id: int = field(merge=MIN, label="shard")
     queue: QueueAccounting = field(QueueAccounting)
-    #: this shard's monitor in the keyed state pass: the messages it
-    #: applied as owner of their routing key
-    monitor: MonitorStats = field(MonitorStats)
     batches: int = field(metric=Series(
         COUNTER, "serve_batches", "micro-batches scored"
     ))
@@ -117,17 +117,21 @@ class ShardTelemetry(Ledger):
 
 @dataclasses.dataclass
 class ServeTelemetry:
-    """Fleet-wide aggregate of per-shard telemetry."""
+    """Fleet-wide aggregate of per-shard telemetry and the state pass."""
 
     shards: list[ShardTelemetry]
+    #: the run's state monitor: every message it applied
+    monitor: MonitorStats = dataclasses.field(default_factory=MonitorStats)
+    #: the state pass's taxonomy coding of CTH detections
+    score_work: ScoreWork = dataclasses.field(default_factory=ScoreWork)
 
     def merge(self, other: "ServeTelemetry") -> "ServeTelemetry":
         """Fleet union (pure): shards with the same id fold together.
 
         Two partial fleet views — e.g. the per-epoch telemetry either
-        side of a rebalancing event that migrated targets to
-        replacement workers — combine into one consistent view, shards
-        ordered by id.
+        side of a rebalancing event that replaced workers — combine
+        into one consistent view, shards ordered by id, and the state
+        pass's ledgers sum.
         """
         by_id: dict[int, ShardTelemetry] = {}
         for shard in (*self.shards, *other.shards):
@@ -136,7 +140,9 @@ class ServeTelemetry:
                 shard if seen is None else seen.merge(shard)
             )
         return ServeTelemetry(
-            shards=[by_id[shard_id] for shard_id in sorted(by_id)]
+            shards=[by_id[shard_id] for shard_id in sorted(by_id)],
+            monitor=self.monitor.merge(other.monitor),
+            score_work=self.score_work.merge(other.score_work),
         )
 
     @classmethod
@@ -162,8 +168,8 @@ class ServeTelemetry:
         return self.fleet().busy_breakdown.as_dict()
 
     def merged_score_work(self) -> ScoreWork:
-        """Fleet-wide scoring-work ledger."""
-        return self.fleet().score_work
+        """Fleet-wide work ledger: the shards' scoring plus the state pass."""
+        return self.fleet().score_work.merge(self.score_work)
 
     @property
     def messages_scored(self) -> int:
@@ -209,9 +215,9 @@ class ServeTelemetry:
             "throughput_per_second": self.throughput_per_second,
             "load_skew": self.load_skew,
             "queue": fleet.queue.as_dict(),
-            "monitor": fleet.monitor.as_dict(),
+            "monitor": self.monitor.as_dict(),
             "busy_breakdown": fleet.busy_breakdown.as_dict(),
-            "score_work": fleet.score_work.as_dict(),
+            "score_work": self.merged_score_work().as_dict(),
             "service_time": fleet.service_time.as_dict(),
             "queue_wait": fleet.queue_wait.as_dict(),
             "alert_latency": fleet.alert_latency.as_dict(),
@@ -219,16 +225,19 @@ class ServeTelemetry:
         }
 
     def populate_metrics(self, registry: MetricsRegistry) -> None:
-        """Project per-shard ledgers plus fleet headline gauges.
+        """Project per-shard ledgers, the state pass and fleet gauges.
 
         The fleet view stays a *fold* over shard-labeled series (the
-        registry reader can sum them); only the ratios that cannot be
-        recovered from sums — throughput and makespan — get their own
-        unlabeled gauges.  ``throughput_msgs_per_second`` is the gauge
-        ``repro obs diff`` gates on.
+        registry reader can sum them); the state pass's ledgers carry no
+        shard label, and only the ratios that cannot be recovered from
+        sums — throughput and makespan — get their own unlabeled
+        gauges.  ``throughput_msgs_per_second`` is the gauge ``repro obs
+        diff`` gates on.
         """
         for shard in self.shards:
             shard.populate_metrics(registry)
+        self.monitor.populate_metrics(registry)
+        self.score_work.populate_metrics(registry)
         registry.gauge(
             "serve_shards", help="worker shard count"
         ).labels().set(len(self.shards))

@@ -42,29 +42,30 @@ from repro.util.batching import iter_batches
 def tenant_scope(tenant: str) -> str:
     """State/routing key prefix isolating one tenant's per-target state.
 
-    The same prefix is used by the serve router
-    (:func:`repro.serve.runtime.routing_key`) and the monitor's state
-    tables, so the serving runtime's ring owner of a scoped handle is
-    the one shard that holds its state.  Empty tenant — the
-    single-tenant deployments every pre-gateway caller runs — scopes to
-    the bare handle, unchanged.
+    The monitor's state tables key every target on the scoped handle,
+    so two tenants naming the same target never share a window; that
+    alone is what isolates them.  The serve router
+    (:func:`repro.serve.runtime.routing_key`) uses the same prefix, but
+    its key only picks the shard that scores a message.  Empty tenant —
+    the single-tenant deployments every pre-gateway caller runs — scopes
+    to the bare handle, unchanged.
     """
     return f"tenant:{tenant}|" if tenant else ""
 
 
 @dataclasses.dataclass(frozen=True)
 class TargetStateSnapshot:
-    """Serialized per-target monitor state for failover and rebalancing.
+    """Serialized per-target monitor state.
 
     Everything the alerting state machine knows about a set of target
     handles — their detection windows, campaign-dedupe timestamps, and
     last-CTH timestamps — plus the source monitor's watermark, in a
     plain-tuple form that round-trips through JSON
-    (:meth:`as_dict` / :meth:`from_dict`).  The serving runtime moves
-    these between shard monitors when a ring change or shard kill
-    reassigns a target's owner, so no campaign or escalation alert is
-    lost across the migration, and lends them to the monitor applying a
-    message that names a target another shard owns.
+    (:meth:`as_dict` / :meth:`from_dict`).  The serving runtime keeps
+    all target state in one monitor and never moves it, so this is only
+    a test and benchmark-probe surface, like
+    :meth:`HarassmentMonitor.snapshot_target_state` and its move
+    counterparts.
     """
 
     watermark: float
@@ -246,7 +247,7 @@ class HarassmentMonitor:
         self._campaign_alerted_at[handle] = message.timestamp
         return True, count
 
-    # -- state migration (failover / rebalancing) ------------------------------
+    # -- target-state snapshots (tests and benchmark probes) -------------------
 
     def state_handles(self) -> tuple[str, ...]:
         """Sorted handles this monitor currently holds any state for."""

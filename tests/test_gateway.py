@@ -546,21 +546,20 @@ def test_preferences_filter_delivery_not_detection(serve_models, tenant_mix):
 
 # -- completions & feed latency ------------------------------------------------
 
-def test_completions_tracked_only_when_asked(serve_models, tenant_mix):
-    factory = _factory(serve_models)
+def test_completions_cover_exactly_the_alerting_messages(
+    serve_models, tenant_mix
+):
     arrivals = [
         Arrival(a.time, a.message) for a in tenant_mix[:400]
     ]
-    off = ServingRuntime(factory, ServeConfig(n_shards=2)).run(arrivals)
-    assert off.completions == {}
-    on = ServingRuntime(
-        factory, ServeConfig(n_shards=2, track_completions=True)
+    result = ServingRuntime(
+        _factory(serve_models), ServeConfig(n_shards=2)
     ).run(arrivals)
-    assert len(on.completions) == len(arrivals)
+    assert result.alerts
+    assert set(result.completions) == {a.message_id for a in result.alerts}
     arrival_time = {a.message.message_id: a.time for a in arrivals}
-    for message_id in on.completions:
-        assert on.completions[message_id] >= arrival_time[message_id]
-    assert off.alerts == on.alerts
+    for message_id, done in result.completions.items():
+        assert done >= arrival_time[message_id]
 
 
 def test_feed_latency_recorded_per_delivered_alert(

@@ -3,8 +3,8 @@
 The acceptance-level properties for the unified obs layer:
 
 * two serve runs of the same configuration — and the same run under
-  different ``jobs`` — save byte-identical ``trace.jsonl`` and
-  ``metrics.json``;
+  different ``jobs``, with or without a rebalance schedule and a shard
+  kill — save byte-identical ``trace.jsonl`` and ``metrics.json``;
 * the engine's stage trace is a logical-clock replay, invariant to the
   stage thread pool and free of wall-clock values;
 * ``repro obs diff`` exits non-zero on an injected >=2% throughput
@@ -28,7 +28,14 @@ from repro.nlp.models.logreg import LogisticRegressionClassifier
 from repro.obs import RunObserver, Tracer, load_run, metrics_json, trace_jsonl
 from repro.score.bench import run_score_bench
 from repro.score.core import ScoringCore
-from repro.serve import LoadProfile, ServeConfig, ServingRuntime
+from repro.serve import (
+    KillSpec,
+    LoadProfile,
+    RebalanceSchedule,
+    ServeConfig,
+    ServingRuntime,
+)
+from repro.serve.ring import HOTTEST
 from repro.service.monitor import HarassmentMonitor, MonitorConfig
 from repro.service.stream import MessageStream
 from repro.types import Platform, Task
@@ -69,11 +76,11 @@ def _factory(obs_models):
     return make
 
 
-def _traced_serve(obs_models, obs_stream, jobs):
+def _traced_serve(obs_models, obs_stream, jobs, **elastic):
     recorder = RunObserver("serve")
     runtime = ServingRuntime(_factory(obs_models), ServeConfig(n_shards=3))
     result = runtime.serve_stream(
-        obs_stream, LoadProfile(), jobs=jobs, recorder=recorder
+        obs_stream, LoadProfile(), jobs=jobs, recorder=recorder, **elastic
     )
     return result, recorder
 
@@ -89,6 +96,18 @@ def test_serve_trace_byte_identical_across_runs_and_jobs(
     assert metrics_json(rec_a.metrics) == metrics_json(rec_b.metrics)
     assert result_a.alerts == result_b.alerts
     assert not rec_a.tracer.open_spans()
+    # The elastic path too: a rebalance schedule plus a kill of the
+    # hottest shard.
+    elastic = dict(
+        schedule=RebalanceSchedule.parse("2,4,3"), kill=KillSpec(HOTTEST, 0.5)
+    )
+    result_c, rec_c = _traced_serve(obs_models, obs_stream, 1, **elastic)
+    result_d, rec_d = _traced_serve(obs_models, obs_stream, 4, **elastic)
+    assert {"rebalance", "failover"} <= {e.name for e in rec_c.tracer.events()}
+    assert trace_jsonl(rec_c.tracer) == trace_jsonl(rec_d.tracer)
+    assert metrics_json(rec_c.metrics) == metrics_json(rec_d.metrics)
+    assert result_c.alerts == result_d.alerts == result_a.alerts
+    assert not rec_c.tracer.open_spans()
 
 
 def test_serve_trace_structure(obs_models, obs_stream):

@@ -244,7 +244,7 @@ def test_shed_newest_bounds_queue_and_accounts_everything(serve_models):
     assert result.unaccounted == 0
     assert result.telemetry.messages_scored == acct.taken
     # Shed-newest keeps the *oldest* messages: the earliest ids survive.
-    monitor_seen = result.telemetry.shards[0].monitor.messages_processed
+    monitor_seen = result.telemetry.monitor.messages_processed
     assert monitor_seen == acct.taken
 
 

@@ -1,11 +1,12 @@
-"""Keyed state pass tests: messages naming handles that different shards own.
+"""Keyed state pass tests: messages naming handles scored on different shards.
 
-The serving runtime applies scored messages in stream order, and the
-state of each target handle lives only on its ring owner.  A detection
-naming ``[h1, h2]`` with ``ring.owner(h1) != ring.owner(h2)`` must still
-see ``h2``'s earlier detections, so the merged alerts and monitor stats
-equal a single monitor's — with shards, threads, a mid-run kill, and
-tenants that name the same handles.
+The serving runtime scores on shards, then applies the scored messages
+in stream order to the run's one state monitor, keyed by handle.  A
+detection naming ``[h1, h2]`` with ``ring.owner(h1) != ring.owner(h2)``
+must still see ``h2``'s earlier detections, so the merged alerts and
+monitor stats equal a single monitor's — with shards, threads,
+rebalances, a mid-run kill, and tenants that name the same handles —
+and no target state ever moves between monitors.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from repro.serve import (
     HashRing,
     KillSpec,
     LoadProfile,
+    RebalanceSchedule,
     ServeConfig,
     ServiceCostModel,
     ServingRuntime,
@@ -122,7 +124,9 @@ def _single(messages):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("n_shards", [2, 4])
-def test_secondary_handle_state_follows_its_owner(n_shards, jobs):
+def test_secondary_handle_sees_detections_scored_on_other_shards(
+    n_shards, jobs
+):
     stream = _split_stream()
     expected, stats = _single(stream)
     # The test bites: h2's campaign fires on the [h1, h2] message.
@@ -135,7 +139,38 @@ def test_secondary_handle_state_follows_its_owner(n_shards, jobs):
         _factory(), ServeConfig(n_shards=n_shards, batch_size=8)
     ).serve_stream(stream, LoadProfile(rate_per_second=5000, seed=3), jobs=jobs)
     assert result.alerts == expected
-    assert result.telemetry.fleet().monitor.as_dict() == stats.as_dict()
+    assert result.telemetry.monitor.as_dict() == stats.as_dict()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "elastic",
+    [
+        {"schedule": RebalanceSchedule.parse("2,4,3")},
+        {"kill": KillSpec(HOTTEST, 0.5)},
+    ],
+    ids=["rebalance", "kill"],
+)
+def test_rebalances_and_kills_move_no_target_state(monkeypatch, elastic, jobs):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("target state moved between monitors")
+
+    for method in (
+        "snapshot_target_state", "extract_target_state", "restore_target_state"
+    ):
+        monkeypatch.setattr(HarassmentMonitor, method, refuse)
+    stream = _split_stream()
+    expected, stats = _single(stream)
+    result = ServingRuntime(
+        _factory(), ServeConfig(n_shards=4, batch_size=8)
+    ).serve_stream(
+        stream, LoadProfile(rate_per_second=1e6, seed=3), jobs=jobs,
+        **elastic,
+    )
+    assert result.rebalances or result.failover["requeued_messages"] > 0
+    assert result.alerts == expected
+    assert result.telemetry.monitor.as_dict() == stats.as_dict()
+    assert result.unaccounted == 0
 
 
 def test_secondary_handle_state_survives_a_kill():
@@ -151,7 +186,7 @@ def test_secondary_handle_state_survives_a_kill():
     )
     assert result.failover["requeued_messages"] > 0
     assert result.alerts == expected
-    assert result.telemetry.fleet().monitor.as_dict() == stats.as_dict()
+    assert result.telemetry.monitor.as_dict() == stats.as_dict()
     assert result.unaccounted == 0
 
 
@@ -169,7 +204,6 @@ def test_held_messages_complete_after_the_requeued_ones_they_wait_for():
     ]
     config = ServeConfig(
         n_shards=2, batch_size=1, queue_capacity=64, hot_key_share=0.0,
-        track_completions=True,
         cost=ServiceCostModel(
             batch_overhead_seconds=0.0, per_message_seconds=1.0,
             per_char_seconds=0.0, extract_per_char_seconds=0.0,
@@ -236,7 +270,7 @@ def test_tenants_naming_the_same_handles_stay_isolated(kill):
         assert result.alerts_by_tenant[tenant] == expected
 
 
-def test_eviction_bounds_every_owner():
+def test_eviction_bounds_the_one_state_monitor():
     window = 10.0
     monitors = []
     factory = _factory(
@@ -249,13 +283,12 @@ def test_eviction_bounds_every_owner():
     ).serve_stream(stream, LoadProfile(rate_per_second=5000, seed=3))
     assert result.alerts
     handles = {h for m in stream for h in extract_targets(m.text).handles}
-    held = set()
-    for monitor in monitors:
-        snapshot = monitor.snapshot_target_state()
-        horizon = snapshot.watermark - window
-        assert all(events[-1][0] >= horizon for _, events in snapshot.activity)
-        assert all(ts >= horizon for _, ts in snapshot.campaign_alerted_at)
-        assert all(ts >= horizon for _, ts in snapshot.last_cth_at)
-        held.update(snapshot.handles())
-    # Old targets were evicted, not kept around on some owner.
-    assert len(held) < len(handles)
+    # The shards' monitors only score: one monitor holds every target.
+    (state,) = [monitor for monitor in monitors if monitor.state_handles()]
+    snapshot = state.snapshot_target_state()
+    horizon = snapshot.watermark - window
+    assert all(events[-1][0] >= horizon for _, events in snapshot.activity)
+    assert all(ts >= horizon for _, ts in snapshot.campaign_alerted_at)
+    assert all(ts >= horizon for _, ts in snapshot.last_cth_at)
+    # Old targets were evicted, not kept around.
+    assert len(snapshot.handles()) < len(handles)

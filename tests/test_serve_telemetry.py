@@ -267,7 +267,8 @@ def test_empty_fleet_merged_views_are_total():
     assert total.service_time.count == 0
     assert total.queue_wait.count == 0
     assert total.alert_latency.count == 0
-    assert total.monitor.messages_processed == 0
+    assert fleet.monitor.messages_processed == 0
+    assert fleet.score_work.coded_messages == 0
     assert fleet.merged_score_work().as_dict()
     assert sum(fleet.merged_busy_breakdown().values()) == 0.0
     assert fleet.load_skew == 0.0
@@ -472,3 +473,58 @@ def test_serve_telemetry_merge_folds_matching_shards():
     assert merged.shards[0].batches == 2
     assert merged.shards[1].batches == 1
     assert merged.messages_scored == 3
+
+
+def test_serve_telemetry_merge_sums_the_state_pass_ledgers():
+    from repro.obs.metrics import MetricsRegistry
+    from repro.service.monitor import MonitorStats
+
+    early = ServeTelemetry(
+        shards=[ShardTelemetry(shard_id=0)],
+        monitor=MonitorStats(messages_processed=3, cth_detected=2),
+        score_work=ScoreWork(coded_messages=2, coding_cache_hits=1),
+    )
+    late = ServeTelemetry(
+        shards=[],
+        monitor=MonitorStats(messages_processed=4, campaigns_alerted=1),
+        score_work=ScoreWork(coded_messages=1),
+    )
+    merged = early.merge(late)
+    assert merged.monitor == MonitorStats(
+        messages_processed=7, cth_detected=2, campaigns_alerted=1
+    )
+    assert merged.score_work == ScoreWork(
+        coded_messages=3, coding_cache_hits=1
+    )
+    assert early.monitor.messages_processed == 3  # merge is pure
+    assert ServeTelemetry.merged([early, late]) == merged
+    # The report's score_work is the shards' scoring plus the state
+    # pass's coding; its monitor is the state pass's alone.
+    shard = ShardTelemetry(shard_id=1)
+    shard.record_batch(
+        0.0, 1.0, waits=[0.0], breakdown=CostBreakdown(),
+        work=ScoreWork(messages=1, coded_messages=5),
+    )
+    fleet = merged.merge(ServeTelemetry(shards=[shard]))
+    snapshot = fleet.as_dict()
+    assert snapshot["score_work"]["coded_messages"] == 8
+    assert snapshot["score_work"]["coding_cache_hits"] == 1
+    assert fleet.merged_score_work().coded_messages == 8
+    assert snapshot["monitor"] == merged.monitor.as_dict()
+    assert "monitor" not in snapshot["per_shard"][0]
+    # ...and both ledgers reach the metrics registry.
+    registry = MetricsRegistry()
+    fleet.populate_metrics(registry)
+    metrics = registry.as_dict()
+    events = {
+        series["labels"]["event"]: series["value"]
+        for series in metrics["monitor_events"]["series"]
+    }
+    assert events["messages_processed"] == 7
+    assert events["campaigns_alerted"] == 1
+    coded = sum(
+        series["value"] for series in metrics["score_work_messages"]["series"]
+        if series["labels"]["component"] == "code"
+        and series["labels"]["cache"] == "miss"
+    )
+    assert coded == 8
