@@ -24,10 +24,11 @@ lint-repro:
 lint-concurrency:
 	PYTHONPATH=src python -m repro.cli lint src --select CONC --stats
 
-# Full-corpus equivalence of the one-pass CSR build and the gated PII
-# bank against their kept references (tests/kernel_reference.py), over
-# every distinct text and every corpus/perturb.py variant of it; the
-# tiny-corpus half runs in tier-1.  Three to five minutes.
+# Full-corpus equivalence of the one-pass CSR build, the gated PII bank
+# and the trigger-gated taxonomy coder against their kept references
+# (tests/kernel_reference.py), over every distinct text and every
+# corpus/perturb.py variant of it; the tiny-corpus half runs in tier-1.
+# About eight minutes and 0.6 GB on a 2-vCPU host.
 check-kernels:
 	python scripts/check_kernels.py
 

@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Check the optimised text kernels against their references on the full corpus.
 
-``tests/test_kernel_equivalence.py`` holds the one-pass CSR build and the
-gated PII bank to the implementations they replaced on the tiny corpora.
-Building the full-scale ``CorpusConfig()`` alone takes about half a
-minute, so the full-profile check runs here instead, with the same
-references (``tests/kernel_reference.py``):
+``tests/test_kernel_equivalence.py`` holds the one-pass CSR build, the
+gated PII bank (category triggers, card shape, URL domains) and the
+trigger-gated taxonomy coder to the implementations they replaced on
+the tiny corpora.  Building the full-scale ``CorpusConfig()`` alone
+takes about half a minute, so the full-profile check runs here instead,
+with the same references (``tests/kernel_reference.py``):
 
     python scripts/check_kernels.py
 
 Every distinct document text of the full corpus, and every
 ``repro.corpus.perturb`` transform of each of them, must give
-byte-identical CSR rows (at three vectorizer settings) and identical
-extractions.  Rows are vectorized in batches of ``BATCH_ROWS`` so memory
-stays bounded.  Prints one line per input set and exits 1 on any
-mismatch.
+byte-identical CSR rows (at three vectorizer settings), identical
+extractions and identical taxonomy codes.  Rows are vectorized in
+batches of ``BATCH_ROWS`` so memory stays bounded.  Prints one line per
+input set and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from tests.kernel_reference import (  # noqa: E402
     perturbed_variants,
     pii_mismatches,
     reference_transform_hashes,
+    taxonomy_mismatches,
 )
 
 #: Seed of the full corpus and of its perturbed variants.
@@ -52,9 +54,10 @@ VECTORIZERS = (
 
 
 def check(name: str, texts: list[str]) -> bool:
-    """Compare both kernels with their references on ``texts``; print a line."""
+    """Compare the kernels with their references on ``texts``; print a line."""
     start = time.perf_counter()
     pii_bad = pii_mismatches(texts)
+    taxonomy_bad = taxonomy_mismatches(texts)
     csr_bad = []
     for offset in range(0, len(texts), BATCH_ROWS):
         arrays = [hash_text(text) for text in texts[offset:offset + BATCH_ROWS]]
@@ -70,14 +73,17 @@ def check(name: str, texts: list[str]) -> bool:
                 )
     print(
         f"{name:<16} {len(texts):>8} texts  pii mismatches {len(pii_bad):>3}  "
+        f"taxonomy mismatches {len(taxonomy_bad):>3}  "
         f"csr mismatches {len(csr_bad):>3}  {time.perf_counter() - start:6.1f}s",
         flush=True,
     )
     for text in pii_bad[:5]:
         print(f"  pii: {text!r}")
+    for text in taxonomy_bad[:5]:
+        print(f"  taxonomy: {text!r}")
     for problem in csr_bad[:5]:
         print(f"  csr: {problem}")
-    return not pii_bad and not csr_bad
+    return not pii_bad and not taxonomy_bad and not csr_bad
 
 
 def main() -> int:

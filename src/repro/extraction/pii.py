@@ -15,9 +15,12 @@ reported >= 95 % accuracy on a labelled dox sample.
 
 Most texts hold no PII, so the bank first drops the categories a text
 cannot match: every match of a category contains one of its
-:data:`PII_TRIGGERS` (a digit, ``@``, or a platform-name literal), and a
-lowercase copy, one digit search and a few substring tests decide which
-patterns run at all.
+:data:`PII_TRIGGERS` (a digit, ``@``, or a platform-name literal).
+Inside an open category, :data:`PII_PATTERN_GATES` drops the patterns
+whose matches hold more than the category trigger: the card patterns
+without a ``\\d{4}[ -]?\\d{4}`` run, and each profile-URL pattern without
+its domain.  A lowercase copy, one digit search, one card-shape search
+and a few substring tests decide which patterns run at all.
 """
 
 from __future__ import annotations
@@ -115,6 +118,32 @@ PII_TRIGGERS: Mapping[str, tuple[str, ...] | None] = {
     "youtube": ("youtube", "yt"),
 }
 
+#: The card shape: every issuer pattern starts with four digits, an
+#: optional space or hyphen, and four more digits.
+_CARD_SHAPE = re.compile(r"\d{4}[ -]?\d{4}")
+
+#: Narrower gates inside an open category, as ``(gate, patterns)``:
+#: every match of each listed pattern contains ``gate``, a compiled
+#: shape (searched in the text) or a lowercase literal (looked up in
+#: its lowercase copy).  Where the gate is absent :func:`_open_categories`
+#: drops the listed patterns; the category's other patterns (the
+#: ``platform: username`` labels) run on its trigger alone.
+PII_PATTERN_GATES: Mapping[
+    str, tuple[re.Pattern[str] | str, tuple[re.Pattern[str], ...]]
+] = {
+    "credit_card": (_CARD_SHAPE, PII_EXTRACTORS["credit_card"]),
+    "facebook": ("facebook.com", PII_EXTRACTORS["facebook"][:1]),
+    "instagram": ("instagram.com", PII_EXTRACTORS["instagram"][:1]),
+    "twitter": ("twitter.com", PII_EXTRACTORS["twitter"][:1]),
+    "youtube": ("youtube.com", PII_EXTRACTORS["youtube"][:1]),
+}
+
+#: What each gated category runs when its gate is absent.
+_UNGATED: Mapping[str, tuple[re.Pattern[str], ...]] = {
+    category: tuple(p for p in PII_EXTRACTORS[category] if p not in gated)
+    for category, (_, gated) in PII_PATTERN_GATES.items()
+}
+
 #: Total number of compiled patterns — the paper's "12 regular expressions"
 #: counts the social-URL and label styles jointly per category; this
 #: implementation exposes the full per-issuer/per-style breakdown.
@@ -126,25 +155,33 @@ _DIGIT = re.compile(r"\d")
 def _open_categories(text: str) -> Iterable[tuple[str, tuple[re.Pattern[str], ...]]]:
     """The ``PII_EXTRACTORS`` items whose triggers occur in ``text``.
 
-    The gate is exact, not a heuristic: a skipped category could not
-    have matched.  Under ``re.IGNORECASE`` the non-ASCII ``ı``, ``İ``,
-    ``ſ`` and Kelvin sign match ASCII letters that ``str.lower()`` does
-    not produce from them (``"ıg: alice"`` is an Instagram label but
-    holds no ``"ig"``), so non-ASCII text runs every pattern.
+    Each open category comes with the patterns whose
+    :data:`PII_PATTERN_GATES` gate also occurs, in bank order.  Both
+    gates are exact, not heuristics: a skipped category or pattern could
+    not have matched.  Under ``re.IGNORECASE`` the non-ASCII ``ı``,
+    ``İ`` and ``ſ`` match ASCII letters that ``str.lower()`` does not
+    produce from them (``"ıg: alice"`` is an Instagram label but holds
+    no ``"ig"``), so non-ASCII text runs every pattern.
     """
     if not text.isascii():
         return PII_EXTRACTORS.items()
     lowered = text.lower()
     has_digit = _DIGIT.search(text) is not None
-    return [
-        (category, patterns)
-        for category, patterns in PII_EXTRACTORS.items()
-        if (
-            has_digit
-            if (triggers := PII_TRIGGERS[category]) is None
-            else any(trigger in lowered for trigger in triggers)
-        )
-    ]
+    opened = []
+    for category, patterns in PII_EXTRACTORS.items():
+        triggers = PII_TRIGGERS[category]
+        if not (
+            has_digit if triggers is None else any(map(lowered.__contains__, triggers))
+        ):
+            continue
+        if category in PII_PATTERN_GATES:
+            gate, _ = PII_PATTERN_GATES[category]
+            if not (gate in lowered if isinstance(gate, str) else gate.search(text)):
+                patterns = _UNGATED[category]
+                if not patterns:
+                    continue
+        opened.append((category, patterns))
+    return opened
 
 
 def extract_pii(text: str) -> dict[str, list[str]]:

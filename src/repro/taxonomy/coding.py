@@ -7,6 +7,13 @@ signature patterns per subcategory, applied to the post text.  The coder
 never reads planted ground truth, so coder quality is measurable against
 it (see tests) — the role the paper's expert inter-annotator agreement
 (kappa 0.845) played.
+
+Each signature carries a lowercase literal trigger that every one of its
+matches holds.  On ASCII text the coder lowercases once and runs a
+subtype's pattern only if one of its triggers occurs, so a post pays a
+few substring tests for the subtypes it cannot match instead of a full
+IGNORECASE scan each.  Non-ASCII text runs every pattern (see
+:meth:`ExpertCoder._code_uncached`).
 """
 
 from __future__ import annotations
@@ -21,157 +28,165 @@ from repro.util.cache import LRUCache
 if TYPE_CHECKING:  # avoid a circular import with repro.corpus.documents
     from repro.corpus.documents import Document
 
-#: Tactic signatures.  Order within a subtype does not matter; a post can
-#: (and often does) match several subtypes — multi-type calls are a paper
-#: finding (§6.2), not an error.
-_SIGNATURES: Mapping[AttackSubtype, Sequence[str]] = {
+#: Tactic signatures as ``(trigger, pattern)`` pairs.  The trigger is a
+#: lowercase literal that every match of the pattern holds, so a text
+#: whose lowercase form lacks it cannot match.  Order within a subtype
+#: does not matter; a post can (and often does) match several subtypes —
+#: multi-type calls are a paper finding (§6.2), not an error.
+_SIGNATURES: Mapping[AttackSubtype, Sequence[tuple[str, str]]] = {
     AttackSubtype.DOXING: (
-        r"phone number and home address",
-        r"where (he|she|they) lives",
-        r"real name and address",
-        r"full name, number",
-        r"drop the info",
+        ("home address", r"phone number and home address"),
+        ("lives", r"where (he|she|they) lives"),
+        ("real name", r"real name and address"),
+        ("full name", r"full name, number"),
+        ("drop the info", r"drop the info"),
     ),
     AttackSubtype.LEAKED_CHATS_PROFILE: (
-        r"server logs",
-        r"chat history",
-        r"post the dms",
-        r"see the logs",
+        ("server logs", r"server logs"),
+        ("chat history", r"chat history"),
+        ("post the dms", r"post the dms"),
+        ("see the logs", r"see the logs"),
     ),
     AttackSubtype.NON_CONSENSUAL_MEDIA_EXPOSURE: (
-        r"private (pictures|photos|pics)",
+        ("private", r"private (pictures|photos|pics)"),
     ),
-    AttackSubtype.OUTING_DEADNAMING: (r"old name",),
+    AttackSubtype.OUTING_DEADNAMING: (("old name", r"old name"),),
     AttackSubtype.DOX_PROPAGATION: (
-        r"repost (his|her|their) info",
-        r"spread the file",
-        r"mirror the dox",
+        ("repost", r"repost (his|her|their) info"),
+        ("spread the file", r"spread the file"),
+        ("mirror the dox", r"mirror the dox"),
     ),
     AttackSubtype.CONTENT_LEAKAGE_MISC: (
-        r"out in the open",
-        r"leak whatever",
+        ("out in the open", r"out in the open"),
+        ("leak whatever", r"leak whatever"),
     ),
     AttackSubtype.IMPERSONATED_PROFILES: (
-        r"fake profile",
-        r"accounts in (his|her|their) name",
-        r"clone (his|her|their) account",
+        ("fake profile", r"fake profile"),
+        ("accounts in", r"accounts in (his|her|their) name"),
+        ("clone", r"clone (his|her|their) account"),
     ),
     AttackSubtype.SYNTHETIC_PORNOGRAPHY: (
-        r"fake explicit edits",
-        r"photoshop .{1,30} explicit",
+        ("fake explicit edits", r"fake explicit edits"),
+        ("photoshop", r"photoshop .{1,30} explicit"),
     ),
     AttackSubtype.IMPERSONATION_MISC: (
-        r"pretend to be",
-        r"pose as",
+        ("pretend to be", r"pretend to be"),
+        ("pose as", r"pose as"),
     ),
     AttackSubtype.ACCOUNT_LOCKOUT: (
-        r"phish",
-        r"reset the password",
-        r"lock (him|her|them) out",
+        ("phish", r"phish"),
+        ("reset the password", r"reset the password"),
+        ("lock", r"lock (him|her|them) out"),
     ),
     AttackSubtype.LOCKOUT_MISC: (
-        r"take over whatever",
-        r"get control of (his|her|their) pages",
+        ("take over whatever", r"take over whatever"),
+        ("get control of", r"get control of (his|her|their) pages"),
     ),
     AttackSubtype.NEGATIVE_RATINGS_REVIEWS: (
-        r"one star reviews",
-        r"bad reviews",
+        ("one star reviews", r"one star reviews"),
+        ("bad reviews", r"bad reviews"),
     ),
     AttackSubtype.RAIDING: (
-        r"\braid\b",
-        r"pile into",
-        r"swarm the comment",
-        r"overwhelm the mods",
+        ("raid", r"\braid\b"),
+        ("pile into", r"pile into"),
+        ("swarm the comment", r"swarm the comment"),
+        ("overwhelm the mods", r"overwhelm the mods"),
     ),
     AttackSubtype.SPAMMING: (
-        r"spam (him|her|them|his|her|their)",
-        r"blast (his|her|their) phone",
-        r"spam .{1,20} nonstop",
-        r"spam the forms",
+        ("spam", r"spam (him|her|them|his|her|their)"),
+        ("blast", r"blast (his|her|their) phone"),
+        ("nonstop", r"spam .{1,20} nonstop"),
+        ("spam the forms", r"spam the forms"),
     ),
     AttackSubtype.OVERLOADING_MISC: (
-        r"bury .{1,20} in notifications",
-        r"mentions unusable",
-        r"flood the inbox",
-        r"bury the mentions",
-        r"overwhelm everything",
-        r"do not let up",
+        ("in notifications", r"bury .{1,20} in notifications"),
+        ("mentions unusable", r"mentions unusable"),
+        ("flood the inbox", r"flood the inbox"),
+        ("bury the mentions", r"bury the mentions"),
+        ("overwhelm everything", r"overwhelm everything"),
+        ("do not let up", r"do not let up"),
     ),
     AttackSubtype.HASHTAG_HIJACKING: (
-        r"hijack .{1,20} hashtag",
-        r"take over the tag",
+        ("hijack", r"hijack .{1,20} hashtag"),
+        ("take over the tag", r"take over the tag"),
     ),
     AttackSubtype.PUBLIC_OPINION_MISC: (
-        r"keep pushing the story",
-        r"made up version",
-        r"seed the fake quote",
-        r"spread a false narrative",
+        ("keep pushing the story", r"keep pushing the story"),
+        ("made up version", r"made up version"),
+        ("seed the fake quote", r"seed the fake quote"),
+        ("spread a false narrative", r"spread a false narrative"),
     ),
     AttackSubtype.FALSE_REPORTING_TO_AUTHORITIES: (
-        r"landlord and to the police",
-        r"call (his|her|their) employer",
-        r"false complaint",
-        r"tip off immigration",
-        r"get (him|her|them) fired",
+        ("landlord and to the police", r"landlord and to the police"),
+        ("employer", r"call (his|her|their) employer"),
+        ("false complaint", r"false complaint"),
+        ("tip off immigration", r"tip off immigration"),
+        ("fired", r"get (him|her|them) fired"),
     ),
     AttackSubtype.MASS_FLAGGING: (
-        r"mass[- ]report",
-        r"flag (his|her|their) (videos|posts|account)",
-        r"report every post",
+        ("report", r"mass[- ]report"),
+        ("flag", r"flag (his|her|their) (videos|posts|account)"),
+        ("report every post", r"report every post"),
     ),
     AttackSubtype.REPORTING_MISC: (
-        r"report (him|her|them) everywhere",
-        r"get (him|her|them) reported",
+        ("everywhere", r"report (him|her|them) everywhere"),
+        ("reported", r"get (him|her|them) reported"),
     ),
     AttackSubtype.REPUTATIONAL_HARM_PRIVATE: (
-        r"message (his|her|their) family",
-        r"email (his|her|their) boss",
-        r"contact (his|her|their) coworkers",
+        ("family", r"message (his|her|their) family"),
+        ("boss", r"email (his|her|their) boss"),
+        ("coworkers", r"contact (his|her|their) coworkers"),
     ),
     AttackSubtype.REPUTATIONAL_HARM_PUBLIC: (
-        r"neighborhood group",
-        r"flyers",
-        r"name trend",
-        r"alert the community",
+        ("neighborhood group", r"neighborhood group"),
+        ("flyers", r"flyers"),
+        ("name trend", r"name trend"),
+        ("alert the community", r"alert the community"),
     ),
     AttackSubtype.REPUTATIONAL_HARM_MISC: (
-        r"ruin (his|her|their) reputation",
-        r"nobody in (his|her|their) circle",
+        ("reputation", r"ruin (his|her|their) reputation"),
+        ("circle", r"nobody in (his|her|their) circle"),
     ),
     AttackSubtype.STALKING_OR_TRACKING: (
-        r"track where",
-        r"follow (his|her|their) car",
-        r"keep a log on",
+        ("track where", r"track where"),
+        ("follow", r"follow (his|her|their) car"),
+        ("keep a log on", r"keep a log on"),
     ),
     AttackSubtype.SURVEILLANCE_MISC: (
-        r"watch everything",
-        r"monitor (his|her|their) accounts",
+        ("watch everything", r"watch everything"),
+        ("monitor", r"monitor (his|her|their) accounts"),
     ),
     AttackSubtype.HATE_SPEECH: (
-        r"worst insults",
-        r"replies with abuse",
+        ("worst insults", r"worst insults"),
+        ("replies with abuse", r"replies with abuse"),
     ),
     AttackSubtype.UNWANTED_EXPLICIT_CONTENT: (
-        r"explicit images",
-        r"graphic content",
+        ("explicit images", r"explicit images"),
+        ("graphic content", r"graphic content"),
     ),
     AttackSubtype.TOXIC_CONTENT_MISC: (
-        r"interaction .{1,20} miserable",
-        r"pile abuse",
+        ("miserable", r"interaction .{1,20} miserable"),
+        ("pile abuse", r"pile abuse"),
     ),
     AttackSubtype.GENERIC: (
-        r"you know what to do",
-        r"whatever it takes",
-        r"no specifics needed",
-        r"bully .{1,30} off the internet",
-        r"life online hell",
+        ("you know what to do", r"you know what to do"),
+        ("whatever it takes", r"whatever it takes"),
+        ("no specifics needed", r"no specifics needed"),
+        ("off the internet", r"bully .{1,30} off the internet"),
+        ("life online hell", r"life online hell"),
     ),
 }
 
-_COMPILED: dict[AttackSubtype, re.Pattern[str]] = {
-    subtype: re.compile("|".join(f"(?:{p})" for p in patterns), re.IGNORECASE)
-    for subtype, patterns in _SIGNATURES.items()
-}
+#: Per subtype, in ``_SIGNATURES`` order: its distinct triggers and one
+#: IGNORECASE alternation of its signatures.
+_BANK: tuple[tuple[AttackSubtype, tuple[str, ...], re.Pattern[str]], ...] = tuple(
+    (
+        subtype,
+        tuple(dict.fromkeys(trigger for trigger, _ in signatures)),
+        re.compile("|".join(f"(?:{p})" for _, p in signatures), re.IGNORECASE),
+    )
+    for subtype, signatures in _SIGNATURES.items()
+)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -217,9 +232,22 @@ class ExpertCoder:
 
     @staticmethod
     def _code_uncached(text: str) -> tuple[AttackSubtype, ...]:
-        matched = tuple(
-            subtype for subtype, pattern in _COMPILED.items() if pattern.search(text)
-        )
+        # The trigger gate is exact, not a heuristic: a skipped subtype
+        # could not have matched.  Under IGNORECASE the non-ASCII ``ı``,
+        # ``İ`` and ``ſ`` match ASCII letters that ``str.lower()`` does not
+        # produce from them (``"ſpam him"`` holds no ``"spam"``), so
+        # non-ASCII text runs every pattern.
+        if text.isascii():
+            lowered = text.lower()
+            matched = tuple(
+                subtype
+                for subtype, triggers, pattern in _BANK
+                if any(map(lowered.__contains__, triggers)) and pattern.search(text)
+            )
+        else:
+            matched = tuple(
+                subtype for subtype, _, pattern in _BANK if pattern.search(text)
+            )
         if not matched:
             return (AttackSubtype.GENERIC,)
         # GENERIC is residual: drop it when a specific tactic matched too.

@@ -1,13 +1,16 @@
-"""Reference implementations of the two optimised text kernels.
+"""Reference implementations of the three optimised text kernels.
 
 :meth:`repro.nlp.features.HashingVectorizer.transform_hashes` builds its
-CSR matrix in one pass over the batch, and
+CSR matrix in one pass over the batch;
 :func:`repro.extraction.pii.extract_pii` skips the categories whose
-triggers a text lacks.  The per-row build and the ungated regex bank they
-replaced live on here, outside the package, as the oracles both kernels
-must match byte for byte.  ``tests/test_kernel_equivalence.py`` checks
-them on the tiny corpora and adversarial inputs;
-``scripts/check_kernels.py`` checks them on the full corpus.
+triggers a text lacks, and the card and profile-URL patterns whose shape
+or domain it lacks; :meth:`repro.taxonomy.coding.ExpertCoder.code_text`
+skips the subtypes whose signature triggers a text lacks.  The per-row
+build and the ungated regex banks they replaced live on here, outside
+the package, as the oracles the kernels must match byte for byte.
+``tests/test_kernel_equivalence.py`` checks them on the tiny corpora and
+adversarial inputs; ``scripts/check_kernels.py`` checks them on the full
+corpus.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from repro.extraction.pii import (
     pii_categories_present,
 )
 from repro.nlp.features import _MIX, HashingVectorizer
+from repro.taxonomy.attack_types import AttackSubtype
+from repro.taxonomy.coding import _BANK, ExpertCoder
 from repro.util.rng import child_rng
 
 # -- hashing vectorizer: one np.unique per row ------------------------------
@@ -128,6 +133,25 @@ def pii_mismatches(texts: Iterable[str]) -> list[str]:
         ):
             mismatches.append(text)
     return mismatches
+
+
+# -- taxonomy coder: every subtype's alternation on every text ---------------
+
+
+def reference_code_text(text: str) -> tuple[AttackSubtype, ...]:
+    """Taxonomy subtypes of ``text``, GENERIC only when nothing else matched."""
+    matched = tuple(subtype for subtype, _, pattern in _BANK if pattern.search(text))
+    if not matched:
+        return (AttackSubtype.GENERIC,)
+    if len(matched) > 1 and AttackSubtype.GENERIC in matched:
+        matched = tuple(s for s in matched if s is not AttackSubtype.GENERIC)
+    return matched
+
+
+def taxonomy_mismatches(texts: Iterable[str]) -> list[str]:
+    """The texts on which the gated coder and the reference disagree."""
+    code = ExpertCoder().code_text
+    return [text for text in texts if code(text) != reference_code_text(text)]
 
 
 # -- adversarial inputs -------------------------------------------------------

@@ -1,15 +1,19 @@
-"""The one-pass CSR build and the gated PII bank against their references.
+"""The one-pass CSR build and the gated regex banks against their references.
 
-Both kernels must reproduce the implementations they replaced byte for
+The kernels must reproduce the implementations they replaced byte for
 byte (``tests/kernel_reference.py``): CSR shape, ``indptr``, ``indices``,
-``data`` and dtypes; extractions with their category order.  Inputs are
-the tiny corpora at four seeds under every :mod:`repro.corpus.perturb`
-transform, hypothesis text built from the gate's triggers and the
-Unicode case-fold hazards, and the edge batches of the one-pass build.
-A structural test reads off each parsed pattern that its matches hold
-its category's trigger, so the gate cannot fall behind the bank.
-``scripts/check_kernels.py`` runs the same checks on the full corpus.
+``data`` and dtypes; extractions with their category order; taxonomy
+codes with their subtype order.  Inputs are the tiny corpora at four
+seeds under every :mod:`repro.corpus.perturb` transform, hypothesis text
+built from the gates' triggers and the Unicode case-fold hazards, and
+the edge batches of the one-pass build.  Structural tests read off each
+parsed pattern that its matches hold its gates (category trigger, card
+shape, URL domain, signature trigger), so no gate can fall behind its
+bank.  ``scripts/check_kernels.py`` runs the same checks on the full
+corpus.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +22,14 @@ try:
     from re import _parser  # the parser behind re.compile (Python 3.11+)
 except ImportError:  # Python 3.10
     import sre_parse as _parser
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import CorpusBuilder, CorpusConfig
 from repro.extraction.pii import (
+    _CARD_SHAPE,
     PII_EXTRACTORS,
+    PII_PATTERN_GATES,
     PII_TRIGGERS,
     _open_categories,
     extract_pii,
@@ -31,13 +37,17 @@ from repro.extraction.pii import (
 )
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.tokenize import hash_text
+from repro.taxonomy.attack_types import AttackSubtype
+from repro.taxonomy.coding import _SIGNATURES, ExpertCoder
 from tests.kernel_reference import (
     csr_differences,
     perturbed_variants,
     pii_mismatches,
+    reference_code_text,
     reference_extract_pii,
     reference_pii_categories_present,
     reference_transform_hashes,
+    taxonomy_mismatches,
 )
 
 SEEDS = (3, 4, 7, 8)
@@ -58,6 +68,11 @@ def test_pii_bank_matches_reference_on_tiny_corpora(corpus_variants):
     assert pii_mismatches(texts) == []
 
 
+def test_taxonomy_coder_matches_reference_on_tiny_corpora(corpus_variants):
+    texts = dict.fromkeys(t for variant in corpus_variants.values() for t in variant)
+    assert taxonomy_mismatches(texts) == []
+
+
 def test_csr_matches_reference_on_tiny_corpora(corpus_variants):
     vectorizer = HashingVectorizer()
     for name, texts in corpus_variants.items():
@@ -68,7 +83,7 @@ def test_csr_matches_reference_on_tiny_corpora(corpus_variants):
         ) == [], name
 
 
-# -- PII gate -----------------------------------------------------------------
+# -- structural gate checks ---------------------------------------------------
 
 _DIGIT_CLASS = (_parser.IN, [(_parser.CATEGORY, _parser.CATEGORY_DIGIT)])
 
@@ -124,6 +139,47 @@ def _every_match_holds(pattern, triggers):
     )
 
 
+def _is_digit(item):
+    """Whether a parsed item matches exactly one decimal digit."""
+    op, arg = item
+    if op is _parser.LITERAL:
+        return chr(arg).isdigit()
+    return op is _parser.IN and all(
+        (kind, value) == (_parser.CATEGORY, _parser.CATEGORY_DIGIT)
+        or kind is _parser.LITERAL and chr(value).isdigit()
+        or kind is _parser.RANGE and all(chr(end).isdigit() for end in value)
+        for kind, value in arg
+    )
+
+
+def _atoms(items):
+    """A parsed run as atoms: ``"d"`` for each digit, ``repr`` otherwise.
+
+    Zero-width assertions (``\\b``) drop out.  Fixed repeats expand, and
+    so do alternations whose arms are all the same number of digits.
+    """
+    atoms = []
+    for item in items:
+        op, arg = item
+        if op is _parser.AT:
+            continue
+        if _is_digit(item):
+            atoms.append("d")
+            continue
+        if op is _parser.MAX_REPEAT and arg[0] == arg[1]:
+            inner = _atoms(arg[2])
+            if set(inner) == {"d"}:
+                atoms += inner * arg[0]
+                continue
+        if op is _parser.BRANCH:
+            arms = {tuple(_atoms(arm)) for arm in arg[1]}
+            if len(arms) == 1 and set(next(iter(arms))) == {"d"}:
+                atoms += next(iter(arms))
+                continue
+        atoms.append(repr(item))
+    return atoms
+
+
 def test_every_pattern_holds_its_trigger():
     # The gate is exact only while PII_TRIGGERS keeps up with the bank: a
     # pattern added without its trigger (an x.com URL for twitter, youtu.be
@@ -136,6 +192,38 @@ def test_every_pattern_holds_its_trigger():
             assert _every_match_holds(pattern, triggers), (category, pattern.pattern)
 
 
+def test_every_gated_pattern_holds_its_gate():
+    # An OSN URL pattern must hold its domain (a Twitter URL on x.com would
+    # hold neither "twitter.com" nor the category's trigger), and a card
+    # pattern must start with the card shape: four digits, the shape's
+    # optional separator, four digits.
+    shape = _atoms(_parser.parse(_CARD_SHAPE.pattern))
+    assert shape == ["d"] * 4 + [shape[4]] + ["d"] * 4
+    for category, (gate, gated) in PII_PATTERN_GATES.items():
+        assert gated and set(gated) <= set(PII_EXTRACTORS[category]), category
+        for pattern in gated:
+            if isinstance(gate, str):
+                assert gate == gate.lower(), category
+                assert _every_match_holds(pattern, (gate,)), (category, pattern.pattern)
+            else:
+                assert gate is _CARD_SHAPE, category
+                atoms = _atoms(_parser.parse(pattern.pattern, pattern.flags))
+                assert atoms[:len(shape)] == shape, (category, pattern.pattern)
+
+
+def test_every_signature_holds_its_trigger():
+    # The coder runs a subtype only if one of its triggers occurs, so a
+    # signature whose matches can miss its trigger (one filed under another
+    # signature's trigger, or an uppercase trigger the lowercase text can
+    # never hold) would silently lose its matches on ASCII text.
+    for subtype, signatures in _SIGNATURES.items():
+        assert signatures, subtype
+        for trigger, signature in signatures:
+            assert trigger and trigger == trigger.lower(), (subtype, trigger)
+            pattern = re.compile(signature, re.IGNORECASE)
+            assert _every_match_holds(pattern, (trigger,)), (subtype, signature)
+
+
 #: Each trigger letter in either case or as a non-ASCII character that
 #: IGNORECASE folds onto it: dotless i, dotted capital I, long s, Kelvin sign.
 _FOLDS = {"i": "iI\u0131\u0130", "k": "kK\u212a", "s": "sS\u017f"}
@@ -145,21 +233,40 @@ _TRIGGER_WORDS = (
 )
 
 
-def _spelled(word):
-    letters = [st.sampled_from(_FOLDS.get(c, c + c.upper())) for c in word]
+def _spelled(word, folds=_FOLDS):
+    letters = [st.sampled_from(folds.get(c, c + c.upper())) for c in word]
     return st.tuples(*letters).map("".join)
 
 
-#: Label- and URL-shaped handles, digit runs (with a non-ASCII digit) and
-#: loose glue, joined by spaces.
+#: Issuer prefixes and card-number groups (Visa, Mastercard, Amex,
+#: Discover), short and long groups, and a group of non-ASCII digits.
+_CARD_GROUPS = (
+    "4111", "5105", "3782", "6011", "6511", "1111", "822463", "10005",
+    "411", "41111", "\u0663\u0663\u0663\u0663",
+)
+
+#: Card-shaped digit runs: two to four groups joined by one separator,
+#: the card shape's own (none, space, hyphen) or one it lacks.
+_card_runs = st.tuples(
+    st.sampled_from(["", " ", "-", ".", "  ", "--"]),
+    st.lists(st.sampled_from(_CARD_GROUPS), min_size=2, max_size=4),
+).map(lambda parts: parts[0].join(parts[1]))
+
+#: Label- and URL-shaped handles (and platform names without their
+#: domain), digit and card runs (with a non-ASCII digit) and loose glue,
+#: joined by spaces.
 _texts = st.lists(
     st.one_of(
         st.tuples(
             st.sampled_from(_TRIGGER_WORDS).flatmap(_spelled),
-            st.sampled_from([": ", "-", " : @", ".com/", ".com/c/", "/"]),
+            st.sampled_from([
+                ": ", "-", " : @", ".com/", ".com/c/", "/", " com/", "com/",
+                ".org/", ".co/",
+            ]),
             st.sampled_from(["alice", "bob.smith", "x_1", "https://x.org"]),
         ).map("".join),
         st.text(alphabet="0123456789\u0663-().@ ", max_size=14),
+        _card_runs,
         st.sampled_from(["www.", "https://", "mail", "x.org", "12 Main St", "Ave"]),
     ),
     max_size=8,
@@ -167,8 +274,25 @@ _texts = st.lists(
 
 
 @given(_texts)
+@example("card 4111 1111 1111 1111")
+@example("card 4111-1111-1111-1111")
+@example("card 4111.1111.1111.1111")
+@example("card 41111111 11111111")
+@example("card 4111 1111")
+@example("card \u0663\u0663\u0663\u0663 1111 1111 1111")
+@example("amex 3782 822463 10005")
+@example("twitter: alice")
+@example("twitter com/alice")
+@example("see twitter.com/alice")
+@example("instagram.org/alice or ig: bob")
+@example("youtube: @chan and youtu.be/x")
+@example("FACEBOOK.COM/alice.smith")
+@example("fb - alice.smith")
 @settings(max_examples=400, deadline=None)
 def test_gated_bank_matches_reference_on_trigger_text(text):
+    # The examples sit on either side of the card gate (card-shaped runs
+    # with and without its separators) and of the URL gates (platform
+    # names with and without their domain).
     assert list(extract_pii(text).items()) == list(
         reference_extract_pii(text).items()
     )
@@ -183,8 +307,9 @@ def test_gated_bank_matches_reference_on_trigger_text(text):
     ("ssn ٣٣٣-٣٣-٣٣٣٣", "ssn", "٣٣٣-٣٣-٣٣٣٣"),
 ], ids=["dotless_i", "dotted_capital_i", "long_s", "kelvin_sign", "arabic_digits"])
 def test_case_fold_hazards_still_match(text, category, value):
-    # None of these holds its category's trigger after str.lower(); the
-    # non-ASCII fallback is what keeps them.
+    # The first three hold no trigger after str.lower(); the Kelvin sign
+    # lowers to "k" and \d matches the Arabic digits.  All five are
+    # non-ASCII, so the fallback runs every pattern on them.
     assert extract_pii(text)[category] == [value]
     assert list(extract_pii(text).items()) == list(
         reference_extract_pii(text).items()
@@ -195,10 +320,77 @@ def test_gate_skips_categories_without_triggers():
     def opened(text):
         return [category for category, _ in _open_categories(text)]
 
+    def patterns(text, category):
+        return dict(_open_categories(text))[category]
+
     assert opened("just a friendly chat about the weather") == []
-    assert opened("call me at 555-0147") == ["address", "credit_card", "phone", "ssn"]
+    assert opened("call me at 555-0147") == ["address", "phone", "ssn"]
+    assert opened("card 4111 1111 1111 1111") == [
+        "address", "credit_card", "phone", "ssn",
+    ]
     assert opened("FB: Alice.Smith or mail a@b.org") == ["email", "facebook"]
     assert opened("café chat") == list(PII_EXTRACTORS)
+    # A platform name without its domain opens only the label pattern.
+    url, label = PII_EXTRACTORS["twitter"]
+    assert patterns("twitter: alice", "twitter") == (label,)
+    assert patterns("twitter com/alice", "twitter") == (label,)
+    assert patterns("see Twitter.com/alice", "twitter") == (url, label)
+
+
+# -- taxonomy coder gate ------------------------------------------------------
+
+#: Every signature trigger, and the pronouns and objects that complete the
+#: signatures around them.
+_TAXONOMY_TRIGGERS = tuple(
+    dict.fromkeys(t for signatures in _SIGNATURES.values() for t, _ in signatures)
+)
+_TAXONOMY_GLUE = (
+    "him", "her", "them", "his", "their", "he", "she", "they", "out", "info",
+    "account", "name", "pages", "phone", "explicit", "nonstop", "hashtag",
+)
+
+_PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+
+#: Full signature spellings in printable ASCII.
+_signature_texts = st.sampled_from(
+    [signature for signatures in _SIGNATURES.values() for _, signature in signatures]
+).flatmap(
+    lambda signature: st.from_regex(signature, fullmatch=True, alphabet=_PRINTABLE)
+)
+
+#: Trigger words, glue and whole signatures, each spelled either in mixed
+#: ASCII case or with the IGNORECASE fold hazards (``ſpam``, ``raıd``,
+#: ``locK`` with a Kelvin sign), joined by spaces.
+_taxonomy_texts = st.lists(
+    st.one_of(
+        st.sampled_from(_TAXONOMY_TRIGGERS + _TAXONOMY_GLUE),
+        _signature_texts,
+    ).flatmap(lambda word: st.one_of(_spelled(word, folds={}), _spelled(word))),
+    max_size=6,
+).map(" ".join)
+
+
+@given(_taxonomy_texts)
+@settings(max_examples=400, deadline=None)
+def test_gated_coder_matches_reference_on_trigger_text(text):
+    assert ExpertCoder().code_text(text) == reference_code_text(text)
+
+
+@pytest.mark.parametrize("text, subtype", [
+    ("\u017fpam him until he quits", AttackSubtype.SPAMMING),
+    ("everyone ra\u0131d the stream", AttackSubtype.RAIDING),
+    ("loc\u212a them out of it", AttackSubtype.ACCOUNT_LOCKOUT),
+    ("P\u0130LE INTO the replies", AttackSubtype.RAIDING),
+    ("ma\u017f\u017f-report the channel", AttackSubtype.MASS_FLAGGING),
+    ("\u0131 know where she lives", AttackSubtype.DOXING),
+], ids=["long_s", "dotless_i", "kelvin_sign", "dotted_capital_i", "two_long_s",
+        "non_ascii_elsewhere"])
+def test_coder_fold_hazards_still_match(text, subtype):
+    # ſ, ı and İ hold their subtype's trigger only under IGNORECASE
+    # folding; the Kelvin sign lowers to "k", and the last text is
+    # non-ASCII elsewhere.  The non-ASCII fallback runs every pattern.
+    assert subtype in ExpertCoder().code_text(text)
+    assert ExpertCoder().code_text(text) == reference_code_text(text)
 
 
 # -- one-pass CSR build -------------------------------------------------------
