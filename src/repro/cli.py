@@ -1010,8 +1010,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--hot-key-share", type=float, default=0.02,
-        help="traffic share at which a routing key's scoring is split "
-        "over salted sub-keys (0 disables hot-key splitting)",
+        help="traffic share at which one text's scoring is split over "
+        "salted sub-keys, i.e. a literal repost storm (0 disables "
+        "hot-key splitting)",
     )
     p_serve.add_argument(
         "--ring-vnodes", type=_parse_jobs, default=128,

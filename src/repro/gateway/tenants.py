@@ -63,7 +63,7 @@ class TenantConfig:
         if not self.tenant:
             raise ValueError("tenant id must be a non-empty string")
         if "|" in self.tenant or ":" in self.tenant:
-            # The tenant id becomes part of routing/state keys via
+            # The tenant id becomes part of the monitor's state keys via
             # tenant_scope(); reserved separators would let one tenant
             # forge another's scope prefix.
             raise ValueError(

@@ -1,10 +1,10 @@
 """Scoring-core microbenchmark: messages/sec for scoring alone.
 
 Drives a :class:`~repro.score.core.ScoringCore` over a replayed message
-stream exactly the way a shard server does — router-style extraction
-first, then batch scoring — without any queueing, batching deadlines,
-or monitor state.  The result isolates the per-message *scoring* cost
-the serving capacity limit is built on.
+stream exactly the way a shard server does — batch scoring first, then
+PII extraction of only the messages over the threshold — without any
+queueing, batching deadlines, or monitor state.  The result isolates
+the per-message *scoring* cost the serving capacity limit is built on.
 
 The JSON report is fully deterministic: throughput is simulated-time
 arithmetic over the :class:`~repro.serve.batching.ServiceCostModel`
@@ -12,8 +12,9 @@ work ledger, never a wall clock, so the committed baseline
 (``benchmarks/reports/BENCH_score.json``) is byte-diffable across
 machines and the CI regression gate (:func:`compare_reports`) cannot
 flake.  A regression here means the *work per message* grew — e.g. a
-cache stopped hitting or an extraction started running twice — which is
-exactly what the gate exists to catch.
+cache stopped hitting, an extraction started running twice, or a
+message under the threshold was extracted — which is exactly what the
+gate exists to catch.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def run_score_bench(
 ) -> ScoreBenchResult:
     """Score ``messages`` through ``core`` and measure the work done.
 
-    Mirrors the serve hot path: each batch's texts are extracted through
-    the router-style cache (once per distinct text), then vectorized and
-    scored; the cost model converts the resulting work ledger into
-    simulated seconds, broken down by component.  ``threshold`` only
-    feeds the reported detection count — no monitor state is touched,
-    this is scoring alone.  ``recorder`` opts into observability: one
-    span per batch on the simulated clock (with the core's work ledger
-    annotated), plus the labeled metrics snapshot.
+    Mirrors a shard's hot path: each batch is vectorized and scored,
+    then the messages over ``threshold`` on either score are extracted
+    through the core's cache; the cost model converts the resulting
+    work ledger into simulated seconds, broken down by component.  No
+    monitor state is touched: this is scoring alone.  ``recorder`` opts
+    into observability: one span per batch on the simulated clock (with
+    the core's work ledger annotated), plus the labeled metrics
+    snapshot.
     """
     # Runtime import: repro.serve imports the scoring core, so the
     # dependency must stay one-way at module-import time.
@@ -123,6 +124,7 @@ def run_score_bench(
         cost = ServiceCostModel()
     total = ScoreWork()
     breakdown_totals = CostBreakdown()
+    texts: set[str] = set()
     n_messages = 0
     n_batches = 0
     detections = 0
@@ -132,29 +134,29 @@ def run_score_bench(
         if recorder is not None else None
     )
     for batch in iter_batches(messages, batch_size):
-        routed_work = ScoreWork()
-        routed = []
-        for message in batch:
-            before = core.extraction_cache.misses
-            extraction = core.extract(message.text, work=routed_work)
-            routed.append((extraction, core.extraction_cache.misses > before))
         batch_span = (
             bench_span.child("batch", batch=n_batches, messages=len(batch))
             if bench_span is not None else None
         )
-        scored = core.score_messages(batch, routed=routed, span=batch_span)
-        # The router ledger already billed extraction; score_messages
-        # re-billed it from the ``fresh`` flags, so keep only one copy.
-        n_detections = int(
-            ((scored.cth_scores > threshold) | (scored.dox_scores > threshold)).sum()
+        scored = core.score_messages(batch, span=batch_span)
+        detected = (scored.cth_scores > threshold) | (
+            scored.dox_scores > threshold
         )
+        for index in detected.nonzero()[0].tolist():
+            scored.extraction(index)
+        n_detections = int(detected.sum())
         breakdown = cost.breakdown(scored.work)
         if batch_span is not None:
             batch_span.close(simulated, simulated + breakdown.total_seconds)
-            batch_span.annotate(detections=n_detections)
+            batch_span.annotate(
+                detections=n_detections,
+                extracted=scored.work.extracted_messages,
+                extraction_cache_hits=scored.work.extraction_cache_hits,
+            )
         simulated += breakdown.total_seconds
         breakdown_totals.add(breakdown)
         total.add(scored.work)
+        texts.update(message.text for message in batch)
         n_messages += len(batch)
         n_batches += 1
         detections += n_detections
@@ -166,7 +168,7 @@ def run_score_bench(
         n_messages=n_messages,
         n_batches=n_batches,
         batch_size=batch_size,
-        distinct_texts=core.extraction_cache.misses,
+        distinct_texts=len(texts),
         work=total,
         detections=detections,
         simulated_seconds=simulated,
@@ -198,7 +200,9 @@ def compare_reports(
 
     * simulated ``messages_per_second`` has not dropped more than
       ``max_regression`` (fractional) below the baseline;
-    * extraction still runs at most once per message end to end.
+    * extraction still runs at most once per message end to end;
+    * extraction runs for detections only: extracted texts plus
+      extraction-cache hits equal the detections.
     """
     failures: list[GateFailure] = []
     current_mps = float(current.get("messages_per_second", 0.0))
@@ -220,6 +224,19 @@ def compare_reports(
             detail=(
                 f"PII extraction ran {per_message:.3f}x per message; the "
                 "scoring core guarantees at most once"
+            ),
+        ))
+    work = current.get("work", {})
+    lookups = int(work.get("extracted_messages", 0)) + int(
+        work.get("extraction_cache_hits", 0)
+    )
+    detections = int(current.get("detections", 0))
+    if lookups != detections:
+        failures.append(GateFailure(
+            check="detections-only",
+            detail=(
+                f"PII extraction looked up {lookups:,} texts for "
+                f"{detections:,} detections; only detections are extracted"
             ),
         ))
     return failures

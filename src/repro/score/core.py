@@ -13,8 +13,10 @@ paths now consume:
   :class:`~repro.nlp.tokenize.TokenCache` uses, so batch and streaming
   features are identical by construction;
 * **extract** — :func:`extract_targets` (PII regex bank + target-handle
-  derivation) behind a bounded LRU, so each distinct text is extracted
-  at most once across routing *and* scoring;
+  derivation) behind a bounded LRU.  Scoring never extracts: a caller
+  extracts a message only once it scored over a threshold
+  (:meth:`ScoredBatch.extraction`), so each distinct detected text is
+  extracted at most once per core;
 * **code** — the taxonomy :class:`~repro.taxonomy.coding.ExpertCoder`
   with its own LRU;
 * **score** — one vectorizer call + two model dot products per batch.
@@ -47,8 +49,7 @@ if TYPE_CHECKING:  # service layer sits above the core; type-only import
     from repro.service.stream import StreamMessage
 
 #: Online-social-network PII categories whose values name a *target
-#: account* — the handles campaign state is keyed on and the serving
-#: runtime shards by.
+#: account* — the handles campaign state is keyed on.
 OSN_PLATFORMS = ("facebook", "instagram", "twitter", "youtube")
 
 
@@ -139,12 +140,11 @@ class ScoredBatch:
     """One batch after the pure scoring pass, before any state updates.
 
     Holds everything :meth:`HarassmentMonitor.process_scored` needs to
-    make alert decisions without touching a tokenizer or regex:
-    features, both model scores, and per-message extractions.  An
-    extraction slot may be ``None`` (batch path scores first, extracts
-    only for detections); :meth:`extraction` then computes it lazily
-    through the core's cache and records the work on this batch's
-    ledger.
+    make alert decisions without touching a tokenizer: features, both
+    model scores, and per-message extraction slots.  A slot starts as
+    ``None`` (scoring comes first; only detections are extracted), and
+    :meth:`extraction` fills it on demand through the core's cache,
+    recording the work on this batch's ledger.
     """
 
     messages: Sequence["StreamMessage"]
@@ -178,18 +178,21 @@ class ScoredBatch:
         messages: Sequence["StreamMessage"],
         cth_scores: Sequence[float],
         dox_scores: Sequence[float],
-        extractions: Sequence[Extraction],
+        extractions: Sequence[Extraction | None],
         core: "ScoringCore",
     ) -> "ScoredBatch":
         """Rebuild a scored batch from stored scores and extractions.
 
         The serving runtime's shards keep only ``(message, scores,
-        extraction)`` per message once a batch is scored; its keyed
-        state pass rebuilds batches from them for
+        extraction)`` per message once a batch is scored, with the
+        extraction ``None`` for a message under both thresholds; its
+        keyed state pass rebuilds batches from them for
         :meth:`HarassmentMonitor.process_scored` — no re-tokenization,
-        no re-extraction.  ``features`` is ``None`` (the state path never
-        reads it) and the fresh work ledger only accumulates the lazy
-        taxonomy coding done during the pass.
+        no re-extraction.  A ``None`` slot that is read anyway is
+        extracted through ``core`` and billed to this batch.
+        ``features`` is ``None`` (the state path never reads it) and the
+        fresh work ledger accumulates only the work done during the
+        pass: taxonomy coding, plus any such lazy extraction.
         """
         if not (
             len(messages) == len(cth_scores) == len(dox_scores)
@@ -285,18 +288,12 @@ class ScoringCore:
         return self.vectorizer.transform_hashes(arrays)
 
     def score_messages(
-        self,
-        messages: Sequence["StreamMessage"],
-        routed: Sequence[tuple[Extraction, bool]] | None = None,
-        span=None,
+        self, messages: Sequence["StreamMessage"], span=None
     ) -> ScoredBatch:
         """Pure vectorized scoring of one batch.
 
-        ``routed`` carries extractions the router already computed (and,
-        per message, whether that routing extraction was fresh regex
-        work or a router-cache hit) — the serve path passes it so the
-        shard never re-extracts; the batch path omits it and extractions
-        happen lazily, per detection, through :meth:`ScoredBatch.extraction`.
+        Nothing is extracted here: extractions happen per detection,
+        through :meth:`ScoredBatch.extraction`.
 
         ``span`` is an optional :class:`repro.obs.trace.SpanContext`
         (e.g. the enclosing batch span): the work ledger is annotated
@@ -307,30 +304,11 @@ class ScoringCore:
         features = self.features_for(texts, work=work)
         cth_scores = self._cth.predict_proba(features)
         dox_scores = self._dox.predict_proba(features)
-        extractions: list[Extraction | None]
-        if routed is None:
-            extractions = [None] * len(texts)
-        else:
-            if len(routed) != len(texts):
-                raise ValueError(
-                    f"routed extractions ({len(routed)}) must align with "
-                    f"messages ({len(texts)})"
-                )
-            extractions = []
-            for (extraction, fresh), text in zip(routed, texts):
-                extractions.append(extraction)
-                if fresh:
-                    work.extracted_messages += 1
-                    work.extracted_chars += len(text)
-                else:
-                    work.extraction_cache_hits += 1
         if span is not None:
             span.annotate(
                 messages=work.messages,
                 token_cache_hits=work.token_cache_hits,
                 tokenized=work.tokenized_messages,
-                extracted=work.extracted_messages,
-                extraction_cache_hits=work.extraction_cache_hits,
             )
         return ScoredBatch(
             messages=messages,
@@ -338,7 +316,7 @@ class ScoringCore:
             cth_scores=cth_scores,
             dox_scores=dox_scores,
             work=work,
-            _extractions=extractions,
+            _extractions=[None] * len(texts),
             _core=self,
         )
 

@@ -4,19 +4,21 @@ The deployment the paper's release intent implies (§3, §9.2) has to
 score messages *online* at ingest rate.  This package turns the
 single-object :class:`repro.service.HarassmentMonitor` into a serving
 fleet that works in two stages.  Stateless scoring: a consistent-hash
-ring (seeded virtual nodes) partitions the stream across shards, each
-consuming a bounded queue through a micro-batcher with configurable
-overload policies; hot routing keys fan out over salted sub-keys.
-Keyed state: the coordinator then applies the scored messages in stream
-order to one state monitor per run, which keys every target handle's
-campaign/escalation state by handle.  Telemetry plus a deterministic
-open-loop load generator make latency, throughput, and shed/drop
-behaviour measurable without ever reading a wall clock.  The ring is
-elastic: a rebalance schedule (explicit or telemetry-planned) resizes
-the fleet at epoch boundaries, and a mid-run shard kill requeues queued
-work to the survivors; later messages wait for the requeued ones
-before their state is applied.  Both only change which shard scores
-what; no target state moves.
+ring (seeded virtual nodes) partitions the stream across shards by a
+digest of each message's text, so identical texts meet on one shard's
+caches; each shard consumes a bounded queue through a micro-batcher
+with configurable overload policies and extracts PII only from its
+detections; a hot routing key (a literal repost storm) fans out over
+salted sub-keys.  Keyed state: the coordinator then applies the scored
+messages in stream order to one state monitor per run, which keys
+every target handle's campaign/escalation state by handle.  Telemetry
+plus a deterministic open-loop load generator make latency, throughput,
+and shed/drop behaviour measurable without ever reading a wall clock.
+The ring is elastic: a rebalance schedule (explicit or
+telemetry-planned) resizes the fleet at epoch boundaries, and a mid-run
+shard kill requeues queued work to the survivors; later messages wait
+for the requeued ones before their state is applied.  Both only change
+which shard scores what; no target state moves.
 
 ``repro serve-bench`` drives it from the CLI; the headline invariant —
 merged sharded alerts identical to single-monitor output — is asserted

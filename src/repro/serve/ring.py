@@ -14,8 +14,9 @@ schedules in ``ServingRuntime.run`` cheap.
 
 Two more pieces live here because they are pure policy over the ring:
 
-* **Hot keys** — a single viral target hashes all of its traffic to one
-  shard no matter how the ring is balanced.  :func:`detect_hot_keys`
+* **Hot keys** — a routing key hashes all of its traffic to one shard
+  no matter how the ring is balanced.  Routing keys are text digests,
+  so only a literal repost storm can be hot.  :func:`detect_hot_keys`
   finds routing keys whose traffic share crosses a threshold and
   :func:`salt_key` fans each one out over deterministic salted
   sub-keys.  The runtime salts only its stateless scoring stage; target

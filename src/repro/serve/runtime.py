@@ -3,27 +3,29 @@
 :meth:`ServingRuntime.run` serves an arrival stream in epochs, and each
 epoch in two stages:
 
-1. **Scoring** (stateless).  The router runs the PII extraction once
-   per distinct text (bounded LRU) and keys each message on its primary
-   target handle, falling back to a platform/channel key
-   (:func:`routing_key`).  A key carrying at least ``hot_key_share`` of
-   the traffic is salted over ``hot_key_fanout`` sub-keys: scoring is a
-   pure function of the text, so this is only a load-balancing rule.
-   The :class:`~repro.serve.ring.HashRing` owner of the (possibly
-   salted) key queues the message in its
+1. **Scoring** (stateless).  The router keys each message on a
+   fixed-width digest of its text (:func:`routing_key`).  Scoring is a
+   pure function of the text, so identical texts meet on one shard and
+   hit its caches.  A key carrying at least ``hot_key_share`` of the
+   traffic — a literal repost storm — is salted over ``hot_key_fanout``
+   sub-keys, a load-balancing rule only.  The
+   :class:`~repro.serve.ring.HashRing` owner of the (possibly salted)
+   key queues the message in its
    :class:`~repro.serve.queueing.BoundedQueue`, and a
    :class:`~repro.serve.batching.MicroBatcher` flushes batches into its
-   monitor's scoring core.  Shards share nothing, so ``run(jobs=N)``
-   scores them on a thread pool with identical results.  This stage
-   alone fixes every batch's simulated time.
+   monitor's scoring core.  A shard extracts PII only from the messages
+   its batch scored over a threshold, as the single-monitor reference
+   does.  Shards share nothing, so ``run(jobs=N)`` scores them on a
+   thread pool with identical results.  This stage alone fixes every
+   batch's simulated time.
 2. **State** (keyed).  The coordinator applies the epoch's scored
    messages in stream order, in slices of ``batch_size``, to the run's
    one state monitor through :meth:`HarassmentMonitor.process_scored`,
    the one copy of the alert rules.  Its tables are keyed by scoped
    handle (:func:`~repro.service.monitor.tenant_scope`), so every
    detection reaches each of its targets' windows in stream order,
-   whichever shard scored it.  Only scores and extractions cross
-   between the stages, never feature matrices.
+   whichever shard scored it.  Only scores and the detections'
+   extractions cross between the stages, never feature matrices.
 
 That gives the headline invariant:
 
@@ -52,8 +54,10 @@ change which shard scores what; target state stays where it is:
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -61,8 +65,8 @@ from typing import Callable, Iterable, Sequence
 
 from repro.obs.recorder import RunObserver
 from repro.obs.trace import SpanContext, Tracer
-from repro.score.core import Extraction, ScoredBatch, ScoreWork, extract_targets
-from repro.service.monitor import Alert, HarassmentMonitor, tenant_scope
+from repro.score.core import Extraction, ScoredBatch, ScoreWork
+from repro.service.monitor import Alert, HarassmentMonitor
 from repro.service.stream import StreamMessage
 from repro.serve.batching import FLUSH_DRAIN, MicroBatcher, ServiceCostModel
 from repro.serve.loadgen import Arrival, LoadProfile, generate_arrivals
@@ -77,7 +81,6 @@ from repro.serve.ring import (
     salt_key,
 )
 from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
-from repro.util.cache import LRUCache
 
 #: Canonical merge order for alert streams; both the sharded runtime and
 #: the single-monitor baseline sort by this key for comparison.
@@ -85,28 +88,19 @@ def alert_sort_key(alert: Alert) -> tuple[float, int, str]:
     return (alert.timestamp, alert.message_id, alert.kind.value)
 
 
-def routing_key(message: StreamMessage, extraction: Extraction) -> str:
-    """Stable routing key: primary target handle, else channel.
+def routing_key(message: StreamMessage) -> str:
+    """Stable routing key: a 64-bit blake2b digest of the message text.
 
-    ``extraction`` is the message's PII extraction, which the router
-    computes once per distinct text.
-
-    The channel fallback is lowercased: handles are case-folded before
-    dedupe (PR 5), and ``channel:Twitter:News`` vs
-    ``channel:twitter:news`` must likewise be one key, not two.
-
-    A message carrying a gateway tenant id routes under the tenant's
-    scope prefix (:func:`repro.service.monitor.tenant_scope`), so two
-    tenants naming the same target are two keys.  The key only picks
-    the scoring shard; tenant isolation rests on the monitor keying its
-    state with the same prefix.
+    Scoring and its caches are pure functions of the text, so routing
+    on it sends identical texts to one shard, which then tokenizes and
+    extracts each of them once.  The digest is fixed-width, so a hot
+    key in a report or trace never carries message text.  The key has
+    no tenant scope: tenants may share a scoring shard, and isolation
+    rests on the monitor's scoped state key alone.
     """
-    scope = tenant_scope(message.tenant)
-    if extraction.primary_handle is not None:
-        return scope + extraction.primary_handle
-    return (
-        f"{scope}channel:{message.platform.value}:{message.channel.lower()}"
-    )
+    return "text:" + hashlib.blake2b(
+        message.text.encode("utf-8"), digest_size=8
+    ).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,13 +113,10 @@ class ServeConfig:
     queue_capacity: int = 512
     policy: BackpressurePolicy = BackpressurePolicy.BLOCK
     cost: ServiceCostModel = dataclasses.field(default_factory=ServiceCostModel)
-    #: entries in the router's text -> extraction LRU; bounds router
-    #: memory, never outputs (extraction is a pure function of the text)
-    extraction_cache_size: int = 4096
     #: virtual nodes per shard on the consistent-hash ring
     ring_vnodes: int = 128
     #: traffic share at which a routing key's scoring is split (0
-    #: disables); target state is keyed by handle either way
+    #: disables): only a literal repost storm can reach it
     hot_key_share: float = 0.02
     #: salted sub-keys a hot key fans out over
     hot_key_fanout: int = 8
@@ -138,7 +129,6 @@ class ServeConfig:
             ("n_shards", 1),
             ("batch_size", 1),
             ("queue_capacity", 1),
-            ("extraction_cache_size", 1),
             ("ring_vnodes", 1),
             ("hot_key_fanout", 2),
         ):
@@ -181,7 +171,6 @@ class ServeConfig:
             "queue_capacity": self.queue_capacity,
             "policy": self.policy.value,
             "cost": dataclasses.asdict(self.cost),
-            "extraction_cache_size": self.extraction_cache_size,
             "ring_vnodes": self.ring_vnodes,
             "hot_key_share": self.hot_key_share,
             "hot_key_fanout": self.hot_key_fanout,
@@ -252,8 +241,6 @@ class _Routed:
     seq: int  # stream position: the state pass applies in this order
     arrival: Arrival
     route: str  # scoring key: the routing key, or a salted sub-key of it
-    extraction: Extraction
-    fresh: bool  # extraction was fresh regex work, not a router-cache hit
 
 
 @dataclasses.dataclass(slots=True)  # not frozen: one per message, built fast
@@ -262,7 +249,7 @@ class _Scored:
 
     seq: int
     message: StreamMessage
-    extraction: Extraction
+    extraction: Extraction | None  # None unless over a threshold
     cth_score: float
     dox_score: float
     shard: int  # the shard that scored it
@@ -310,22 +297,11 @@ class ServingRuntime:
 
     def _route(
         self, arrivals: Sequence[Arrival]
-    ) -> tuple[list[_Routed], dict[str, float], LRUCache]:
-        """Extract, key and (for hot keys) salt every arrival."""
-        cache: LRUCache[str, Extraction] = LRUCache(
-            self.config.extraction_cache_size
-        )
-        keyed: list[tuple[Arrival, str, Extraction, bool]] = []
-        counts: dict[str, int] = {}
-        for arrival in arrivals:
-            extraction, hit = cache.get_or_compute(
-                arrival.message.text, extract_targets
-            )
-            key = routing_key(arrival.message, extraction)
-            counts[key] = counts.get(key, 0) + 1
-            keyed.append((arrival, key, extraction, not hit))
+    ) -> tuple[list[_Routed], dict[str, float]]:
+        """Key and (for hot keys) salt every arrival."""
+        keys = [routing_key(arrival.message) for arrival in arrivals]
         policy = self.config.hot_key_policy
-        hot = detect_hot_keys(counts, len(arrivals), policy)
+        hot = detect_hot_keys(collections.Counter(keys), len(keys), policy)
         routed = [
             _Routed(
                 seq=seq,
@@ -334,12 +310,10 @@ class ServingRuntime:
                     salt_key(key, arrival.message.message_id, policy.fanout)
                     if key in hot else key
                 ),
-                extraction=extraction,
-                fresh=fresh,
             )
-            for seq, (arrival, key, extraction, fresh) in enumerate(keyed)
+            for seq, (arrival, key) in enumerate(zip(arrivals, keys))
         ]
-        return routed, hot, cache
+        return routed, hot
 
     # -- stage 1: one shard scores one epoch ---------------------------------
 
@@ -395,7 +369,6 @@ class ServingRuntime:
         ) -> float:
             """Score one batch at simulated ``start``; returns its end."""
             messages = [q.message for q in batch]
-            infos = [by_id[m.message_id] for m in messages]
             batch_span = (
                 shard_span.child(
                     "batch",
@@ -406,24 +379,26 @@ class ServingRuntime:
                 )
                 if tracer is not None else None
             )
-            scored = monitor.core.score_messages(
-                messages,
-                routed=[(r.extraction, r.fresh) for r in infos],
-                span=batch_span,
-            )
+            scored = monitor.core.score_messages(messages, span=batch_span)
             detected = (scored.cth_scores > thresholds.cth_threshold) | (
                 scored.dox_scores > thresholds.dox_threshold
             )
             n_detected = int(detected.sum())
+            # The state pass reads an extraction only for a detection,
+            # so only detections are extracted (billed to this batch).
+            extractions = [
+                scored.extraction(i) if hit else None
+                for i, hit in enumerate(detected.tolist())
+            ]
             breakdown = config.cost.breakdown(scored.work, n_detected)
             end = start + breakdown.total_seconds
-            for q, r, cth, dox in zip(
-                batch, infos, scored.cth_scores.tolist(),
+            for q, extraction, cth, dox in zip(
+                batch, extractions, scored.cth_scores.tolist(),
                 scored.dox_scores.tolist(),
             ):
                 scored_out.append(_Scored(
-                    r.seq, q.message, r.extraction, cth, dox,
-                    shard_id, q.enqueue_time, end,
+                    by_id[q.message.message_id].seq, q.message, extraction,
+                    cth, dox, shard_id, q.enqueue_time, end,
                 ))
             telemetry.record_batch(
                 start,
@@ -433,7 +408,11 @@ class ServingRuntime:
                 work=scored.work,
             )
             if batch_span is not None:
-                batch_span.close(start, end).annotate(detections=n_detected)
+                batch_span.close(start, end).annotate(
+                    detections=n_detected,
+                    extracted=scored.work.extracted_messages,
+                    extraction_cache_hits=scored.work.extraction_cache_hits,
+                )
                 # Component sub-spans laid end to end inside the batch:
                 # the Chrome/Perfetto view shows where batch time goes.
                 offset = start
@@ -572,7 +551,7 @@ class ServingRuntime:
         config = self.config
         if schedule is not None and schedule.planned and planner is None:
             planner = RebalancePlanner()
-        routed, hot_shares, router_cache = self._route(list(arrivals))
+        routed, hot_shares = self._route(list(arrivals))
         n_total = len(routed)
         initial = (
             schedule.shard_counts[0]
@@ -604,8 +583,6 @@ class ServingRuntime:
                 end=routed[-1].arrival.time if routed else 0.0,
                 messages=n_total,
                 hot_keys=len(hot_shares),
-                extraction_cache_hits=router_cache.hits,
-                extraction_cache_misses=router_cache.misses,
             )
         # Messages a kill requeued, offered at the next epoch's start.
         carry: list[_Routed] = []

@@ -15,13 +15,13 @@ target.  Alerts:
 
 All text processing — tokenization, feature hashing, model scoring, PII
 extraction, taxonomy coding — lives in the shared
-:class:`~repro.score.core.ScoringCore` (cache-backed, single extraction
-per distinct text); this module only keeps the *stateful* part:
+:class:`~repro.score.core.ScoringCore` (cache-backed, PII extraction
+only for detections); this module only keeps the *stateful* part:
 :meth:`HarassmentMonitor.process_scored` turns a pure
 :class:`~repro.score.core.ScoredBatch` into alerts by updating
 per-target windows.  The serving runtime scores batches on its shards
-(with router-precomputed extractions) and calls ``process_scored`` from
-its keyed state pass; :meth:`HarassmentMonitor.process_batch` wraps both
+(which extract their detections) and calls ``process_scored`` from its
+keyed state pass; :meth:`HarassmentMonitor.process_batch` wraps both
 steps for the batch path.
 """
 
@@ -40,15 +40,15 @@ from repro.util.batching import iter_batches
 
 
 def tenant_scope(tenant: str) -> str:
-    """State/routing key prefix isolating one tenant's per-target state.
+    """State key prefix isolating one tenant's per-target state.
 
     The monitor's state tables key every target on the scoped handle,
     so two tenants naming the same target never share a window; that
     alone is what isolates them.  The serve router
-    (:func:`repro.serve.runtime.routing_key`) uses the same prefix, but
-    its key only picks the shard that scores a message.  Empty tenant —
-    the single-tenant deployments every pre-gateway caller runs — scopes
-    to the bare handle, unchanged.
+    (:func:`repro.serve.runtime.routing_key`) keys on the text alone,
+    so tenants may share a scoring shard: scoring is a pure function of
+    the text.  Empty tenant — the single-tenant deployments every
+    pre-gateway caller runs — scopes to the bare handle, unchanged.
     """
     return f"tenant:{tenant}|" if tenant else ""
 

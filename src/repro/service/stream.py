@@ -23,10 +23,14 @@ class StreamMessage:
     """One message as the service sees it — no ground truth attached.
 
     ``tenant`` identifies which gateway tenant streamed the message in
-    (empty for single-tenant deployments).  The serving layer folds it
-    into the shard-routing key and the monitor scopes its per-target
-    state by it, so one tenant's campaign/escalation state can never be
-    read or advanced by another tenant's traffic.
+    (empty for single-tenant deployments).  The monitor scopes its
+    per-target state by it, so one tenant's campaign/escalation state
+    can never be read or advanced by another tenant's traffic; routing
+    and scoring read only the text.
+
+    ``text`` must be encodable as UTF-8: the router digests it and the
+    tokenizer hashes it as UTF-8 bytes, so a lone surrogate is rejected
+    here, naming the message, rather than deep inside a serving run.
     """
 
     message_id: int
@@ -37,6 +41,17 @@ class StreamMessage:
     timestamp: float
     text: str
     tenant: str = ""
+
+    def __post_init__(self) -> None:
+        if self.text.isascii():
+            return
+        try:
+            self.text.encode("utf-8")
+        except UnicodeEncodeError as error:
+            raise ValueError(
+                f"message {self.message_id} has text UTF-8 cannot encode "
+                f"({error.reason} at index {error.start})"
+            ) from None
 
     @classmethod
     def from_document(cls, doc: Document) -> "StreamMessage":

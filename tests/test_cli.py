@@ -1,9 +1,14 @@
 """Tests for the command-line interface (via main(argv))."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _serve_models, main
 from repro.corpus.io import iter_jsonl
+from repro.score import ScoringCore
+from repro.service.monitor import MonitorConfig
+from repro.types import Task
 
 
 @pytest.fixture(scope="module")
@@ -191,16 +196,27 @@ def test_serve_bench_writes_json_report(tmp_path, capsys):
     assert sum(s["messages_scored"] for s in per_shard) == report["load"]["n_messages"]
     assert telemetry["queue"]["unaccounted"] == 0
     # Busy-seconds breakdown: the components account for all busy time,
-    # and the single-extraction path keeps extract work below a full
-    # per-message regex pass (cache hits on repeated templates).
+    # and extraction runs for detections alone: one lookup per message
+    # over a threshold, as one scoring pass over the same stream finds.
     breakdown = telemetry["busy_breakdown"]
     busy = sum(s["busy_seconds"] for s in per_shard)
     assert sum(breakdown.values()) == pytest.approx(busy)
     work = telemetry["score_work"]
     assert work["messages"] == report["load"]["n_messages"]
-    assert work["extracted_messages"] + work["extraction_cache_hits"] == work["messages"]
-    assert work["extraction_cache_hits"] > 0
-    assert work["extracted_messages"] < work["messages"]
+    models, vectorizer, stream = _serve_models(
+        argparse.Namespace(seed=7, full=False, epochs=2)
+    )
+    scored = ScoringCore(
+        models[Task.CTH], models[Task.DOX], vectorizer
+    ).score_messages(list(stream))
+    thresholds = MonitorConfig()
+    detections = int((
+        (scored.cth_scores > thresholds.cth_threshold)
+        | (scored.dox_scores > thresholds.dox_threshold)
+    ).sum())
+    assert 0 < detections < work["messages"]
+    lookups = work["extracted_messages"] + work["extraction_cache_hits"]
+    assert lookups == detections
 
 
 def test_score_bench_deterministic_report_and_gate(tmp_path, capsys):

@@ -393,6 +393,33 @@ def test_wrong_key_and_anonymous_arrivals_rejected(serve_models):
     assert not gateway.telemetry.tenants[""].registered
 
 
+def test_text_utf8_cannot_encode_is_rejected_before_admission(serve_models):
+    # A lone surrogate is refused where the message is built, so the
+    # round fails before admission spends any budget, and the next
+    # round is served in full.
+    registry = _generous_registry(tenants=("alpha",))
+    gateway = Gateway(
+        registry, _factory(serve_models),
+        ServeConfig(n_shards=2), _generous_gateway_config(),
+    )
+
+    def arrivals(texts):
+        for i, text in enumerate(texts):
+            yield Arrival(float(i), _msg(i, text=text), "alpha")
+
+    with pytest.raises(
+        ValueError, match=r"message 1 has text UTF-8 cannot encode"
+    ):
+        gateway.handle(arrivals(["fine", "\ud800"]), registry.credentials())
+    assert gateway.usage("alpha")["quota_used"] == 0
+    assert gateway.health()["runs"] == 0
+    result = gateway.handle(
+        arrivals(["fine", "also fine"]), registry.credentials()
+    )
+    assert result.admitted == 2
+    assert gateway.telemetry.conservation_ok
+
+
 # -- tenant state isolation ----------------------------------------------------
 
 def test_tenant_scope_prefixes_state_keys():

@@ -1,11 +1,13 @@
 """Scoring-core tests: caches, single extraction, batch/stream identity.
 
 Covers the ``repro.score`` package plus the invariants the refactor
-exists for: PII extraction runs at most once per distinct message text
-across routing *and* scoring; alerts are invariant to batch size and
-shard count; batch-pipeline features equal streaming-core features;
-case-variant handles collapse to one target.
+exists for: serving runs PII extraction only for detections, once per
+distinct text on each shard that scores it; alerts are invariant to
+batch size and shard count; batch-pipeline features equal
+streaming-core features; case-variant handles collapse to one target.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -24,7 +26,16 @@ from repro.score import (
     extract_targets,
     run_score_bench,
 )
-from repro.serve import LoadProfile, ServeConfig, ServingRuntime, alert_sort_key
+from repro.serve import (
+    HashRing,
+    LoadProfile,
+    ServeConfig,
+    ServingRuntime,
+    alert_sort_key,
+    detect_hot_keys,
+    routing_key,
+    salt_key,
+)
 from repro.service.monitor import AlertKind, HarassmentMonitor, MonitorConfig
 from repro.service.stream import StreamMessage
 from repro.taxonomy.coding import ExpertCoder
@@ -48,6 +59,16 @@ class _ConstantModel:
 
     def predict_proba(self, features):
         return np.full(features.shape[0], self.probability)
+
+
+class _FeatureCountModel:
+    """Scores a row 0.9 if it has more than ``cut`` hashed features."""
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def predict_proba(self, features):
+        return np.where(np.diff(features.indptr) > self.cut, 0.9, 0.1)
 
 
 def _core(cth=0.9, dox=0.1, **kwargs):
@@ -179,9 +200,10 @@ def test_case_variants_do_not_double_count_campaign_activity():
     assert len(alerts_after(3)) == 1
 
 
-# -- satellite: extraction runs at most once per distinct text ----------------
+# -- satellite: extraction runs once per detected text and scoring shard ------
 
-def test_extraction_at_most_once_per_distinct_text_end_to_end(monkeypatch):
+def _count_extractions(monkeypatch):
+    """Texts passed to the PII bank, recorded by a counting wrapper."""
     import repro.score.core as score_core
 
     calls = []
@@ -192,23 +214,104 @@ def test_extraction_at_most_once_per_distinct_text_end_to_end(monkeypatch):
         return real(text)
 
     monkeypatch.setattr(score_core, "extract_pii", counting)
+    return calls
 
-    stream = _template_stream(120)
+
+def _scoring_shards(stream, config):
+    """message id -> the shard that scores it in a one-epoch serve run,
+    from the routing key, hot-key salting and the ring."""
+    keys = [routing_key(m) for m in stream]
+    policy = config.hot_key_policy
+    hot = detect_hot_keys(collections.Counter(keys), len(keys), policy)
+    ring = HashRing.uniform(range(config.n_shards), config.ring_vnodes)
+    return {
+        m.message_id: ring.owner(
+            salt_key(key, m.message_id, policy.fanout) if key in hot else key
+        )
+        for m, key in zip(stream, keys)
+    }
+
+
+def _serve(stream, config, cth_model, dox_model=None):
     runtime = ServingRuntime(
         lambda: HarassmentMonitor(
-            _ConstantModel(0.9), _ConstantModel(0.9), HashingVectorizer(),
+            cth_model, dox_model or _ConstantModel(0.1), HashingVectorizer(),
             MonitorConfig(campaign_min_messages=2),
         ),
-        ServeConfig(n_shards=3, batch_size=16),
+        config,
     )
-    result = runtime.serve_stream(stream, LoadProfile(rate_per_second=5000, seed=3))
+    return runtime.serve_stream(
+        stream, LoadProfile(rate_per_second=5000, seed=3)
+    )
+
+
+def test_extraction_at_most_once_per_distinct_text_end_to_end(monkeypatch):
+    calls = _count_extractions(monkeypatch)
+    # Sixty distinct texts, each twice: no text is hot, so identical
+    # texts meet on one shard and share its extraction cache.
+    stream = [
+        _msg(i, f"{TEMPLATES[i % len(TEMPLATES)]} #{i % 60}")
+        for i in range(120)
+    ]
+    result = _serve(
+        stream, ServeConfig(n_shards=3, batch_size=16), _ConstantModel(0.9)
+    )
     assert result.alerts  # every message detects; the test must bite
-    # Routing + scoring + alert details together ran the regex bank at
-    # most once per *distinct* text, not once per message or per use.
-    assert len(calls) == len(set(calls)) == len(TEMPLATES)
+    assert result.hot_keys == {}
+    # Scoring + state + alert details together ran the regex bank
+    # exactly once per *distinct* text across the fleet.
+    assert len(calls) == len(set(calls)) == 60
     work = result.telemetry.merged_score_work()
-    assert work.extracted_messages == len(TEMPLATES)
-    assert work.extraction_cache_hits == len(stream) - len(TEMPLATES)
+    assert work.extracted_messages == 60
+    assert work.extraction_cache_hits == len(stream) - 60
+
+
+def test_hot_text_is_extracted_once_per_scoring_shard(monkeypatch):
+    calls = _count_extractions(monkeypatch)
+    stream = _template_stream(120)
+    config = ServeConfig(n_shards=3, batch_size=16)
+    result = _serve(stream, config, _ConstantModel(0.9))
+    assert result.alerts
+    # Each template carries a sixth of the traffic, so every one is hot
+    # and salting spreads its scoring over several shards.
+    assert len(result.hot_keys) == len(TEMPLATES)
+    owners = _scoring_shards(stream, config)
+    pairs = {(m.text, owners[m.message_id]) for m in stream}
+    assert len(pairs) > len(TEMPLATES)
+    # Exactly one regex pass per distinct (text, scoring shard) pair.
+    assert sorted(calls) == sorted(text for text, _ in pairs)
+    work = result.telemetry.merged_score_work()
+    assert work.extracted_messages == len(pairs)
+    assert work.extraction_cache_hits == len(stream) - len(pairs)
+
+
+def test_serve_never_extracts_a_text_under_the_thresholds(monkeypatch):
+    calls = _count_extractions(monkeypatch)
+    stream = _template_stream(120)
+    config = ServeConfig(n_shards=3, batch_size=16)
+    cth_model = _FeatureCountModel(20)
+    result = _serve(stream, config, cth_model)
+    # One scoring pass over the stream says which messages detect.
+    reference = ScoringCore(
+        cth_model, _ConstantModel(0.1), HashingVectorizer()
+    ).score_messages(stream)
+    detected = {
+        m.message_id
+        for m, score in zip(stream, reference.cth_scores.tolist())
+        if score > 0.5
+    }
+    assert 0 < len(detected) < len(stream)
+    assert result.telemetry.monitor.cth_detected == len(detected)
+    below = {m.text for m in stream if m.message_id not in detected}
+    assert calls and not below & set(calls)
+    # Each shard looked up an extraction for exactly its detections.
+    owners = _scoring_shards(stream, config)
+    for shard in result.telemetry.shards:
+        work = shard.score_work
+        mine = [i for i in detected if owners[i] == shard.shard_id]
+        assert work.extracted_messages + work.extraction_cache_hits == len(
+            mine
+        )
 
 
 # -- satellite: alerts invariant to batch size and shard count ----------------
@@ -276,12 +379,6 @@ def test_score_messages_lazy_extraction_billing():
     assert scored.work.extracted_messages == 1
 
 
-def test_score_messages_routed_validates_alignment():
-    core = _core()
-    with pytest.raises(ValueError, match="align"):
-        core.score_messages([_msg(0, "x")], routed=[])
-
-
 def test_score_work_merge():
     work = ScoreWork(messages=2, chars=6, tokenized_chars=6)
     merged = work.merge(ScoreWork(messages=1, chars=1))
@@ -300,7 +397,23 @@ def test_run_score_bench_deterministic_and_single_extraction():
     assert first.n_messages == 100
     assert first.extractions_per_message <= 1.0
     assert first.work.extracted_messages == len(TEMPLATES)
+    assert first.distinct_texts == len(TEMPLATES)
     assert first.messages_per_second > 0
+
+
+def test_run_score_bench_extracts_detections_only():
+    stream = _template_stream(100)
+    core = ScoringCore(
+        _FeatureCountModel(20), _ConstantModel(0.1), HashingVectorizer(),
+        extraction_cache_size=1,  # thrashes: re-misses are not new texts
+    )
+    result = run_score_bench(core, stream, batch_size=16)
+    assert 0 < result.detections < result.n_messages
+    work = result.work
+    assert work.extracted_messages + work.extraction_cache_hits == (
+        result.detections
+    )
+    assert result.distinct_texts == len(TEMPLATES)
 
 
 def test_compare_reports_gate():
@@ -319,3 +432,29 @@ def test_compare_reports_gate():
     nearly = dict(report)
     nearly["messages_per_second"] = report["messages_per_second"] * 0.99
     assert compare_reports(nearly, report, max_regression=0.02) == []
+
+
+def test_compare_reports_gate_holds_extraction_to_detections():
+    core = ScoringCore(
+        _FeatureCountModel(20), _ConstantModel(0.1), HashingVectorizer()
+    )
+    report = run_score_bench(
+        core, _template_stream(60), batch_size=16
+    ).as_dict()
+    assert 0 < report["detections"] < report["n_messages"]
+    assert compare_reports(report, report) == []
+    work = report["work"]
+    # A text under the threshold was extracted too...
+    eager = dict(report, work=dict(
+        work, extracted_messages=work["extracted_messages"] + 1
+    ))
+    assert [f.check for f in compare_reports(eager, report)] == [
+        "detections-only"
+    ]
+    # ...or a detection went unextracted.
+    missed = dict(report, work=dict(
+        work, extraction_cache_hits=work["extraction_cache_hits"] - 1
+    ))
+    failures = compare_reports(missed, report)
+    assert [f.check for f in failures] == ["detections-only"]
+    assert "only detections are extracted" in failures[0].detail

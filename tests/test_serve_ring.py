@@ -33,6 +33,7 @@ from repro.serve import (
     ShardTelemetry,
     alert_sort_key,
     detect_hot_keys,
+    routing_key,
     salt_key,
 )
 from repro.serve.ring import HOTTEST, PlanKind
@@ -395,7 +396,8 @@ def test_kill_last_shard_is_rejected(serve_models):
 # -- hot-key split --------------------------------------------------------------
 
 def _viral_stream():
-    """One handle dominates; plenty of cold traffic around it."""
+    """One text, naming one handle, is reposted verbatim for a third of
+    the traffic; plenty of cold traffic around it."""
     messages = []
     for i in range(240):
         if i % 3 == 0:
@@ -417,7 +419,7 @@ def test_hot_handle_splits_scoring_but_not_state(serve_models):
     result = ServingRuntime(factory, config).serve_stream(
         stream, LoadProfile(rate_per_second=5000, seed=3)
     )
-    assert "twitter:targetuser99" in result.hot_keys
+    assert routing_key(_msg(0, text=CTH_TEXT)) in result.hot_keys
     assert result.alerts == baseline
     _assert_conservation(result)
     # The split actually spread the hot key: its traffic is no longer
@@ -468,7 +470,7 @@ def test_hot_handle_alerts_are_timed_and_complete_in_their_batches(
     result = ServingRuntime(factory, config).serve_stream(
         stream, LoadProfile(rate_per_second=5000, seed=3), recorder=recorder
     )
-    assert "twitter:targetuser99" in result.hot_keys
+    assert routing_key(_msg(0, text=CTH_TEXT)) in result.hot_keys
     assert result.alerts == _baseline(factory, stream, batch_size=16)
     # Every alert, hot handle or not, is in the latency histogram and
     # in the trace.

@@ -1,14 +1,15 @@
 """Serving-runtime tests: shard equivalence, overload, drain, determinism.
 
-The headline invariant: with stable target-handle routing and the
-lossless ``block`` policy, the merged alert stream of the sharded
-runtime — sorted by ``(timestamp, message_id, kind)`` — is identical,
-field for field, to single-monitor ``HarassmentMonitor.run`` output for
-any shard count.  Asserted for shards 1/2/4 over two corpus profiles.
+The headline invariant: with stable content routing and the lossless
+``block`` policy, the merged alert stream of the sharded runtime —
+sorted by ``(timestamp, message_id, kind)`` — is identical, field for
+field, to single-monitor ``HarassmentMonitor.run`` output for any shard
+count.  Asserted for shards 1/2/4 over two corpus profiles.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ import pytest
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.models.logreg import LogisticRegressionClassifier
-from repro.score.core import extract_targets
 from repro.serve import (
+    Arrival,
     BackpressurePolicy,
     HashRing,
     LoadProfile,
@@ -94,8 +95,7 @@ def _msg(i, text="nothing to see", channel="c", ts=None):
 
 def _shard_for(message, n_shards):
     """Owner of ``message``'s routing key on a uniform ``n_shards`` ring."""
-    key = routing_key(message, extract_targets(message.text))
-    return HashRing.uniform(range(n_shards)).owner(key)
+    return HashRing.uniform(range(n_shards)).owner(routing_key(message))
 
 
 class _RecordingMonitor(HarassmentMonitor):
@@ -177,36 +177,43 @@ def test_run_is_deterministic(serve_models, stream_profiles):
 
 # -- routing -------------------------------------------------------------------
 
-def test_routing_key_prefers_primary_handle():
-    handled = _msg(1, text=CTH_TEXT)
-    assert routing_key(handled, extract_targets(handled.text)) == (
-        "twitter:targetuser99"
-    )
-    benign = _msg(2, text="lovely weather", channel="tea")
-    assert routing_key(benign, extract_targets(benign.text)) == (
-        "channel:gab:tea"
-    )
-
-
-def test_routing_key_channel_fallback_is_case_insensitive():
-    # Regression: handles are case-folded before routing, but the
-    # channel fallback used the raw channel string — 'News' and 'news'
-    # routed to different shards and split per-channel queue pressure.
+def test_equal_texts_share_one_key_and_owner():
+    # Scoring is a pure function of the text, so equal texts meet on one
+    # shard whatever else their messages differ in.
     variants = [
-        _msg(1, text="lovely weather", channel="News"),
-        _msg(2, text="lovely weather", channel="news"),
-        _msg(3, text="lovely weather", channel="NEWS"),
+        _msg(1, text=CTH_TEXT, channel="News"),
+        _msg(2, text=CTH_TEXT, channel="news"),
+        dataclasses.replace(
+            _msg(3, text=CTH_TEXT), platform=Platform.CHAT,
+            source=Source.DISCORD,
+        ),
+        dataclasses.replace(_msg(4, text=CTH_TEXT), tenant="alpha"),
+        dataclasses.replace(_msg(5, text=CTH_TEXT), tenant="beta"),
     ]
-    keys = {routing_key(m, extract_targets(m.text)) for m in variants}
-    assert keys == {"channel:gab:news"}
-    assert len({_shard_for(m, 8) for m in variants}) == 1
+    assert len({routing_key(m) for m in variants}) == 1
+    for n_shards in (1, 2, 3, 8):
+        assert len({_shard_for(m, n_shards) for m in variants}) == 1
 
 
-def test_same_target_always_lands_on_same_shard():
-    messages = [_msg(i, text=CTH_TEXT, channel=f"chan{i}") for i in range(10)]
-    for n_shards in (2, 3, 8):
-        shards = {_shard_for(m, n_shards) for m in messages}
-        assert len(shards) == 1
+def test_different_texts_get_different_keys():
+    texts = [
+        CTH_TEXT, CTH_TEXT + " ", CTH_TEXT.upper(), "lovely weather",
+        *(f"benign chatter {i}" for i in range(500)),
+    ]
+    keys = {routing_key(_msg(i, text=text)) for i, text in enumerate(texts)}
+    assert len(keys) == len(texts)
+
+
+def test_routing_key_is_fixed_width_and_never_holds_the_text():
+    # A hot key lands in reports and traces: it must not leak the text.
+    for text in (
+        "", "hi", CTH_TEXT, "twitter: targetuser99", "héllo wörld ✓",
+        "x" * 10_000,
+    ):
+        key = routing_key(_msg(0, text=text))
+        assert re.fullmatch(r"text:[0-9a-f]{16}", key)
+        if text:
+            assert text not in key
 
 
 # -- overload & backpressure ---------------------------------------------------
@@ -366,13 +373,39 @@ def test_serve_config_errors_name_the_offending_field():
         "ServeConfig.ring_vnodes": dict(ring_vnodes=0),
         "ServeConfig.hot_key_share": dict(hot_key_share=1.5),
         "ServeConfig.hot_key_fanout": dict(hot_key_fanout=1),
-        "ServeConfig.extraction_cache_size": dict(extraction_cache_size=0),
     }
     for field_name, kwargs in cases.items():
         with pytest.raises(ValueError, match=field_name.replace(".", r"\.")):
             ServeConfig(**kwargs)
     with pytest.raises(ValueError, match=r"ServeConfig\.queue_capacity"):
         ServeConfig(queue_capacity=8, batch_size=16)
+
+
+def test_text_utf8_cannot_encode_is_rejected_where_messages_enter(
+    serve_models,
+):
+    # Regression: a lone surrogate got into a StreamMessage and raised
+    # UnicodeEncodeError from a shard's tokenizer mid-run, losing every
+    # message of the run.  The message now refuses it, naming itself.
+    with pytest.raises(
+        ValueError, match=r"message 7 has text UTF-8 cannot encode"
+    ):
+        _msg(7, text="a\ud800")
+    _msg(8, text="héllo wörld ✓")  # non-ASCII that encodes is fine
+    built = []
+    make = _factory(serve_models)
+
+    def factory():
+        built.append(make())
+        return built[-1]
+
+    def arrivals():
+        for i, text in enumerate(["fine", "also fine", "bad \udfff here"]):
+            yield Arrival(float(i), _msg(i, text=text))
+
+    with pytest.raises(ValueError, match=r"message 2 has text"):
+        ServingRuntime(factory, ServeConfig(n_shards=2)).run(arrivals())
+    assert built == []  # rejected before a single shard was built
 
 
 def test_run_rejects_bad_jobs(serve_models):

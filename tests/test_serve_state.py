@@ -2,8 +2,8 @@
 
 The serving runtime scores on shards, then applies the scored messages
 in stream order to the run's one state monitor, keyed by handle.  A
-detection naming ``[h1, h2]`` with ``ring.owner(h1) != ring.owner(h2)``
-must still see ``h2``'s earlier detections, so the merged alerts and
+detection naming ``[h1, h2]``, scored on another shard than ``h2``'s
+earlier detections, must still see them, so the merged alerts and
 monitor stats equal a single monitor's — with shards, threads,
 rebalances, a mid-run kill, and tenants that name the same handles —
 and no target state ever moves between monitors.
@@ -30,19 +30,17 @@ from repro.serve import (
     ServingRuntime,
     alert_sort_key,
     generate_arrivals,
+    routing_key,
 )
 from repro.serve.ring import HOTTEST
-from repro.service.monitor import (
-    AlertKind,
-    HarassmentMonitor,
-    MonitorConfig,
-    tenant_scope,
-)
+from repro.service.monitor import AlertKind, HarassmentMonitor, MonitorConfig
 from repro.service.stream import StreamMessage
 from repro.types import Platform, Source
 
 TENANTS = ("alpha", "beta")
 CONFIG = MonitorConfig(campaign_min_messages=2)
+#: the uniform rings every split below must hold on
+RINGS = [HashRing.uniform(range(n_shards)) for n_shards in (2, 4)]
 
 
 class _ConstantModel:
@@ -70,49 +68,62 @@ def _factory(config=CONFIG, monitors=None):
     return make
 
 
-def _msg(i, text, tenant=""):
+def _msg(i, text):
     return StreamMessage(
         message_id=i, platform=Platform.GAB, source=Source.GAB,
         channel=f"c{i % 5}", author="a", timestamp=float(i), text=text,
-        tenant=tenant,
     )
 
 
-def _split_pairs(n, scopes=("",)):
-    """``(instagram handle, twitter handle)`` pairs whose owners differ on
-    uniform 2- and 4-shard rings, under every tenant scope in ``scopes``."""
-    rings = [HashRing.uniform(range(n_shards)) for n_shards in (2, 4)]
+def _split(first, second, rings=RINGS):
+    """Whether two messages are scored on different shards of every ring."""
+    return all(
+        ring.owner(routing_key(first)) != ring.owner(routing_key(second))
+        for ring in rings
+    )
+
+
+def _split_pairs(n, texts, rings=RINGS):
+    """``n`` name pairs ``(a, b)`` whose two texts ``texts(a, b)`` are
+    scored on different shards of every ring in ``rings``."""
     pairs = []
     for i in itertools.count():
-        h1, h2 = f"instagram:victim_{i}", f"twitter:target_{i}"
-        if all(
-            ring.owner(tenant_scope(t) + h1) != ring.owner(tenant_scope(t) + h2)
-            for ring in rings
-            for t in scopes
-        ):
-            pairs.append((h1, h2))
+        a, b = f"victim_{i}", f"target_{i}"
+        if _split(*(_msg(0, text) for text in texts(a, b)), rings):
+            pairs.append((a, b))
             if len(pairs) == n:
                 return pairs
 
 
-def _split_stream(scopes=("",), repeats=3):
-    """Per pair: a detection naming ``h2``, then one naming ``[h1, h2]``
-    (``h1`` is primary: instagram sorts first), then benign padding.
+def _pair_texts(a, b):
+    """A detection naming ``twitter: b``, then one naming both
+    ``instagram: a`` and ``twitter: b`` (instagram sorts first, so ``a``
+    is its primary handle)."""
+    return (
+        f"mass report her, twitter: {b}",
+        f"spam her, instagram: {a} and twitter: {b}",
+    )
 
-    Twenty pairs keep every handle under the default hot-key share, so
-    the handles' messages are scored on their owners, not split.
+
+def _split_stream(repeats=3):
+    """Per pair: the two texts of :func:`_pair_texts`, scored on
+    different shards, then benign padding.
+
+    Each pair's texts are under the default hot-key share, so they are
+    scored on their owners, not split; the shared padding text is hot,
+    so its scoring fans out over salted sub-keys.
     """
     messages = []
     ids = itertools.count()
-    pairs = _split_pairs(20, scopes)
+    pairs = _split_pairs(20, _pair_texts)
     for _ in range(repeats):
-        for h1, h2 in pairs:
-            a, b = h1.split(":")[1], h2.split(":")[1]
-            messages.append(_msg(next(ids), f"mass report her, twitter: {b}"))
-            messages.append(_msg(
-                next(ids), f"spam her, instagram: {a} and twitter: {b}"
-            ))
-            messages.append(_msg(next(ids), "lovely weather today"))
+        for a, b in pairs:
+            first, second = (
+                _msg(next(ids), text) for text in _pair_texts(a, b)
+            )
+            assert _split(first, second)
+            padding = _msg(next(ids), "lovely weather today")
+            messages += [first, second, padding]
     return messages
 
 
@@ -190,18 +201,21 @@ def test_secondary_handle_state_survives_a_kill():
     assert result.unaccounted == 0
 
 
+def _dense_sparse_texts(a, b):
+    return f"mass report her, instagram: {a}", f"mass report her, twitter: {b}"
+
+
 def test_held_messages_complete_after_the_requeued_ones_they_wait_for():
-    # A dense handle and a sparse one on different shards, one second
-    # per message: the dense handle's owner is the hottest shard, and it
-    # dies with all but its first message still queued.  The sparse
-    # messages the survivor scored meanwhile are held for those
-    # requeued ones, and must be timed no earlier than them.
-    dense, sparse = (h.split(":")[1] for h in _split_pairs(1)[0])
-    stream = [
-        _msg(i, f"mass report her, twitter: {sparse}") if i % 5 == 4
-        else _msg(i, f"mass report her, instagram: {dense}")
-        for i in range(40)
-    ]
+    # A dense text and a sparse one on different shards, one second per
+    # message: the dense text's owner is the hottest shard, and it dies
+    # with all but its first message still queued.  The sparse messages
+    # the survivor scored meanwhile are held for those requeued ones,
+    # and must be timed no earlier than them.
+    two_shards = RINGS[:1]
+    (pair,) = _split_pairs(1, _dense_sparse_texts, two_shards)
+    dense, sparse = _dense_sparse_texts(*pair)
+    stream = [_msg(i, sparse if i % 5 == 4 else dense) for i in range(40)]
+    assert _split(stream[0], stream[4], two_shards)
     config = ServeConfig(
         n_shards=2, batch_size=1, queue_capacity=64, hot_key_share=0.0,
         cost=ServiceCostModel(
@@ -242,7 +256,7 @@ def test_held_messages_complete_after_the_requeued_ones_they_wait_for():
 def test_tenants_naming_the_same_handles_stay_isolated(kill):
     # Every message is sent twice, once per tenant: both tenants name
     # the same handles, and each tenant's pairs split across owners.
-    stream = _split_stream(scopes=("",) + TENANTS)
+    stream = _split_stream()
     messages = [
         dataclasses.replace(m, message_id=2 * m.message_id + k)
         for m in stream for k in range(2)
