@@ -296,7 +296,6 @@ def cmd_serve_bench(args) -> int:
         BackpressurePolicy,
         KillSpec,
         LoadProfile,
-        RebalanceSchedule,
         ServeConfig,
         ServingRuntime,
         alert_sort_key,
@@ -321,16 +320,11 @@ def cmd_serve_bench(args) -> int:
         max_delay_seconds=args.max_delay_ms / 1000.0,
         queue_capacity=args.queue_capacity,
         policy=BackpressurePolicy(args.policy),
-        ring_vnodes=args.ring_vnodes,
         hot_key_share=args.hot_key_share,
     )
-    schedule = (
-        RebalanceSchedule.parse(args.rebalance_schedule)
-        if args.rebalance_schedule else None
-    )
     kill = (
-        KillSpec.parse(args.kill_shard, args.kill_at)
-        if args.kill_shard else None
+        KillSpec(shard=args.kill_shard, at_fraction=args.kill_at)
+        if args.kill_shard is not None else None
     )
     profile = LoadProfile(
         rate_per_second=args.rate,
@@ -346,7 +340,7 @@ def cmd_serve_bench(args) -> int:
     runtime = ServingRuntime(monitor_factory, config)
     result = runtime.serve_stream(
         stream, profile, jobs=args.jobs, recorder=recorder,
-        schedule=schedule, kill=kill,
+        schedule=args.rebalance_schedule, kill=kill,
     )
     report = result.as_dict()
     report["load"] = {
@@ -756,6 +750,34 @@ def _parse_jobs(value: str) -> int:
     return jobs
 
 
+def _checked(parse, value: str):
+    """Run ``parse(value)`` as an argparse ``type``: its ValueError
+    becomes argparse's usage error, which names the flag and exits 2
+    while the arguments are parsed, before anything is trained."""
+    try:
+        return parse(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _parse_schedule(value: str):
+    from repro.serve import RebalanceSchedule
+
+    return _checked(RebalanceSchedule.parse, value)
+
+
+def _parse_kill_shard(value: str):
+    from repro.serve import KillSpec
+
+    return _checked(lambda v: KillSpec.parse(v).shard, value)
+
+
+def _parse_kill_at(value: str) -> float:
+    from repro.serve import KillSpec
+
+    return _checked(lambda v: KillSpec(at_fraction=float(v)).at_fraction, value)
+
+
 def _parse_retries(value: str) -> int:
     retries = int(value)
     if retries < 0:
@@ -993,19 +1015,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run a single monitor and verify merged alerts match",
     )
     p_serve.add_argument(
-        "--rebalance-schedule", default=None, metavar="SPEC",
-        help="serve in epochs with ring resizes at each boundary: "
-        "comma-separated shard counts ('2,4,3'), or 'auto:N' for N "
-        "epochs of telemetry-planned rebalancing",
+        "--rebalance-schedule", type=_parse_schedule, default=None,
+        metavar="SPEC",
+        help="serve in equal epochs, resizing the ring to each "
+        "comma-separated shard count in turn ('2,4,3'; the first count "
+        "is the starting fleet)",
     )
     p_serve.add_argument(
-        "--kill-shard", default=None, metavar="SHARD",
+        "--kill-shard", type=_parse_kill_shard, default=None,
+        metavar="SHARD",
         help="kill one shard mid-run and requeue its queued messages "
         "to the survivors (target state stays in the keyed state "
         "monitor): a shard id, or 'hottest'",
     )
     p_serve.add_argument(
-        "--kill-at", type=float, default=0.5, metavar="FRACTION",
+        "--kill-at", type=_parse_kill_at, default=0.5, metavar="FRACTION",
         help="stream fraction at which --kill-shard fires (0 < f < 1)",
     )
     p_serve.add_argument(
@@ -1013,10 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="traffic share at which one text's scoring is split over "
         "salted sub-keys, i.e. a literal repost storm (0 disables "
         "hot-key splitting)",
-    )
-    p_serve.add_argument(
-        "--ring-vnodes", type=_parse_jobs, default=128,
-        help="virtual nodes per shard on the consistent-hash ring",
     )
     p_serve.add_argument(
         "--report", default="benchmarks/reports/BENCH_serve.json",

@@ -45,7 +45,7 @@ from repro.gateway.tenants import TenantRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import RunObserver
 from repro.serve.loadgen import Arrival
-from repro.serve.ring import KillSpec, RebalancePlanner, RebalanceSchedule
+from repro.serve.ring import KillSpec, RebalanceSchedule
 from repro.serve.runtime import ServeConfig, ServeResult, ServingRuntime
 from repro.service.monitor import Alert
 
@@ -231,14 +231,13 @@ class Gateway:
         recorder: RunObserver | None = None,
         schedule: RebalanceSchedule | None = None,
         kill: KillSpec | None = None,
-        planner: RebalancePlanner | None = None,
     ) -> GatewayResult:
         """Authenticate, admit, serve, and deliver one arrival batch.
 
         ``credentials`` maps tenant id -> presented API key (what each
-        caller put on the wire).  Elasticity controls (``schedule``,
-        ``kill``, ``planner``) pass straight through to the serving
-        runtime — tenant isolation must and does survive all of them.
+        caller put on the wire).  Elasticity controls (``schedule`` and
+        ``kill``) pass straight through to the serving runtime — tenant
+        isolation must and does survive both.
         """
         arrivals = list(arrivals)
         ledgers: dict[str, AdmissionAccounting] = {}
@@ -270,7 +269,6 @@ class Gateway:
             recorder=recorder,
             schedule=schedule,
             kill=kill,
-            planner=planner,
         )
         tenant_of = {a.message.message_id: a.tenant for a in admitted}
         arrived_at = {a.message.message_id: a.time for a in admitted}

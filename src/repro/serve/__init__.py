@@ -14,11 +14,12 @@ messages in stream order to one state monitor per run, which keys
 every target handle's campaign/escalation state by handle.  Telemetry
 plus a deterministic open-loop load generator make latency, throughput,
 and shed/drop behaviour measurable without ever reading a wall clock.
-The ring is elastic: a rebalance schedule (explicit or
-telemetry-planned) resizes the fleet at epoch boundaries, and a mid-run
-shard kill requeues queued work to the survivors; later messages wait
-for the requeued ones before their state is applied.  Both only change
-which shard scores what; no target state moves.
+The ring is elastic: a rebalance schedule resizes the fleet to
+explicit shard counts at epoch boundaries, and a mid-run shard kill
+requeues queued work to the survivors; later messages wait for the
+requeued ones before their state is applied.  These are the only
+topology changes, and both only change which shard scores what; no
+target state moves.
 
 ``repro serve-bench`` drives it from the CLI; the headline invariant —
 merged sharded alerts identical to single-monitor output — is asserted
@@ -37,9 +38,6 @@ from repro.serve.ring import (
     HashRing,
     HotKeyPolicy,
     KillSpec,
-    PlanKind,
-    RebalancePlan,
-    RebalancePlanner,
     RebalanceSchedule,
     detect_hot_keys,
     salt_key,
@@ -63,11 +61,8 @@ __all__ = [
     "KillSpec",
     "LoadProfile",
     "MicroBatcher",
-    "PlanKind",
     "QueueAccounting",
     "QueuedMessage",
-    "RebalancePlan",
-    "RebalancePlanner",
     "RebalanceSchedule",
     "ServeConfig",
     "ServeResult",

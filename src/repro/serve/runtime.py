@@ -35,12 +35,12 @@ That gives the headline invariant:
     shard count, any rebalance schedule, any hot-key split, and any
     kill-and-failover sequence.
 
-Two elastic mechanisms change the ring at epoch boundaries.  They only
-change which shard scores what; target state stays where it is:
+Two elastic mechanisms change the ring at epoch boundaries, and
+nothing else does.  They only change which shard scores what; target
+state stays where it is:
 
 * **Rebalancing** — a :class:`~repro.serve.ring.RebalanceSchedule`
-  resizes the fleet to explicit shard counts, or lets a
-  :class:`~repro.serve.ring.RebalancePlanner` decide from telemetry.
+  resizes the fleet to explicit shard counts.
 * **Failover** — a :class:`~repro.serve.ring.KillSpec` kills a shard
   mid-run: it finishes its in-flight batch, and its queued messages are
   requeued to the surviving owners (accounted through the ``requeued``
@@ -56,7 +56,6 @@ from __future__ import annotations
 import bisect
 import collections
 import dataclasses
-import functools
 import hashlib
 import itertools
 import math
@@ -75,7 +74,6 @@ from repro.serve.ring import (
     HashRing,
     HotKeyPolicy,
     KillSpec,
-    RebalancePlanner,
     RebalanceSchedule,
     detect_hot_keys,
     salt_key,
@@ -113,8 +111,6 @@ class ServeConfig:
     queue_capacity: int = 512
     policy: BackpressurePolicy = BackpressurePolicy.BLOCK
     cost: ServiceCostModel = dataclasses.field(default_factory=ServiceCostModel)
-    #: virtual nodes per shard on the consistent-hash ring
-    ring_vnodes: int = 128
     #: traffic share at which a routing key's scoring is split (0
     #: disables): only a literal repost storm can reach it
     hot_key_share: float = 0.02
@@ -129,7 +125,6 @@ class ServeConfig:
             ("n_shards", 1),
             ("batch_size", 1),
             ("queue_capacity", 1),
-            ("ring_vnodes", 1),
             ("hot_key_fanout", 2),
         ):
             value = getattr(self, name)
@@ -171,7 +166,6 @@ class ServeConfig:
             "queue_capacity": self.queue_capacity,
             "policy": self.policy.value,
             "cost": dataclasses.asdict(self.cost),
-            "ring_vnodes": self.ring_vnodes,
             "hot_key_share": self.hot_key_share,
             "hot_key_fanout": self.hot_key_fanout,
         }
@@ -260,24 +254,39 @@ class _Scored:
 
 
 def _boundaries(
-    n_total: int, schedule: RebalanceSchedule | None, kill: KillSpec | None
+    n_total: int,
+    initial: int,
+    schedule: RebalanceSchedule | None,
+    kill: KillSpec | None,
 ) -> list[tuple[int, str, object]]:
     """Epoch boundaries as ``(arrival index, action, payload)``, in order.
 
     A kill sorts after a resize at the same index, so the kill sees the
-    new topology; the last entry is the end of the stream.
+    new topology; the last entry is the end of the stream.  Only resizes
+    come before the one kill, so the shards live when it fires are
+    ``range(count)`` for the last count before it (``initial`` if none),
+    and a kill that cannot fire is rejected here, before anything runs.
     """
     boundaries: list[tuple[int, str, object]] = []
     if schedule is not None and n_total:
         for epoch in range(1, schedule.n_epochs):
             cut = (n_total * epoch) // schedule.n_epochs
-            if schedule.planned:
-                boundaries.append((cut, "plan", None))
-            else:
-                boundaries.append((cut, "resize", schedule.shard_counts[epoch]))
+            boundaries.append((cut, "resize", schedule.shard_counts[epoch]))
     if kill is not None and n_total:
         boundaries.append((int(n_total * kill.at_fraction), "kill", kill))
     boundaries.sort(key=lambda b: (b[0], b[1] == "kill"))
+    live = initial
+    for _, action, payload in boundaries:
+        if action == "resize":
+            live = payload
+            continue
+        if isinstance(payload.shard, int) and payload.shard >= live:
+            raise ValueError(
+                f"cannot kill shard {payload.shard}: not on the ring "
+                f"(live: {list(range(live))})"
+            )
+        if live == 1:
+            raise ValueError("cannot kill the last live shard")
     boundaries.append((n_total, "end", None))
     return boundaries
 
@@ -534,31 +543,29 @@ class ServingRuntime:
         recorder: RunObserver | None = None,
         schedule: RebalanceSchedule | None = None,
         kill: KillSpec | None = None,
-        planner: RebalancePlanner | None = None,
     ) -> ServeResult:
         """Route and serve ``arrivals``; returns merged, sorted output.
 
-        ``schedule`` serves the stream in epochs with ring changes at
-        each boundary (explicit shard counts, or planner-driven for
-        ``RebalanceSchedule(planned=True)``); ``kill`` fails one shard
-        over mid-run; ``recorder`` opts into observability (route /
-        shard / batch / state-pass spans, rebalance and failover events,
-        fleet metrics — absorbed in deterministic order, so the trace is
+        ``schedule`` serves the stream in epochs, resizing the ring to
+        its shard counts at each boundary; ``kill`` fails one shard over
+        mid-run, and a kill that cannot fire raises before any shard is
+        built; ``recorder`` opts into observability (route / shard /
+        batch / state-pass spans, rebalance and failover events, fleet
+        metrics — absorbed in deterministic order, so the trace is
         independent of ``jobs``).
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         config = self.config
-        if schedule is not None and schedule.planned and planner is None:
-            planner = RebalancePlanner()
-        routed, hot_shares = self._route(list(arrivals))
-        n_total = len(routed)
+        arrivals = list(arrivals)
+        n_total = len(arrivals)
         initial = (
-            schedule.shard_counts[0]
-            if schedule is not None and not schedule.planned
+            schedule.shard_counts[0] if schedule is not None
             else config.n_shards
         )
-        ring = HashRing.uniform(range(initial), config.ring_vnodes)
+        boundaries = _boundaries(n_total, initial, schedule, kill)
+        routed, hot_shares = self._route(arrivals)
+        ring = HashRing(range(initial))
         # Each shard scores through its own monitor's core; the run's
         # target state lives in one more monitor, built after them.
         monitors = {
@@ -592,7 +599,7 @@ class ServingRuntime:
         held: set[int] = set()
         requeued: set[int] = set()
         segment_start = 0
-        for cut, action, payload in _boundaries(n_total, schedule, kill):
+        for cut, action, payload in boundaries:
             live = list(ring.shard_ids)
             per_shard: dict[int, list[_Routed]] = {s: [] for s in live}
             for r in [*carry, *routed[segment_start:cut]]:
@@ -608,20 +615,13 @@ class ServingRuntime:
                 else (routed[-1].arrival.time if routed else 0.0)
             )
             victim: int | None = None
-            if action == "kill":
+            if action == "kill":  # _boundaries checked it can fire
                 if isinstance(payload.shard, int):
                     victim = payload.shard
                 else:  # hottest: most messages routed to it so far
                     victim = max(
                         live, key=lambda s: (routed_totals.get(s, 0), -s)
                     )
-                if victim not in per_shard:
-                    raise ValueError(
-                        f"cannot kill shard {victim}: not on the ring "
-                        f"(live: {live})"
-                    )
-                if len(live) == 1:
-                    raise ValueError("cannot kill the last live shard")
 
             # -- stage 1: score ----------------------------------------------
             def run_one(shard_id: int):
@@ -688,25 +688,13 @@ class ServingRuntime:
             # -- apply the boundary action -----------------------------------
             if action == "end":
                 continue
-            plans = None
             if action == "kill":
                 killed.add(victim)
                 new_ring = ring.remove_shard(victim)
-            elif action == "resize":
-                new_ring = HashRing.uniform(
-                    itertools.islice(
-                        (s for s in itertools.count() if s not in killed),
-                        payload,
-                    ),
-                    config.ring_vnodes,
-                )
-            else:  # plan
-                plans = planner.plan(
-                    ServeTelemetry.merged(epoch_telemetries), ring
-                )
-                new_ring = functools.reduce(
-                    lambda current, plan: plan.apply(current), plans, ring
-                )
+            else:  # resize
+                new_ring = HashRing(itertools.islice(
+                    (s for s in itertools.count() if s not in killed), payload
+                ))
             new_ids = list(new_ring.shard_ids)
             for shard_id in new_ids:
                 if shard_id not in monitors:
@@ -736,18 +724,13 @@ class ServingRuntime:
                         killed=victim, requeued=len(leftovers),
                     )
                 continue
-            entry: dict[str, object] = {
+            rebalance_log.append({
                 "at_index": cut, "time": boundary_time, "kind": action,
-            }
-            labels: dict[str, object] = {"kind": action}
-            if plans is not None:
-                entry["plans"] = [plan.as_dict() for plan in plans]
-                labels["plans"] = len(plans)
-            entry.update(shards_before=live, shards_after=new_ids)
-            rebalance_log.append(entry)
+                "shards_before": live, "shards_after": new_ids,
+            })
             if recorder is not None:
                 recorder.tracer.event(
-                    "rebalance", boundary_time, **labels,
+                    "rebalance", boundary_time, kind=action,
                     before=len(live), after=len(new_ids),
                 )
         merged.sort(key=alert_sort_key)
@@ -785,7 +768,6 @@ class ServingRuntime:
         recorder: RunObserver | None = None,
         schedule: RebalanceSchedule | None = None,
         kill: KillSpec | None = None,
-        planner: RebalancePlanner | None = None,
     ) -> ServeResult:
         """Generate arrivals for ``messages`` and serve them."""
         return self.run(
@@ -794,5 +776,4 @@ class ServingRuntime:
             recorder=recorder,
             schedule=schedule,
             kill=kill,
-            planner=planner,
         )

@@ -171,6 +171,38 @@ def test_study_retries_flag_validation():
         parser.parse_args(["study", "--tiny", "--retries", "-1"])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kill-shard", "coldest"],
+         "argument --kill-shard: KillSpec.shard must be an id or 'hottest'"),
+        (["--kill-at", "1.5", "--kill-shard", "1"],
+         "argument --kill-at: KillSpec.at_fraction must be in"),
+        (["--rebalance-schedule", "2,x"],
+         "argument --rebalance-schedule: cannot parse"),
+        (["--rebalance-schedule", "auto:4"],
+         "argument --rebalance-schedule: cannot parse"),
+    ],
+    ids=["kill-shard-name", "kill-at-range", "schedule-count", "schedule-auto"],
+)
+def test_serve_bench_rejects_malformed_elastic_flags_before_training(
+    monkeypatch, capsys, tmp_path, flags, message
+):
+    # Regression: these values were parsed only after the filters had
+    # been trained, and died with a traceback.
+    def no_training(args):
+        raise AssertionError("filters trained before the flags were checked")
+
+    monkeypatch.setattr("repro.cli._serve_models", no_training)
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "serve-bench", "--tiny", *flags,
+            "--report", str(tmp_path / "serve.json"),
+        ])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_serve_bench_writes_json_report(tmp_path, capsys):
     import json
 

@@ -223,7 +223,7 @@ def _scoring_shards(stream, config):
     keys = [routing_key(m) for m in stream]
     policy = config.hot_key_policy
     hot = detect_hot_keys(collections.Counter(keys), len(keys), policy)
-    ring = HashRing.uniform(range(config.n_shards), config.ring_vnodes)
+    ring = HashRing(range(config.n_shards))
     return {
         m.message_id: ring.owner(
             salt_key(key, m.message_id, policy.fanout) if key in hot else key

@@ -3,9 +3,9 @@
 The elastic counterpart of ``test_serve_runtime.py``: the headline
 invariant must survive topology changes.  Merged alerts — sorted by
 ``(timestamp, message_id, kind)`` — stay identical to single-monitor
-output across a 2→4→3 rebalance schedule, a planner-driven schedule, a
-hot-key split of the scoring stage, and a mid-run kill of the most
-loaded shard, under ``jobs=1`` and ``jobs=N`` alike; and the
+output across a 2→4→3 rebalance schedule, a hot-key split of the
+scoring stage, and a mid-run kill of the most loaded shard, under
+``jobs=1`` and ``jobs=N`` alike; and the
 queue-accounting conservation law ``offered == taken + shed + dropped +
 requeued + depth`` holds for every shard through all of it.
 """
@@ -25,19 +25,16 @@ from repro.serve import (
     HotKeyPolicy,
     KillSpec,
     LoadProfile,
-    RebalancePlanner,
     RebalanceSchedule,
     ServeConfig,
     ServiceCostModel,
     ServingRuntime,
-    ShardTelemetry,
     alert_sort_key,
     detect_hot_keys,
     routing_key,
     salt_key,
 )
-from repro.serve.ring import HOTTEST, PlanKind
-from repro.serve.telemetry import ServeTelemetry
+from repro.serve.ring import HOTTEST
 from repro.service.monitor import (
     HarassmentMonitor,
     MonitorConfig,
@@ -116,18 +113,18 @@ def _assert_conservation(result):
 # -- ring placement ------------------------------------------------------------
 
 def test_ring_owner_is_deterministic_and_total():
-    ring = HashRing.uniform(range(4))
-    again = HashRing.uniform(range(4))
+    ring = HashRing(range(4))
+    again = HashRing(range(4))
     keys = [f"key-{i}" for i in range(500)]
     assert [ring.owner(k) for k in keys] == [again.owner(k) for k in keys]
     owners = {ring.owner(k) for k in keys}
     assert owners == {0, 1, 2, 3}  # every shard owns a share
 
 
-def test_ring_add_shard_moves_only_stolen_keys():
+def test_ring_growth_moves_only_keys_to_the_new_shard():
     keys = [f"key-{i}" for i in range(2000)]
-    before = HashRing.uniform(range(4))
-    after = before.add_shard(4)
+    before = HashRing(range(4))
+    after = HashRing(range(5))
     moved = [k for k in keys if before.owner(k) != after.owner(k)]
     # Consistent hashing: every moved key lands on the new shard, and
     # roughly 1/5 of the keyspace moves (vs ~4/5 under modulo).
@@ -138,37 +135,21 @@ def test_ring_add_shard_moves_only_stolen_keys():
 
 def test_ring_remove_shard_moves_only_orphaned_keys():
     keys = [f"key-{i}" for i in range(2000)]
-    before = HashRing.uniform(range(4))
+    before = HashRing(range(4))
     after = before.remove_shard(2)
     moved = [k for k in keys if before.owner(k) != after.owner(k)]
     assert all(before.owner(k) == 2 for k in moved)
     assert {after.owner(k) for k in moved} <= {0, 1, 3}
 
 
-def test_ring_steal_shifts_load():
-    keys = [f"key-{i}" for i in range(2000)]
-    ring = HashRing.uniform(range(2), vnodes=64)
-    skewed = ring.steal(0, 1, 32)
-    assert skewed.weights == {0: 32, 1: 96}
-    before = sum(1 for k in keys if ring.owner(k) == 1)
-    after = sum(1 for k in keys if skewed.owner(k) == 1)
-    assert after > before
-
-
 def test_ring_validation():
     with pytest.raises(ValueError):
-        HashRing({})
+        HashRing([])
     with pytest.raises(ValueError):
-        HashRing({0: 0})
-    with pytest.raises(ValueError):
-        HashRing({-1: 4})
-    ring = HashRing.uniform([0])
+        HashRing([-1])
+    ring = HashRing([0])
     with pytest.raises(ValueError):
         ring.remove_shard(0)  # never empty the ring
-    with pytest.raises(ValueError):
-        HashRing.uniform(range(2), vnodes=4).steal(0, 1, 4)  # would empty donor
-    with pytest.raises(ValueError):
-        HashRing.uniform(range(2)).add_shard(1)  # already present
 
 
 # -- hot keys ------------------------------------------------------------------
@@ -188,70 +169,18 @@ def test_salt_key_is_deterministic_and_bounded():
     assert salt_key("k", 7, 8) == salt_key("k", 7, 8)
 
 
-# -- planner -------------------------------------------------------------------
-
-def _telemetry(loads, depths=None):
-    shards = []
-    for shard_id, scored in enumerate(loads):
-        shard = ShardTelemetry(shard_id=shard_id)
-        shard.messages_scored = scored
-        if depths:
-            shard.queue.max_depth = depths[shard_id]
-        shards.append(shard)
-    return ServeTelemetry(shards=shards)
-
-
-def test_planner_splits_overloaded_shard():
-    planner = RebalancePlanner(split_queue_depth=100)
-    ring = HashRing.uniform(range(2))
-    plans = planner.plan(_telemetry([500, 500], depths=[400, 10]), ring)
-    assert [p.kind for p in plans] == [PlanKind.SPLIT]
-    assert plans[0].shard == 0 and plans[0].peer == 2
-    grown = plans[0].apply(ring)
-    assert set(grown.shard_ids) == {0, 1, 2}
-
-
-def test_planner_steals_from_skewed_shard():
-    planner = RebalancePlanner(steal_skew=1.25)
-    ring = HashRing.uniform(range(2))
-    plans = planner.plan(_telemetry([900, 100]), ring)
-    assert [p.kind for p in plans] == [PlanKind.STEAL]
-    rebalanced = plans[0].apply(ring)
-    assert rebalanced.weight(0) < rebalanced.weight(1)
-
-
-def test_planner_merges_cold_shard():
-    planner = RebalancePlanner(merge_utilization=0.1)
-    ring = HashRing.uniform(range(3))
-    plans = planner.plan(_telemetry([500, 490, 3]), ring)
-    assert [p.kind for p in plans] == [PlanKind.MERGE]
-    shrunk = plans[0].apply(ring)
-    assert set(shrunk.shard_ids) == {0, 1}
-
-
-def test_planner_is_deterministic_and_quiet_when_balanced():
-    planner = RebalancePlanner()
-    ring = HashRing.uniform(range(3))
-    telemetry = _telemetry([400, 410, 390])
-    assert planner.plan(telemetry, ring) == []
-    busy = _telemetry([900, 100, 110])
-    assert planner.plan(busy, ring) == planner.plan(busy, ring)
-
-
 # -- schedule / kill parsing ---------------------------------------------------
 
 def test_schedule_parse():
     explicit = RebalanceSchedule.parse("2,4,3")
-    assert explicit.shard_counts == (2, 4, 3) and not explicit.planned
+    assert explicit.shard_counts == (2, 4, 3)
     assert explicit.n_epochs == 3
-    auto = RebalanceSchedule.parse("auto:4")
-    assert auto.planned and auto.n_epochs == 4
+    with pytest.raises(ValueError):
+        RebalanceSchedule.parse("auto:4")  # explicit counts only
     with pytest.raises(ValueError):
         RebalanceSchedule.parse("2,x,3")
     with pytest.raises(ValueError):
         RebalanceSchedule(shard_counts=(2, 0))
-    with pytest.raises(ValueError):
-        RebalanceSchedule(planned=True, epochs=1)
 
 
 def test_kill_spec_parse():
@@ -261,6 +190,8 @@ def test_kill_spec_parse():
         KillSpec(shard=0, at_fraction=1.0)
     with pytest.raises(ValueError):
         KillSpec(shard="coldest")
+    with pytest.raises(ValueError, match="must be an id or 'hottest'"):
+        KillSpec.parse("coldest")
 
 
 # -- target-state snapshot contract --------------------------------------------
@@ -326,21 +257,6 @@ def test_rebalance_schedule_preserves_alerts(
     )
 
 
-def test_planned_schedule_preserves_alerts(serve_models, corpus_stream):
-    factory = _factory(serve_models)
-    baseline = _baseline(factory, corpus_stream)
-    runtime = ServingRuntime(factory, ServeConfig(n_shards=3))
-    result = runtime.serve_stream(
-        corpus_stream,
-        LoadProfile(rate_per_second=5000, seed=3),
-        schedule=RebalanceSchedule.parse("auto:3"),
-        planner=RebalancePlanner(steal_skew=1.05, steal_fraction=0.2),
-    )
-    assert result.alerts == baseline
-    _assert_conservation(result)
-    assert len(result.rebalances) == 2  # one planning pass per boundary
-
-
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_kill_hottest_shard_preserves_alerts(serve_models, corpus_stream, jobs):
     factory = _factory(serve_models)
@@ -391,6 +307,40 @@ def test_kill_last_shard_is_rejected(serve_models):
             LoadProfile(rate_per_second=100, seed=1),
             kill=KillSpec(shard=0, at_fraction=0.5),
         )
+
+
+@pytest.mark.parametrize(
+    "counts, kill, message",
+    [
+        ("4,2", KillSpec(shard=3, at_fraction=0.75),
+         r"cannot kill shard 3: not on the ring \(live: \[0, 1\]\)"),
+        ("4,1", KillSpec(shard=HOTTEST, at_fraction=0.75),
+         "cannot kill the last live shard"),
+    ],
+    ids=["victim-not-live", "last-live-shard"],
+)
+def test_kill_that_cannot_fire_is_rejected_before_any_shard_is_built(
+    serve_models, counts, kill, message
+):
+    # Regression: the kill was checked only when it fired, after the
+    # run had built its monitors and scored the epochs before it.  The
+    # shards live at the kill follow from the schedule alone.
+    make = _factory(serve_models)
+    built = []
+
+    def factory():
+        built.append(make())
+        return built[-1]
+
+    runtime = ServingRuntime(factory, ServeConfig(n_shards=4))
+    with pytest.raises(ValueError, match=message):
+        runtime.serve_stream(
+            [_msg(i) for i in range(64)],
+            LoadProfile(rate_per_second=100, seed=1),
+            schedule=RebalanceSchedule.parse(counts),
+            kill=kill,
+        )
+    assert built == []
 
 
 # -- hot-key split --------------------------------------------------------------

@@ -95,7 +95,7 @@ def _msg(i, text="nothing to see", channel="c", ts=None):
 
 def _shard_for(message, n_shards):
     """Owner of ``message``'s routing key on a uniform ``n_shards`` ring."""
-    return HashRing.uniform(range(n_shards)).owner(routing_key(message))
+    return HashRing(range(n_shards)).owner(routing_key(message))
 
 
 class _RecordingMonitor(HarassmentMonitor):
@@ -370,7 +370,6 @@ def test_serve_config_errors_name_the_offending_field():
         "ServeConfig.batch_size": dict(batch_size=0),
         "ServeConfig.max_delay_seconds": dict(max_delay_seconds=-1.0),
         "ServeConfig.queue_capacity": dict(queue_capacity=0),
-        "ServeConfig.ring_vnodes": dict(ring_vnodes=0),
         "ServeConfig.hot_key_share": dict(hot_key_share=1.5),
         "ServeConfig.hot_key_fanout": dict(hot_key_fanout=1),
     }

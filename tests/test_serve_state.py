@@ -40,7 +40,7 @@ from repro.types import Platform, Source
 TENANTS = ("alpha", "beta")
 CONFIG = MonitorConfig(campaign_min_messages=2)
 #: the uniform rings every split below must hold on
-RINGS = [HashRing.uniform(range(n_shards)) for n_shards in (2, 4)]
+RINGS = [HashRing(range(n_shards)) for n_shards in (2, 4)]
 
 
 class _ConstantModel:
