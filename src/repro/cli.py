@@ -366,8 +366,8 @@ def cmd_serve_bench(args) -> int:
         report["equivalence"] = "unchecked"
 
     print(
-        f"served {len(stream):,} messages on {config.n_shards} shard(s) "
-        f"[policy={config.policy.value}, batch={config.batch_size}, "
+        f"served {len(stream):,} messages on {result.config.n_shards} "
+        f"shard(s) [policy={config.policy.value}, batch={config.batch_size}, "
         f"rate={profile.rate_per_second:g}/s]\n"
     )
     if result.hot_keys:

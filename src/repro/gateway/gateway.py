@@ -9,8 +9,8 @@ with their tenant id, and serve them through the shared fleet.  The
 fleet scores the messages on stateless shards, then applies them in
 stream order to one keyed state monitor: the state of handle *h* for
 tenant *t* is keyed ``tenant_scope(t) + h``
-(:func:`repro.service.monitor.tenant_scope`), and after a shard kill
-every later message waits for the requeued ones.  The scope prefix
+(:func:`repro.service.monitor.tenant_scope`), and a message is applied
+once the stream-order watermark passes it.  The scope prefix
 keeps two tenants naming the same target apart, which yields the
 subsystem's headline invariant:
 
@@ -26,7 +26,7 @@ buckets, and telemetry persist across ``handle()`` calls; monitor state
 is per-call (each round is one complete simulated serve).  A round's
 alert-feed latency comes from :attr:`ServeResult.completions
 <repro.serve.runtime.ServeResult.completions>`, which times every
-alerting message.
+alerting message at that watermark.
 
 Everything is deterministic: no wall clock, no process-salted hashing,
 single-threaded admission before the serve fan-out, sorted iteration

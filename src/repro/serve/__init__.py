@@ -16,10 +16,13 @@ plus a deterministic open-loop load generator make latency, throughput,
 and shed/drop behaviour measurable without ever reading a wall clock.
 The ring is elastic: a rebalance schedule resizes the fleet to
 explicit shard counts at epoch boundaries, and a mid-run shard kill
-requeues queued work to the survivors; later messages wait for the
-requeued ones before their state is applied.  These are the only
-topology changes, and both only change which shard scores what; no
-target state moves.
+requeues queued work to the survivors.  These are the only topology
+changes.  Each shard id keeps one server for the whole run, so a
+boundary changes only where later arrivals go, and no target state
+moves.  The state pass applies a message, and its alerts complete,
+when the stream-order watermark passes it: the maximum batch end over
+it and every earlier message, so later messages wait for requeued
+ones.
 
 ``repro serve-bench`` drives it from the CLI; the headline invariant —
 merged sharded alerts identical to single-monitor output — is asserted

@@ -1,31 +1,35 @@
 """Sharded serving runtime: stateless scoring, then one keyed state pass.
 
-:meth:`ServingRuntime.run` serves an arrival stream in epochs, and each
-epoch in two stages:
+:meth:`ServingRuntime.run` serves an arrival stream in two stages:
 
 1. **Scoring** (stateless).  The router keys each message on a
    fixed-width digest of its text (:func:`routing_key`).  Scoring is a
    pure function of the text, so identical texts meet on one shard and
-   hit its caches.  A key carrying at least ``hot_key_share`` of the
-   traffic — a literal repost storm — is salted over ``hot_key_fanout``
-   sub-keys, a load-balancing rule only.  The
-   :class:`~repro.serve.ring.HashRing` owner of the (possibly salted)
-   key queues the message in its
-   :class:`~repro.serve.queueing.BoundedQueue`, and a
-   :class:`~repro.serve.batching.MicroBatcher` flushes batches into its
-   monitor's scoring core.  A shard extracts PII only from the messages
-   its batch scored over a threshold, as the single-monitor reference
-   does.  Shards share nothing, so ``run(jobs=N)`` scores them on a
-   thread pool with identical results.  This stage alone fixes every
-   batch's simulated time.
-2. **State** (keyed).  The coordinator applies the epoch's scored
-   messages in stream order, in slices of ``batch_size``, to the run's
-   one state monitor through :meth:`HarassmentMonitor.process_scored`,
-   the one copy of the alert rules.  Its tables are keyed by scoped
-   handle (:func:`~repro.service.monitor.tenant_scope`), so every
-   detection reaches each of its targets' windows in stream order,
-   whichever shard scored it.  Only scores and the detections'
-   extractions cross between the stages, never feature matrices.
+   hit its caches.  A key that carries at least ``hot_key_share`` of
+   the traffic — a literal repost storm — is salted over
+   ``hot_key_fanout`` sub-keys, a load-balancing rule only.  Every
+   arrival is routed once, to the :class:`~repro.serve.ring.HashRing`
+   owner of its (possibly salted) key on the ring of its epoch.  Each
+   shard id has one server for the whole run: a
+   :class:`~repro.serve.queueing.BoundedQueue`, a
+   :class:`~repro.serve.batching.MicroBatcher` and a clock, which flush
+   batches into its monitor's scoring core across epoch boundaries.  A
+   shard extracts PII only from the messages its batch scored over a
+   threshold, as the single-monitor reference does.  Shards share
+   nothing, so ``run(jobs=N)`` scores them on a thread pool with
+   identical results.  This stage alone fixes every batch's simulated
+   time.
+2. **State** (keyed).  The coordinator applies every scored message in
+   stream order, in slices of ``batch_size``, to the run's one state
+   monitor through :meth:`HarassmentMonitor.process_scored`, the one
+   copy of the alert rules.  Its tables are keyed by scoped handle
+   (:func:`~repro.service.monitor.tenant_scope`), so every detection
+   reaches each of its targets' windows in stream order, whichever
+   shard scored it.  A message is applied once the stream-order
+   watermark passes it: the maximum batch end over it and every earlier
+   message.  Its alerts complete then.  Only scores and the
+   detections' extractions cross between the stages, never feature
+   matrices.
 
 That gives the headline invariant:
 
@@ -36,24 +40,22 @@ That gives the headline invariant:
     kill-and-failover sequence.
 
 Two elastic mechanisms change the ring at epoch boundaries, and
-nothing else does.  They only change which shard scores what; target
-state stays where it is:
+nothing else does.  A boundary only changes where later arrivals go;
+no server is rebuilt and no target state moves:
 
 * **Rebalancing** — a :class:`~repro.serve.ring.RebalanceSchedule`
   resizes the fleet to explicit shard counts.
 * **Failover** — a :class:`~repro.serve.ring.KillSpec` kills a shard
-  mid-run: it finishes its in-flight batch, and its queued messages are
-  requeued to the surviving owners (accounted through the ``requeued``
-  bucket, never lost).  A requeued message must apply its state before
-  any later message, so the state pass holds back every message after
-  the first requeued one until the requeued ones have been scored in
-  the next epoch.  A held message completes, and its alerts are timed,
-  no earlier than the requeued messages before it.
+  mid-run.  The victim is scored first: it finishes its in-flight
+  batch, starts none at or after the kill, and its queued messages are
+  requeued to the surviving owners at the kill time, ahead of the
+  next epoch's arrivals (accounted through the ``requeued`` bucket,
+  never lost).  They are unscored messages like any other, so the
+  watermark waits for them.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
 import dataclasses
 import hashlib
@@ -177,6 +179,8 @@ class ServeResult:
 
     alerts: list[Alert]
     telemetry: ServeTelemetry
+    #: the config served, ``n_shards`` the starting fleet (under a
+    #: schedule, its first count)
     config: ServeConfig
     #: final ring topology (after every rebalance/kill)
     ring: HashRing | None = None
@@ -187,9 +191,9 @@ class ServeResult:
     #: kill/failover summary, when a KillSpec fired
     failover: dict | None = None
     #: message_id -> simulated completion time of every message that
-    #: raised an alert (the end of the batch that scored it, or of the
-    #: last requeued message it was held for).  Per-message data, so it
-    #: is deliberately excluded from :meth:`as_dict` snapshots.
+    #: raised an alert: the stream-order watermark at it, the maximum
+    #: batch end over it and every earlier message.  Per-message data,
+    #: so it is deliberately excluded from :meth:`as_dict` snapshots.
     completions: dict[int, float] = dataclasses.field(default_factory=dict)
 
     @property
@@ -248,9 +252,7 @@ class _Scored:
     dox_score: float
     shard: int  # the shard that scored it
     enqueue_time: float
-    #: completion time: the end of its batch, or later if the kill hold
-    #: kept it waiting for requeued messages before it
-    end: float
+    end: float  # the end of the batch that scored it
 
 
 def _boundaries(
@@ -324,7 +326,7 @@ class ServingRuntime:
         ]
         return routed, hot
 
-    # -- stage 1: one shard scores one epoch ---------------------------------
+    # -- stage 1: one shard's server scores the whole run ----------------------
 
     def _run_shard(
         self,
@@ -334,14 +336,16 @@ class ServingRuntime:
         monitor: HarassmentMonitor,
         stop_at: float | None = None,
     ) -> tuple[list[_Scored], ShardTelemetry, Tracer | None, list[_Routed]]:
-        """Score one epoch's messages on one shard.
+        """Score every message routed to one shard over the run.
 
-        Returns the scored messages, the shard's telemetry and tracer,
-        and its leftovers.  ``stop_at`` kills the shard: no batch may
-        *start* at or after that simulated time; whatever is still
-        queued (or not yet offered) comes back as leftovers through the
-        queue's ``requeued`` bucket for the coordinator to re-offer to
-        the surviving owners.
+        ``routed`` is the shard's whole list in arrival order, across
+        every epoch it is on the ring, so its queue, batcher and clock
+        live for the whole run.  Returns the scored messages, the
+        shard's telemetry and tracer, and its leftovers.  ``stop_at``
+        kills the shard: no batch may *start* at or after that simulated
+        time; whatever is still queued (or not yet offered) comes back
+        as leftovers through the queue's ``requeued`` bucket for the
+        coordinator to re-offer to the surviving owners.
         """
         config = self.config
         queue = BoundedQueue(config.queue_capacity, config.policy)
@@ -500,16 +504,21 @@ class ServingRuntime:
         completions: dict[int, float],
         span: SpanContext | None,
     ) -> list[Alert]:
-        """Apply scored messages to the run's state monitor, in order.
+        """Apply every scored message to the run's state monitor.
 
-        ``items`` go through in slices of ``batch_size``, the batch size
-        of the single-monitor reference, so stale targets are evicted as
-        often as in the reference.  The pass codes CTH detections'
-        taxonomy into ``work``; each alert is billed to the shard that
-        scored its message and completes when that message does.
+        ``items`` are in stream order and go through in slices of
+        ``batch_size``, the batch size of the single-monitor reference,
+        so stale targets are evicted as often as in the reference.  The
+        pass codes CTH detections' taxonomy into ``work``.  Each alert
+        is billed to the shard that scored its message and completes at
+        the watermark: the maximum batch end over that message and every
+        earlier one, the first time the pass can apply it.
         """
         alerts: list[Alert] = []
         size = self.config.batch_size
+        watermarks = list(
+            itertools.accumulate((item.end for item in items), max)
+        )
         for offset in range(0, len(items), size):
             batch = items[offset : offset + size]
             scored = ScoredBatch.from_precomputed(
@@ -521,15 +530,18 @@ class ServingRuntime:
             )
             raised = monitor.process_scored(scored)
             work.add(scored.work)
-            by_id = {item.message.message_id: item for item in batch}
+            at = {
+                item.message.message_id: index
+                for index, item in enumerate(batch, offset)
+            }
             for alert in raised:
-                item = by_id[alert.message_id]
-                shards[item.shard].record_alert(item.end - item.enqueue_time)
-                completions[alert.message_id] = item.end
+                index = at[alert.message_id]
+                item, done = items[index], watermarks[index]
+                shards[item.shard].record_alert(done - item.enqueue_time)
+                completions[alert.message_id] = done
                 if span is not None:
                     span.event(
-                        "alert", item.end,
-                        shard=item.shard, kind=alert.kind.value,
+                        "alert", done, shard=item.shard, kind=alert.kind.value
                     )
             alerts.extend(raised)
         return alerts
@@ -546,13 +558,14 @@ class ServingRuntime:
     ) -> ServeResult:
         """Route and serve ``arrivals``; returns merged, sorted output.
 
-        ``schedule`` serves the stream in epochs, resizing the ring to
-        its shard counts at each boundary; ``kill`` fails one shard over
-        mid-run, and a kill that cannot fire raises before any shard is
-        built; ``recorder`` opts into observability (route / shard /
-        batch / state-pass spans, rebalance and failover events, fleet
-        metrics — absorbed in deterministic order, so the trace is
-        independent of ``jobs``).
+        ``schedule`` resizes the ring to its shard counts at equal
+        arrival-count boundaries; ``kill`` fails one shard over mid-run,
+        and a kill that cannot fire raises before any shard is built.
+        A boundary only changes where later arrivals go: each shard id
+        has one server for the whole run.  ``recorder`` opts into
+        observability (route / shard / batch / state-pass spans,
+        rebalance and failover events, fleet metrics — absorbed in
+        deterministic order, so the trace is independent of ``jobs``).
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -565,23 +578,6 @@ class ServingRuntime:
         )
         boundaries = _boundaries(n_total, initial, schedule, kill)
         routed, hot_shares = self._route(arrivals)
-        ring = HashRing(range(initial))
-        # Each shard scores through its own monitor's core; the run's
-        # target state lives in one more monitor, built after them.
-        monitors = {
-            shard_id: self._monitor_factory() for shard_id in range(initial)
-        }
-        state = self._monitor_factory()
-        state_work = ScoreWork()
-        killed: set[int] = set()
-        routed_totals: dict[int, int] = {}
-        epoch_telemetries: list[ServeTelemetry] = []
-        # Newest telemetry per shard id; the state pass bills into it.
-        latest: dict[int, ShardTelemetry] = {}
-        merged: list[Alert] = []
-        completions: dict[int, float] = {}
-        rebalance_log: list[dict] = []
-        failover_info: dict | None = None
         traced = recorder is not None
         if recorder is not None:
             recorder.tracer.span(
@@ -591,158 +587,119 @@ class ServingRuntime:
                 messages=n_total,
                 hot_keys=len(hot_shares),
             )
-        # Messages a kill requeued, offered at the next epoch's start.
-        carry: list[_Routed] = []
-        # Scored messages not yet applied to state, in any order; the
-        # seqs the kill hold kept back, and the requeued seqs they wait on.
-        pending: list[_Scored] = []
-        held: set[int] = set()
-        requeued: set[int] = set()
+        # Each arrival is routed once, on the ring of its epoch, onto
+        # the whole-run list of its shard.
+        ring = HashRing(range(initial))
+        lists: dict[int, list[_Routed]] = {s: [] for s in ring.shard_ids}
+        outcomes: dict[int, tuple] = {}  # shard id -> _run_shard's result
+        victim: int | None = None
+        rebalance_log: list[dict] = []
+        failover_info: dict | None = None
         segment_start = 0
         for cut, action, payload in boundaries:
-            live = list(ring.shard_ids)
-            per_shard: dict[int, list[_Routed]] = {s: [] for s in live}
-            for r in [*carry, *routed[segment_start:cut]]:
-                per_shard[ring.owner(r.route)].append(r)
-            carry = []
+            for r in routed[segment_start:cut]:
+                lists[ring.owner(r.route)].append(r)
             segment_start = cut
-            for shard_id in live:
-                routed_totals[shard_id] = (
-                    routed_totals.get(shard_id, 0) + len(per_shard[shard_id])
-                )
-            boundary_time = (
-                routed[cut].arrival.time if cut < n_total
-                else (routed[-1].arrival.time if routed else 0.0)
-            )
-            victim: int | None = None
-            if action == "kill":  # _boundaries checked it can fire
-                if isinstance(payload.shard, int):
-                    victim = payload.shard
-                else:  # hottest: most messages routed to it so far
-                    victim = max(
-                        live, key=lambda s: (routed_totals.get(s, 0), -s)
-                    )
-
-            # -- stage 1: score ----------------------------------------------
-            def run_one(shard_id: int):
-                return self._run_shard(
-                    shard_id,
-                    per_shard[shard_id],
-                    traced,
-                    monitors[shard_id],
-                    boundary_time if shard_id == victim else None,
-                )
-
-            if jobs == 1 or len(live) == 1:
-                outcomes = [run_one(shard_id) for shard_id in live]
-            else:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    outcomes = list(pool.map(run_one, live))
-            leftovers: list[_Routed] = []
-            epoch_shards: list[ShardTelemetry] = []
-            for shard_id, (scored, telemetry, tracer, left) in zip(
-                live, outcomes
-            ):
-                pending.extend(scored)
-                epoch_shards.append(telemetry)
-                latest[shard_id] = telemetry
-                leftovers.extend(left)
-                if recorder is not None and tracer is not None:
-                    recorder.tracer.absorb(tracer)
-            epoch_telemetries.append(ServeTelemetry(shards=epoch_shards))
-
-            # -- stage 2: apply state up to the first requeued message -------
-            pending.sort(key=lambda item: item.seq)
-            if held:
-                # A held message waited for the requeued ones before it:
-                # it completes no earlier than the last of them.
-                waited = -math.inf
-                for item in pending:
-                    if item.seq in held:
-                        item.end = max(item.end, waited)
-                    elif item.seq in requeued:
-                        waited = max(waited, item.end)
-            horizon = min((r.seq for r in leftovers), default=n_total)
-            split = bisect.bisect_left(
-                pending, horizon, key=lambda item: item.seq
-            )
-            ready, pending = pending[:split], pending[split:]
-            held = {item.seq for item in pending}
-            requeued = {r.seq for r in leftovers}
-            state_span = (
-                recorder.tracer.span(
-                    "state_pass",
-                    start=min(item.end for item in ready),
-                    end=max(item.end for item in ready),
-                    messages=len(ready),
-                )
-                if recorder is not None and ready else None
-            )
-            raised = self._apply_state(
-                state, ready, state_work, latest, completions, state_span
-            )
-            merged.extend(raised)
-            if state_span is not None:
-                state_span.annotate(alerts=len(raised))
-
-            # -- apply the boundary action -----------------------------------
             if action == "end":
-                continue
-            if action == "kill":
-                killed.add(victim)
-                new_ring = ring.remove_shard(victim)
-            else:  # resize
-                new_ring = HashRing(itertools.islice(
-                    (s for s in itertools.count() if s not in killed), payload
+                break
+            boundary_time = routed[cut].arrival.time
+            live = list(ring.shard_ids)
+            if action == "resize":
+                ring = HashRing(itertools.islice(
+                    (s for s in itertools.count() if s != victim), payload
                 ))
-            new_ids = list(new_ring.shard_ids)
-            for shard_id in new_ids:
-                if shard_id not in monitors:
-                    monitors[shard_id] = self._monitor_factory()
-            for shard_id in set(live) - set(new_ids):
-                monitors.pop(shard_id)
-            ring = new_ring
-            if action == "kill":
-                carry = [
-                    dataclasses.replace(
-                        r, arrival=dataclasses.replace(
-                            r.arrival, time=boundary_time
-                        ),
-                    )
-                    for r in leftovers
-                ]
-                failover_info = {
-                    "at_index": cut,
-                    "time": boundary_time,
-                    "killed_shard": victim,
-                    "requeued_messages": len(leftovers),
-                    "survivors": new_ids,
-                }
+                for shard_id in ring.shard_ids:
+                    lists.setdefault(shard_id, [])
+                rebalance_log.append({
+                    "at_index": cut, "time": boundary_time, "kind": action,
+                    "shards_before": live, "shards_after": list(ring.shard_ids),
+                })
                 if recorder is not None:
                     recorder.tracer.event(
-                        "failover", boundary_time,
-                        killed=victim, requeued=len(leftovers),
+                        "rebalance", boundary_time, kind=action,
+                        before=len(live), after=len(ring.shard_ids),
                     )
                 continue
-            rebalance_log.append({
-                "at_index": cut, "time": boundary_time, "kind": action,
-                "shards_before": live, "shards_after": new_ids,
-            })
+            # The kill (_boundaries checked it can fire).  The victim's
+            # list is complete, so it is scored now and stops at the
+            # kill; what it leaves is requeued to the survivors at the
+            # kill time, ahead of the next epoch's arrivals.
+            victim = payload.shard if isinstance(payload.shard, int) else max(
+                live, key=lambda s: (len(lists[s]), -s)  # most routed so far
+            )
+            outcomes[victim] = self._run_shard(
+                victim, lists[victim], traced, self._monitor_factory(),
+                stop_at=boundary_time,
+            )
+            leftovers = outcomes[victim][3]
+            ring = ring.remove_shard(victim)
+            for r in leftovers:
+                lists[ring.owner(r.route)].append(dataclasses.replace(
+                    r, arrival=dataclasses.replace(r.arrival, time=boundary_time)
+                ))
+            failover_info = {
+                "at_index": cut,
+                "time": boundary_time,
+                "killed_shard": victim,
+                "requeued_messages": len(leftovers),
+                "survivors": list(ring.shard_ids),
+            }
             if recorder is not None:
                 recorder.tracer.event(
-                    "rebalance", boundary_time, kind=action,
-                    before=len(live), after=len(new_ids),
+                    "failover", boundary_time,
+                    killed=victim, requeued=len(leftovers),
                 )
-        merged.sort(key=alert_sort_key)
+
+        # -- stage 1: every other shard scores its whole list ---------------
+        rest = [s for s in sorted(lists) if s not in outcomes]
+        monitors = {shard_id: self._monitor_factory() for shard_id in rest}
+
+        def run_one(shard_id: int):
+            return self._run_shard(
+                shard_id, lists[shard_id], traced, monitors[shard_id]
+            )
+
+        if jobs == 1 or len(rest) == 1:
+            outcomes.update(zip(rest, map(run_one, rest)))
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                outcomes.update(zip(rest, pool.map(run_one, rest)))
+        scored: list[_Scored] = []
+        shards: dict[int, ShardTelemetry] = {}
+        for shard_id in sorted(outcomes):
+            items, shards[shard_id], tracer, _ = outcomes[shard_id]
+            scored.extend(items)
+            if recorder is not None and tracer is not None:
+                recorder.tracer.absorb(tracer)
+
+        # -- stage 2: one state pass in stream order ------------------------
+        scored.sort(key=lambda item: item.seq)
+        state = self._monitor_factory()
+        state_work = ScoreWork()
+        completions: dict[int, float] = {}
+        state_span = (
+            recorder.tracer.span(
+                "state_pass",
+                start=min(item.end for item in scored),
+                end=max(item.end for item in scored),
+                messages=len(scored),
+            )
+            if recorder is not None and scored else None
+        )
+        alerts = self._apply_state(
+            state, scored, state_work, shards, completions, state_span
+        )
+        if state_span is not None:
+            state_span.annotate(alerts=len(alerts))
+        alerts.sort(key=alert_sort_key)
         result = ServeResult(
-            alerts=merged,
-            telemetry=ServeTelemetry.merged([
-                *epoch_telemetries,
-                ServeTelemetry(
-                    shards=[], monitor=state.stats, score_work=state_work
-                ),
-            ]),
-            config=config,
+            alerts=alerts,
+            telemetry=ServeTelemetry(
+                shards=list(shards.values()),
+                monitor=state.stats,
+                score_work=state_work,
+            ),
+            config=dataclasses.replace(config, n_shards=initial),
             ring=ring,
             hot_keys=hot_shares,
             rebalances=rebalance_log,
@@ -753,9 +710,9 @@ class ServingRuntime:
             routed_counter = recorder.metrics.counter(
                 "routed_messages", help="messages routed per shard"
             )
-            for shard_id in sorted(routed_totals):
+            for shard_id in sorted(lists):
                 routed_counter.labels(shard=str(shard_id)).inc(
-                    routed_totals[shard_id]
+                    len(lists[shard_id])
                 )
             result.populate_metrics(recorder.metrics)
         return result

@@ -7,11 +7,12 @@ report is diffable across machines, like ``repro cache ls``).
 
 :class:`ShardTelemetry` is a :class:`~repro.obs.ledger.Ledger`: each
 field declares how it merges and which registry series it feeds, so
-the epoch fold, the fleet fold (:meth:`ServeTelemetry.fleet`), the JSON
-snapshot and the ``repro obs`` metrics all follow from one list of
-fields.  A shard only scores, so its ledger holds no monitor counts.
-:class:`ServeTelemetry` is the keyed union of shard ledgers by shard
-id plus the keyed state pass's two ledgers: the state monitor's
+the fleet fold (:meth:`ServeTelemetry.fleet`), the JSON snapshot and
+the ``repro obs`` metrics all follow from one list of fields.  A shard
+only scores, so its ledger holds no monitor counts.  Each shard id has
+one server, and so one ledger, for the whole run.
+:class:`ServeTelemetry` holds those ledgers in shard-id order plus the
+keyed state pass's two ledgers: the state monitor's
 :class:`~repro.service.monitor.MonitorStats` and the
 :class:`~repro.score.core.ScoreWork` of its taxonomy coding.  Its
 ``as_dict()`` keeps the committed ``BENCH_serve.json`` schema.
@@ -20,7 +21,7 @@ id plus the keyed state pass's two ledgers: the state monitor's
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs.ledger import MAX, MIN, Ledger, Series, field
 from repro.obs.metrics import (
@@ -41,11 +42,11 @@ __all__ = ["ServeTelemetry", "ShardTelemetry"]
 class ShardTelemetry(Ledger):
     """Everything one shard learned about itself during a run.
 
-    Two ledgers merge when a shard's epochs fold together, or when the
-    fleet view folds every shard into one: counts and busy seconds sum,
-    the time span widens to cover both operands, and the histograms
-    merge bucket-wise.  ``shard_id`` keeps the smaller id, so a fold
-    over any operand order lands on the same value.
+    Ledgers merge when the fleet view folds every shard into one:
+    counts and busy seconds sum, the time span widens to cover both
+    operands, and the histograms merge bucket-wise.  ``shard_id`` keeps
+    the smaller id, so a fold over any operand order lands on the same
+    value.
     """
 
     shard_id: int = field(merge=MIN, label="shard")
@@ -74,12 +75,12 @@ class ShardTelemetry(Ledger):
         HISTOGRAM, "queue_wait_seconds", "per-message simulated queue wait"
     ))
     #: per-alert simulated latency (enqueue -> completion of the message
-    #: raising it: its batch end, or later if a kill held it back for
-    #: requeued messages), billed to the scoring shard
+    #: raising it: the stream-order watermark, the maximum batch end over
+    #: it and every earlier message), billed to the scoring shard
     alert_latency: LatencyHistogram = field(LatencyHistogram, metric=Series(
         HISTOGRAM,
         "alert_latency_seconds",
-        "per-alert simulated enqueue-to-batch-end latency",
+        "per-alert simulated enqueue-to-watermark latency",
     ))
 
     def record_batch(
@@ -125,40 +126,6 @@ class ServeTelemetry:
     #: the state pass's taxonomy coding of CTH detections
     score_work: ScoreWork = dataclasses.field(default_factory=ScoreWork)
 
-    def merge(self, other: "ServeTelemetry") -> "ServeTelemetry":
-        """Fleet union (pure): shards with the same id fold together.
-
-        Two partial fleet views — e.g. the per-epoch telemetry either
-        side of a rebalancing event that replaced workers — combine
-        into one consistent view, shards ordered by id, and the state
-        pass's ledgers sum.
-        """
-        by_id: dict[int, ShardTelemetry] = {}
-        for shard in (*self.shards, *other.shards):
-            seen = by_id.get(shard.shard_id)
-            by_id[shard.shard_id] = (
-                shard if seen is None else seen.merge(shard)
-            )
-        return ServeTelemetry(
-            shards=[by_id[shard_id] for shard_id in sorted(by_id)],
-            monitor=self.monitor.merge(other.monitor),
-            score_work=self.score_work.merge(other.score_work),
-        )
-
-    @classmethod
-    def merged(
-        cls, telemetries: Iterable["ServeTelemetry"]
-    ) -> "ServeTelemetry":
-        """Fold any number of fleet views (epochs) into one.
-
-        An empty iterable — every shard failed before reporting —
-        yields a well-formed empty fleet, not an error.
-        """
-        total = cls(shards=[])
-        for telemetry in telemetries:
-            total = total.merge(telemetry)
-        return total
-
     def fleet(self) -> ShardTelemetry:
         """Every shard's ledger folded into one fleet-wide ledger."""
         return ShardTelemetry.merged(self.shards)
@@ -193,12 +160,16 @@ class ServeTelemetry:
 
     @property
     def load_skew(self) -> float:
-        """Max/mean ratio of per-shard scored messages (1.0 = balanced).
+        """Max/mean of per-shard ``messages_scored`` over the run.
 
-        The headline balance metric for the ring: the committed serve
-        baseline showed ~1.5x under modulo routing.  0.0 when the fleet
-        is empty or scored nothing (an all-shards-failed edge must not
-        divide by zero).
+        The headline balance metric for the ring (1.0 = balanced): the
+        committed serve baseline showed ~1.5x under modulo routing.  It
+        counts a whole run, so a shard that joins late reads as cold:
+        on the tiny serve-bench stream ``2,4,3`` reads 1.500x and the
+        overload growth ``4,4,8,12`` 2.227x, against 1.008x for the
+        plain 4-shard run, although every ring is uniform.  0.0 when
+        the fleet is empty or scored nothing (an all-shards-failed edge
+        must not divide by zero).
         """
         if not self.shards:
             return 0.0

@@ -251,6 +251,23 @@ def test_serve_bench_writes_json_report(tmp_path, capsys):
     assert lookups == detections
 
 
+def test_serve_bench_reports_the_schedules_starting_fleet(tmp_path, capsys):
+    import json
+
+    # Regression: the printout and the report's config said --shards
+    # (default 4) while the run started on the schedule's first count.
+    report_path = tmp_path / "serve.json"
+    code = main([
+        "serve-bench", "--tiny", "--seed", "7", "--epochs", "2",
+        "--rebalance-schedule", "2,4,3", "--report", str(report_path),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "messages on 2 shard(s)" in out
+    assert "[0, 1] -> [0, 1, 2, 3]" in out
+    assert json.loads(report_path.read_text())["config"]["n_shards"] == 2
+
+
 def test_score_bench_deterministic_report_and_gate(tmp_path, capsys):
     import json
 

@@ -299,6 +299,71 @@ def test_kill_then_rebalance_compose(serve_models, corpus_stream):
     assert victim not in result.rebalances[-1]["shards_after"]
 
 
+# -- a boundary changes only where later arrivals go ----------------------------
+
+@pytest.mark.parametrize("schedule", ["4,4", "4,4,4"])
+def test_no_op_schedule_reports_the_plain_runs_telemetry(
+    serve_models, corpus_stream, schedule
+):
+    # Each shard id has one server for the whole run, so a boundary
+    # that keeps the ring changes nothing any shard does.
+    runtime = ServingRuntime(_factory(serve_models), ServeConfig(n_shards=4))
+    profile = LoadProfile(rate_per_second=5000, seed=3)
+    plain = runtime.serve_stream(corpus_stream, profile)
+    resized = runtime.serve_stream(
+        corpus_stream, profile, schedule=RebalanceSchedule.parse(schedule)
+    )
+    assert resized.telemetry.as_dict() == plain.telemetry.as_dict()
+    assert resized.completions == plain.completions
+
+
+def test_growth_under_overload_never_serves_two_batches_at_once(
+    serve_models, corpus_stream
+):
+    recorder = RunObserver("serve")
+    result = ServingRuntime(
+        _factory(serve_models), ServeConfig(n_shards=4)
+    ).serve_stream(
+        corpus_stream,
+        LoadProfile(rate_per_second=8000, seed=3),
+        recorder=recorder,
+        schedule=RebalanceSchedule.parse("4,4,8,12"),
+    )
+    # Overloaded: backlogs grow past a batch.
+    assert result.telemetry.fleet().queue.max_depth > ServeConfig().batch_size
+    batches: dict[int, list] = {}
+    for span in recorder.tracer.spans():
+        if span.name == "batch":
+            batches.setdefault(span.labels["shard"], []).append(span)
+    assert len(batches) == 12
+    for spans in batches.values():
+        spans.sort(key=lambda span: span.start)
+        for before, after in zip(spans, spans[1:]):
+            assert after.start >= before.end
+
+
+@pytest.mark.parametrize(
+    "kill", [None, KillSpec(HOTTEST, 0.5)], ids=["plain", "kill"]
+)
+def test_alert_completions_never_decrease_in_stream_order(
+    serve_models, corpus_stream, kill
+):
+    # An alert completes at the stream-order watermark: no alerting
+    # message completes before one ahead of it in the stream.
+    result = ServingRuntime(
+        _factory(serve_models), ServeConfig(n_shards=4)
+    ).serve_stream(
+        corpus_stream, LoadProfile(rate_per_second=5000, seed=3), kill=kill
+    )
+    position = {m.message_id: i for i, m in enumerate(corpus_stream)}
+    done = [
+        result.completions[message_id]
+        for message_id in sorted(result.completions, key=position.__getitem__)
+    ]
+    assert len(done) > 100
+    assert done == sorted(done)
+
+
 def test_kill_last_shard_is_rejected(serve_models):
     runtime = ServingRuntime(_factory(serve_models), ServeConfig(n_shards=1))
     with pytest.raises(ValueError):
@@ -408,7 +473,7 @@ def test_hot_split_composes_with_kill(serve_models):
     assert result.failover is not None and result.hot_keys
 
 
-def test_hot_handle_alerts_are_timed_and_complete_in_their_batches(
+def test_hot_handle_alerts_are_timed_and_complete_by_the_last_batch_end(
     serve_models,
 ):
     factory = _factory(serve_models)
@@ -427,7 +492,8 @@ def test_hot_handle_alerts_are_timed_and_complete_in_their_batches(
     assert result.telemetry.fleet().alert_latency.count == len(result.alerts)
     alert_events = [e for e in recorder.tracer.events() if e.name == "alert"]
     assert len(alert_events) == len(result.alerts)
-    # Every alerting message completes when its batch ends.
+    # Every alerting message completes at the watermark, which the
+    # last batch end bounds.
     last_batch_end = max(s.last_batch_end for s in result.telemetry.shards)
     assert set(result.completions) == {a.message_id for a in result.alerts}
     assert max(result.completions.values()) <= last_batch_end

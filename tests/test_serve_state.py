@@ -205,12 +205,12 @@ def _dense_sparse_texts(a, b):
     return f"mass report her, instagram: {a}", f"mass report her, twitter: {b}"
 
 
-def test_held_messages_complete_after_the_requeued_ones_they_wait_for():
+def test_messages_after_a_kill_complete_after_the_requeued_ones_before_them():
     # A dense text and a sparse one on different shards, one second per
     # message: the dense text's owner is the hottest shard, and it dies
     # with all but its first message still queued.  The sparse messages
-    # the survivor scored meanwhile are held for those requeued ones,
-    # and must be timed no earlier than them.
+    # the survivor scored meanwhile wait at the watermark for those
+    # requeued ones, and must be timed no earlier than them.
     two_shards = RINGS[:1]
     (pair,) = _split_pairs(1, _dense_sparse_texts, two_shards)
     dense, sparse = _dense_sparse_texts(*pair)
@@ -234,8 +234,8 @@ def test_held_messages_complete_after_the_requeued_ones_they_wait_for():
     requeued = [m for m in first_half[1:] if m.message_id % 5 != 4]
     assert result.failover["requeued_messages"] == len(requeued)
     done = result.completions
-    held = [m for m in first_half if m.message_id % 5 == 4]
-    for message in held:
+    waiting = [m for m in first_half if m.message_id % 5 == 4]
+    for message in waiting:
         waited_for = [
             done[m.message_id] for m in requeued
             if m.message_id < message.message_id

@@ -278,26 +278,6 @@ def test_empty_fleet_merged_views_are_total():
     assert snapshot["per_shard"] == []
 
 
-def test_merged_fold_handles_empty_and_epochs():
-    assert ServeTelemetry.merged([]).as_dict() == ServeTelemetry(
-        shards=[]
-    ).as_dict()
-    # Epoch fold: same shard id on both sides merges into one ledger.
-    early, late = ShardTelemetry(shard_id=0), ShardTelemetry(shard_id=0)
-    early.record_batch(0.0, 1.0, waits=[0.1], **_NO_WORK)
-    late.record_batch(2.0, 3.0, waits=[0.2, 0.3], **_NO_WORK)
-    late.record_alert(1.0)
-    other = ShardTelemetry(shard_id=1)
-    other.record_batch(0.0, 0.5, waits=[0.0], **_NO_WORK)
-    fold = ServeTelemetry.merged([
-        ServeTelemetry(shards=[early]),
-        ServeTelemetry(shards=[late, other]),
-    ])
-    assert [s.shard_id for s in fold.shards] == [0, 1]
-    assert fold.shards[0].messages_scored == 3
-    assert fold.messages_scored == 4
-
-
 def test_load_skew_is_max_over_mean():
     a, b = ShardTelemetry(shard_id=0), ShardTelemetry(shard_id=1)
     a.messages_scored = 30
@@ -458,46 +438,10 @@ def test_shard_telemetry_as_dict_uses_none_for_idle_shards():
     assert idle["last_batch_end"] is None
 
 
-def test_serve_telemetry_merge_folds_matching_shards():
-    from repro.serve.telemetry import ServeTelemetry, ShardTelemetry
-
-    a0 = ShardTelemetry(shard_id=0)
-    a0.record_batch(start=0.0, end=1.0, waits=[0.1], **_NO_WORK)
-    b0 = ShardTelemetry(shard_id=0)
-    b0.record_batch(start=1.0, end=2.0, waits=[0.2], **_NO_WORK)
-    b0.record_alert(1.0)
-    b1 = ShardTelemetry(shard_id=1)
-    b1.record_batch(start=0.0, end=0.5, waits=[0.3], **_NO_WORK)
-    merged = ServeTelemetry(shards=[a0]).merge(ServeTelemetry(shards=[b0, b1]))
-    assert [s.shard_id for s in merged.shards] == [0, 1]
-    assert merged.shards[0].batches == 2
-    assert merged.shards[1].batches == 1
-    assert merged.messages_scored == 3
-
-
 def test_serve_telemetry_merge_sums_the_state_pass_ledgers():
     from repro.obs.metrics import MetricsRegistry
     from repro.service.monitor import MonitorStats
 
-    early = ServeTelemetry(
-        shards=[ShardTelemetry(shard_id=0)],
-        monitor=MonitorStats(messages_processed=3, cth_detected=2),
-        score_work=ScoreWork(coded_messages=2, coding_cache_hits=1),
-    )
-    late = ServeTelemetry(
-        shards=[],
-        monitor=MonitorStats(messages_processed=4, campaigns_alerted=1),
-        score_work=ScoreWork(coded_messages=1),
-    )
-    merged = early.merge(late)
-    assert merged.monitor == MonitorStats(
-        messages_processed=7, cth_detected=2, campaigns_alerted=1
-    )
-    assert merged.score_work == ScoreWork(
-        coded_messages=3, coding_cache_hits=1
-    )
-    assert early.monitor.messages_processed == 3  # merge is pure
-    assert ServeTelemetry.merged([early, late]) == merged
     # The report's score_work is the shards' scoring plus the state
     # pass's coding; its monitor is the state pass's alone.
     shard = ShardTelemetry(shard_id=1)
@@ -505,12 +449,19 @@ def test_serve_telemetry_merge_sums_the_state_pass_ledgers():
         0.0, 1.0, waits=[0.0], breakdown=CostBreakdown(),
         work=ScoreWork(messages=1, coded_messages=5),
     )
-    fleet = merged.merge(ServeTelemetry(shards=[shard]))
+    monitor = MonitorStats(
+        messages_processed=7, cth_detected=2, campaigns_alerted=1
+    )
+    fleet = ServeTelemetry(
+        shards=[ShardTelemetry(shard_id=0), shard],
+        monitor=monitor,
+        score_work=ScoreWork(coded_messages=3, coding_cache_hits=1),
+    )
     snapshot = fleet.as_dict()
     assert snapshot["score_work"]["coded_messages"] == 8
     assert snapshot["score_work"]["coding_cache_hits"] == 1
     assert fleet.merged_score_work().coded_messages == 8
-    assert snapshot["monitor"] == merged.monitor.as_dict()
+    assert snapshot["monitor"] == monitor.as_dict()
     assert "monitor" not in snapshot["per_shard"][0]
     # ...and both ledgers reach the metrics registry.
     registry = MetricsRegistry()
