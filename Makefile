@@ -27,8 +27,9 @@ lint-concurrency:
 # Full-corpus equivalence of the one-pass CSR build, the gated PII bank
 # and the trigger-gated taxonomy coder against their kept references
 # (tests/kernel_reference.py), over every distinct text and every
-# corpus/perturb.py variant of it; the tiny-corpus half runs in tier-1.
-# About eight minutes and 0.6 GB on a 2-vCPU host.
+# corpus/perturb.py variant of it, plus byte-identical JSONL from the
+# corpus built with pick and with Generator.choice; the tiny-corpus half
+# runs in tier-1.  About ten minutes and 0.65 GB on a 2-vCPU host.
 check-kernels:
 	python scripts/check_kernels.py
 

@@ -1,39 +1,46 @@
 #!/usr/bin/env python3
-"""Check the optimised text kernels against their references on the full corpus.
+"""Check the optimised kernels against their references on the full corpus.
 
 ``tests/test_kernel_equivalence.py`` holds the one-pass CSR build, the
-gated PII bank (category triggers, card shape, URL domains) and the
-trigger-gated taxonomy coder to the implementations they replaced on
-the tiny corpora.  Building the full-scale ``CorpusConfig()`` alone
-takes about half a minute, so the full-profile check runs here instead,
-with the same references (``tests/kernel_reference.py``):
+gated PII bank (category triggers, card shape, URL domains), the
+trigger-gated taxonomy coder and the corpus generator's ``pick`` draws
+to the implementations they replaced on the tiny corpora.  Building the
+full-scale ``CorpusConfig()`` takes about 27 s (just under a minute
+with every draw on ``Generator.choice``), and the whole check about ten
+minutes and 0.65 GB on a 2-vCPU host, so the full-profile check runs
+here instead, with the same references (``tests/kernel_reference.py``):
 
     python scripts/check_kernels.py
 
-Every distinct document text of the full corpus, and every
-``repro.corpus.perturb`` transform of each of them, must give
-byte-identical CSR rows (at three vectorizer settings), identical
-extractions and identical taxonomy codes.  Rows are vectorized in
-batches of ``BATCH_ROWS`` so memory stays bounded.  Prints one line per
-input set and exits 1 on any mismatch.
+The full corpus built with ``pick`` and built with ``Generator.choice``
+in its place must write byte-identical JSONL.  Every distinct document
+text of the full corpus, and every ``repro.corpus.perturb`` transform
+of each of them, must give byte-identical CSR rows (at three vectorizer
+settings), identical extractions and identical taxonomy codes.  Rows
+are vectorized in batches of ``BATCH_ROWS`` so memory stays bounded.
+Prints one line per check and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.corpus import CorpusBuilder, CorpusConfig  # noqa: E402
+from repro.corpus.io import write_jsonl  # noqa: E402
 from repro.nlp.features import HashingVectorizer  # noqa: E402
 from repro.nlp.tokenize import hash_text  # noqa: E402
 from tests.kernel_reference import (  # noqa: E402
     csr_differences,
     perturbed_variants,
     pii_mismatches,
+    reference_draws,
     reference_transform_hashes,
     taxonomy_mismatches,
 )
@@ -86,6 +93,18 @@ def check(name: str, texts: list[str]) -> bool:
     return not pii_bad and not taxonomy_bad and not csr_bad
 
 
+def jsonl_digest(documents) -> str:
+    """sha256 of the JSONL ``write_jsonl`` writes for ``documents``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "corpus.jsonl"
+        write_jsonl(documents, path)
+        digest = hashlib.sha256()
+        with path.open("rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+    return digest.hexdigest()
+
+
 def main() -> int:
     start = time.perf_counter()
     documents = CorpusBuilder(CorpusConfig(seed=SEED)).build()
@@ -95,11 +114,23 @@ def main() -> int:
         f"{len(texts)} distinct texts, built in {time.perf_counter() - start:.1f}s",
         flush=True,
     )
+    digest = jsonl_digest(documents)
     del documents
+
+    start = time.perf_counter()
+    with reference_draws():
+        reference = jsonl_digest(CorpusBuilder(CorpusConfig(seed=SEED)).build())
+    draws_ok = digest == reference
+    print(
+        f"{'draws':<16} jsonl sha256 {digest[:16]} pick, {reference[:16]} "
+        f"Generator.choice: {'ok' if draws_ok else 'MISMATCH'}  "
+        f"{time.perf_counter() - start:6.1f}s",
+        flush=True,
+    )
 
     inputs = {"original": texts, **perturbed_variants(texts, SEED)}
 
-    ok = all([check(name, batch) for name, batch in inputs.items()])
+    ok = all([check(name, batch) for name, batch in inputs.items()]) and draws_ok
     print("kernel equivalence:", "ok" if ok else "MISMATCH")
     return 0 if ok else 1
 

@@ -9,6 +9,7 @@ the evaluation harness use it as the oracle label.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from repro.taxonomy.attack_types import AttackSubtype
@@ -50,6 +51,15 @@ class GroundTruth:
             labels.append("cth")
         return tuple(labels)
 
+    def __getstate__(self) -> list:
+        # The state the generated method returns (field values in field
+        # order), without its dataclasses.fields() call per object; the
+        # generated __setstate__ reads it back.
+        return list(_TRUTH_STATE(self))
+
+
+_TRUTH_STATE = operator.attrgetter(*(f.name for f in dataclasses.fields(GroundTruth)))
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Document:
@@ -78,6 +88,13 @@ class Document:
     def truth_for(self, task: Task) -> bool:
         """Oracle label of this document for one detection task."""
         return self.truth.is_dox if task is Task.DOX else self.truth.is_cth
+
+    def __getstate__(self) -> list:
+        # As GroundTruth.__getstate__: the generated state, read at once.
+        return list(_DOCUMENT_STATE(self))
+
+
+_DOCUMENT_STATE = operator.attrgetter(*(f.name for f in dataclasses.fields(Document)))
 
 
 @dataclasses.dataclass(slots=True)

@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 
 from repro.types import Gender
+from repro.util.rng import pick
 
 FIRST_NAMES_MALE = (
     "Alder", "Bram", "Caspian", "Dorian", "Edmund", "Fenwick", "Garrick",
@@ -69,6 +70,7 @@ CARD_ISSUER_PREFIXES = {
     "amex": "3782 822463 1000",
     "discover": "6011 1111 1111 111",
 }
+_CARD_ISSUERS = tuple(CARD_ISSUER_PREFIXES)
 
 #: All PII categories the extraction pipeline knows about (paper §5.6).
 PII_CATEGORIES = (
@@ -174,14 +176,14 @@ class PersonFactory:
         if gender is None:
             gender = Gender.MALE if rng.random() < 0.55 else Gender.FEMALE
         if gender is Gender.FEMALE:
-            first = str(rng.choice(FIRST_NAMES_FEMALE))
+            first = pick(rng, FIRST_NAMES_FEMALE)
         else:
-            first = str(rng.choice(FIRST_NAMES_MALE))
-        last = str(rng.choice(LAST_NAMES))
+            first = pick(rng, FIRST_NAMES_MALE)
+        last = pick(rng, LAST_NAMES)
         person_id = self._next_id
         self._next_id += 1
         handle = f"{first.lower()}{last.lower()}{int(rng.integers(10, 9999))}"
-        issuer = str(rng.choice(list(CARD_ISSUER_PREFIXES)))
+        issuer = pick(rng, _CARD_ISSUERS)
         prefix_digits = CARD_ISSUER_PREFIXES[issuer].replace(" ", "")
         card_digits = prefix_digits + luhn_check_digit(prefix_digits)
         # Re-group with issuer-typical spacing.
@@ -189,8 +191,8 @@ class PersonFactory:
             card = f"{card_digits[:4]} {card_digits[4:10]} {card_digits[10:]}"
         else:
             card = " ".join(card_digits[i : i + 4] for i in range(0, 16, 4))
-        family_first = str(
-            rng.choice(FIRST_NAMES_FEMALE if rng.random() < 0.5 else FIRST_NAMES_MALE)
+        family_first = pick(
+            rng, FIRST_NAMES_FEMALE if rng.random() < 0.5 else FIRST_NAMES_MALE
         )
         return Person(
             person_id=person_id,
@@ -199,14 +201,14 @@ class PersonFactory:
             gender=gender,
             street_address=(
                 f"{int(rng.integers(100, 9999))} "
-                f"{rng.choice(STREET_NAMES)} {rng.choice(STREET_TYPES)}"
+                f"{pick(rng, STREET_NAMES)} {pick(rng, STREET_TYPES)}"
             ),
-            city=str(rng.choice(CITIES)),
-            state=str(rng.choice(STATES)),
+            city=pick(rng, CITIES),
+            state=pick(rng, STATES),
             zip_code=f"{int(rng.integers(10000, 99999)):05d}",
             phone=f"({int(rng.integers(200, 989))}) 555-01{int(rng.integers(0, 99)):02d}",
             ssn=f"987-65-43{int(rng.integers(0, 99)):02d}",
-            email=f"{handle}@{rng.choice(EMAIL_DOMAINS)}",
+            email=f"{handle}@{pick(rng, EMAIL_DOMAINS)}",
             credit_card=card,
             card_issuer=issuer,
             # Handles carry digits so distinct synthetic people never share
@@ -215,6 +217,6 @@ class PersonFactory:
             instagram=f"{first.lower()}_{last.lower()}_{int(rng.integers(1, 9999))}",
             twitter=(f"{first.lower()}{last.lower()}"[:10] + str(int(rng.integers(10, 99999)))),
             youtube=f"{first}{last}Ch{int(rng.integers(1, 9999))}",
-            employer=str(rng.choice(EMPLOYERS)),
+            employer=pick(rng, EMPLOYERS),
             family_member=f"{family_first} {last}",
         )

@@ -18,6 +18,10 @@ from repro.types import Gender, Platform, Source
 
 FORMAT_VERSION = 1
 
+#: One encoder for every line: ``json.dumps(..., ensure_ascii=False)``
+#: builds a new one per call, and gives the same bytes.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 def document_to_dict(doc: Document) -> dict:
     """JSON-safe dict for one document (schema version FORMAT_VERSION)."""
@@ -79,9 +83,10 @@ def write_jsonl(documents: Iterable[Document], path: str | pathlib.Path) -> int:
     """Write documents to a JSONL file; returns the number written."""
     path = pathlib.Path(path)
     count = 0
+    encode = _ENCODER.encode
     with path.open("w", encoding="utf-8") as handle:
         for doc in documents:
-            handle.write(json.dumps(document_to_dict(doc), ensure_ascii=False))
+            handle.write(encode(document_to_dict(doc)))
             handle.write("\n")
             count += 1
     return count

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.corpus import vocab
 from repro.corpus.identity import Person
+from repro.util.rng import pick
 
 BLOG_DOMAINS = {
     "daily_stormer": "stormblog.example",
@@ -79,12 +80,8 @@ _BENIGN_BLOG_TOPICS = (
 )
 
 
-def _choice(rng: np.random.Generator, bank: tuple[str, ...]) -> str:
-    return bank[int(rng.integers(0, len(bank)))]
-
-
 def render_benign_blog_post(rng: np.random.Generator) -> str:
-    topic = _choice(rng, _BENIGN_BLOG_TOPICS)
+    topic = pick(rng, _BENIGN_BLOG_TOPICS)
     paras = [
         f"editorial: {topic}.",
         "this week's developments deserve a longer treatment than a single "
@@ -96,7 +93,7 @@ def render_benign_blog_post(rng: np.random.Generator) -> str:
 
 def render_foreign_blog_post(rng: np.random.Generator, relevant_keyword: bool) -> str:
     """A non-English NoBlogs entry; optionally contains a relevance keyword."""
-    body = f"{_choice(rng, _FOREIGN_FILLER)}. {_choice(rng, _FOREIGN_FILLER)}."
+    body = f"{pick(rng, _FOREIGN_FILLER)}. {pick(rng, _FOREIGN_FILLER)}."
     if relevant_keyword:
         body += " contatto email della redazione: redazione@collettivo.example"
     return body
@@ -110,7 +107,7 @@ def render_farleft_dox(
     Returns the text and the tuple of PII categories it actually contains.
     """
     lines = [
-        _choice(rng, _FARLEFT_NARRATIONS),
+        pick(rng, _FARLEFT_NARRATIONS),
         f"name: {person.full_name}",
         "photos from the rally are archived below the fold.",
     ]
@@ -128,7 +125,7 @@ def render_farleft_dox(
         lines.append("dob: 04/12/1988")
         lines.append(f"employer: {person.employer}")
         pii = ("address", "phone", "email")
-    lines.append(_choice(rng, _FARLEFT_CALLS))
+    lines.append(pick(rng, _FARLEFT_CALLS))
     return "\n".join(lines), pii
 
 
@@ -139,7 +136,7 @@ def render_stormer_dox(
 
     Returns the text and the tuple of PII categories it actually contains.
     """
-    lines = [_choice(rng, _STORMER_NARRATIONS)]
+    lines = [pick(rng, _STORMER_NARRATIONS)]
     contact_is_email = rng.random() < 0.5
     if keyword_free:
         lines.append(f"find them on twitter as @{person.twitter}")
@@ -154,5 +151,5 @@ def render_stormer_dox(
         )
         pii = ("twitter",)
     if with_overload_call:
-        lines.append(_choice(rng, _STORMER_CALLS))
+        lines.append(pick(rng, _STORMER_CALLS))
     return "\n".join(lines), pii

@@ -23,6 +23,7 @@ import numpy as np
 from repro.corpus import profiles
 from repro.corpus.documents import Document, GroundTruth
 from repro.types import Platform, Source
+from repro.util.rng import pick
 
 BOARD_DOMAIN_STEMS = (
     "fourleaf", "octagon", "kunboard", "greenpond", "wiredchan", "endhall",
@@ -75,7 +76,7 @@ class BoardsPlanner:
             size = min(size, total_posts - posts) or 1
             self._threads.append(
                 _ThreadPlan(
-                    domain=str(rng.choice(self._domains)),
+                    domain=pick(rng, self._domains),
                     size=size,
                     start_time=float(rng.uniform(t_min, t_max)),
                 )
@@ -136,7 +137,7 @@ class BoardsPlanner:
                 if not free:
                     thread_index = None  # give up on forcing, pick elsewhere
                     continue
-                pos = int(rng.choice(free))
+                pos = pick(rng, free)
                 thread.planted[pos] = ("", GroundTruth())
                 return PlantedSlot(thread_index=ti, position=pos)
         raise RuntimeError("could not reserve a board slot after 64 attempts")

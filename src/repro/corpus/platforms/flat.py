@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.corpus.documents import Document, GroundTruth
 from repro.types import Platform, Source
+from repro.util.rng import pick
 
 PASTE_DOMAIN_STEMS = (
     "pastehaven", "textdrop", "snipbin", "rawdump", "clipstash", "notebin",
@@ -97,7 +98,7 @@ class FlatPlatformBuilder:
                     doc_id=next_doc_id(),
                     platform=self._platform,
                     source=self._source,
-                    domain=str(rng.choice(self._domains)),
+                    domain=pick(rng, self._domains),
                     text=render_benign(),
                     timestamp=float(rng.uniform(t_min, t_max)),
                     author=self._author(),
@@ -110,7 +111,7 @@ class FlatPlatformBuilder:
                     doc_id=next_doc_id(),
                     platform=self._platform,
                     source=self._source,
-                    domain=str(rng.choice(self._domains)),
+                    domain=pick(rng, self._domains),
                     text=text,
                     timestamp=float(rng.uniform(t_min, t_max)),
                     author=self._author(),

@@ -17,6 +17,7 @@ from repro.corpus import vocab
 from repro.corpus.identity import Person
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.types import Gender, Platform
+from repro.util.rng import pick
 
 # ---------------------------------------------------------------------------
 # Tactic sentence banks, one per taxonomy subcategory.
@@ -175,24 +176,20 @@ HANDLE_BEARING = frozenset(
 )
 
 
-def _choice(rng: np.random.Generator, bank: Sequence[str]) -> str:
-    return bank[int(rng.integers(0, len(bank)))]
-
-
 def render_benign(rng: np.random.Generator, platform: Platform) -> str:
     """A filler post in the platform's register."""
-    opener = _choice(rng, vocab.BENIGN_OPENERS)
-    topic = _choice(rng, vocab.BENIGN_TOPICS)
-    closer = _choice(rng, vocab.BENIGN_CLOSERS)
+    opener = pick(rng, vocab.BENIGN_OPENERS)
+    topic = pick(rng, vocab.BENIGN_TOPICS)
+    closer = pick(rng, vocab.BENIGN_CLOSERS)
     body = f"{opener} {topic}. {closer}"
     if platform is Platform.BOARDS and rng.random() < 0.3:
-        body = f"{_choice(rng, vocab.BOARD_FILLER)} {body}"
+        body = f"{pick(rng, vocab.BOARD_FILLER)} {body}"
     elif platform is Platform.GAB and rng.random() < 0.4:
-        body = f"{body} {_choice(rng, vocab.GAB_HASHTAGS)}"
+        body = f"{body} {pick(rng, vocab.GAB_HASHTAGS)}"
     elif platform is Platform.CHAT and rng.random() < 0.4:
-        body = f"{body} {_choice(rng, vocab.CHAT_FILLER)}"
+        body = f"{body} {pick(rng, vocab.CHAT_FILLER)}"
     elif platform is Platform.PASTES:
-        snippet = _choice(rng, vocab.PASTE_CODE_SNIPPETS)
+        snippet = pick(rng, vocab.PASTE_CODE_SNIPPETS)
         body = f"# {topic}\n{snippet}\n# {closer}"
     return body
 
@@ -234,32 +231,32 @@ def render_tactic_mirror(rng: np.random.Generator) -> str:
     them (the paper's §5.4 false-positive class, generalised).
     """
     roll = rng.random()
-    handle = f"{_choice(rng, ('spam', 'bot', 'shill', 'scam'))}watch{int(rng.integers(10, 9999))}"
+    handle = f"{pick(rng, ('spam', 'bot', 'shill', 'scam'))}watch{int(rng.integers(10, 9999))}"
     if roll < 0.4:
         mention = f"the account @{handle}"
         subj, obj, poss = "they", "them", "their"
     elif roll < 0.7:
-        noun = _choice(rng, ("bot", "phishing account", "spam ring", "scraper network"))
+        noun = pick(rng, ("bot", "phishing account", "spam ring", "scraper network"))
         mention = f"this {noun}"
         subj, obj, poss = "it", "it", "its"
     else:
         # A person — but one who demonstrably abused the community.
-        who = _choice(rng, ("guy", "seller", "reseller", "woman"))
-        deed = _choice(rng, ("scamming the group buy", "reposting malware links",
+        who = pick(rng, ("guy", "seller", "reseller", "woman"))
+        deed = pick(rng, ("scamming the group buy", "reposting malware links",
                              "stealing commissions", "running the fake raffle"))
         mention = f"this {who} {deed}"
         subj, obj, poss = ("she", "her", "her") if who in ("seller", "woman") else ("he", "him", "his")
     subtype = _MIRRORABLE[int(rng.integers(0, len(_MIRRORABLE)))]
-    tactic = _choice(rng, TACTIC_SENTENCES[subtype]).format(
+    tactic = pick(rng, TACTIC_SENTENCES[subtype]).format(
         subj=subj, obj=obj, poss=poss,
         name=mention, handle=handle, employer="the hosting company",
         family="the operator",
     )
-    opener = _choice(rng, vocab.MOBILIZING_OPENERS)
-    deal = _choice(rng, DEAL_PHRASES)
-    sentences = [f"{opener} {deal} {mention}.", f"{_choice(rng, vocab.MOBILIZING_OPENERS)} {tactic}."]
+    opener = pick(rng, vocab.MOBILIZING_OPENERS)
+    deal = pick(rng, DEAL_PHRASES)
+    sentences = [f"{opener} {deal} {mention}.", f"{pick(rng, vocab.MOBILIZING_OPENERS)} {tactic}."]
     if rng.random() < 0.6:
-        sentences.append(f"{_choice(rng, JUSTIFICATIONS)}.")
+        sentences.append(f"{pick(rng, JUSTIFICATIONS)}.")
     return " ".join(sentences)
 
 
@@ -273,9 +270,9 @@ def _render_self_disclosure(rng: np.random.Generator) -> str:
         f"new here, my twitter is @{handle} if anyone wants to follow",
         f"commissions open! email {handle}@postbox.example for rates",
         f"moving sale this weekend, {int(rng.integers(100, 9999))} "
-        f"{_choice(rng, ('Maple', 'Oakwood', 'Cedarbrook'))} St, everything must go",
+        f"{pick(rng, ('Maple', 'Oakwood', 'Cedarbrook'))} St, everything must go",
     )
-    return _choice(rng, variants)
+    return pick(rng, variants)
 
 
 def _render_roster(rng: np.random.Generator) -> str:
@@ -311,7 +308,7 @@ def render_hard_negative(
     roll = rng.random()
     if platform is Platform.PASTES:
         if roll < 0.4:
-            header = _choice(rng, vocab.PASTE_DB_DUMP_HEADER)
+            header = pick(rng, vocab.PASTE_DB_DUMP_HEADER)
             rows = "\n".join(
                 f"({int(rng.integers(1, 99999))}, 'user{int(rng.integers(1, 9999))}"
                 f"@dumpsite.example', '{int(rng.integers(0, 2**32)):08x}'),"
@@ -322,14 +319,14 @@ def render_hard_negative(
             return _render_roster(rng)
         if roll < 0.75:
             return _render_self_disclosure(rng)
-        return _choice(rng, vocab.BENIGN_MOBILIZING)
+        return pick(rng, vocab.BENIGN_MOBILIZING)
     if platform in (Platform.BOARDS, Platform.GAB):
         if roll < 0.35:
             return render_tactic_mirror(rng)
         if roll < 0.45:
-            return _choice(rng, vocab.TACTIC_MIRROR_NEGATIVES)
+            return pick(rng, vocab.TACTIC_MIRROR_NEGATIVES)
         if roll < 0.55:
-            return _choice(rng, vocab.BORDERLINE_NEGATIVES)
+            return pick(rng, vocab.BORDERLINE_NEGATIVES)
         if platform is Platform.BOARDS and roll < 0.62:
             if person is not None and rng.random() < 0.6:
                 # Exact dox format, fictional/consenting context.
@@ -339,18 +336,18 @@ def render_hard_negative(
                     platform=platform, reputation_info=False,
                     gender_visible=False, narrative=False,
                 )
-                return f"{_choice(rng, _FICTION_MARKERS)} {body}"
-            return _choice(rng, vocab.DOX_MIRROR_NEGATIVES)
+                return f"{pick(rng, _FICTION_MARKERS)} {body}"
+            return pick(rng, vocab.DOX_MIRROR_NEGATIVES)
         if roll < 0.75:
             return _render_self_disclosure(rng)
         if roll < 0.85:
-            return _choice(rng, vocab.HOSTILE_FILLER)
-        return _choice(rng, vocab.BENIGN_MOBILIZING)
+            return pick(rng, vocab.HOSTILE_FILLER)
+        return pick(rng, vocab.BENIGN_MOBILIZING)
     if roll < 0.15:
         return _render_self_disclosure(rng)
     if roll < 0.40:
-        return _choice(rng, vocab.HOSTILE_FILLER)
-    return _choice(rng, vocab.BENIGN_MOBILIZING)
+        return pick(rng, vocab.HOSTILE_FILLER)
+    return pick(rng, vocab.BENIGN_MOBILIZING)
 
 
 def render_cth(
@@ -377,12 +374,12 @@ def render_cth(
     # Purely GENERIC calls are sometimes oblique one-liners with no
     # mobilising opener at all — the hardest positives (§5.4 edge cases).
     if tuple(subtypes) == (AttackSubtype.GENERIC,) and rng.random() < 0.5:
-        weak = _choice(rng, vocab.WEAK_CTH).format(handle=f"@{person.twitter}")
+        weak = pick(rng, vocab.WEAK_CTH).format(handle=f"@{person.twitter}")
         return weak
-    opener = _choice(rng, vocab.MOBILIZING_OPENERS)
-    sentences = [f"{opener} {_choice(rng, DEAL_PHRASES)} {mention}."]
+    opener = pick(rng, vocab.MOBILIZING_OPENERS)
+    sentences = [f"{opener} {pick(rng, DEAL_PHRASES)} {mention}."]
     for subtype in subtypes:
-        tactic = _choice(rng, TACTIC_SENTENCES[subtype]).format(
+        tactic = pick(rng, TACTIC_SENTENCES[subtype]).format(
             subj=subj,
             obj=obj,
             poss=poss,
@@ -391,10 +388,10 @@ def render_cth(
             employer=person.employer,
             family=person.family_member,
         )
-        mobilizer = _choice(rng, vocab.MOBILIZING_OPENERS)
+        mobilizer = pick(rng, vocab.MOBILIZING_OPENERS)
         sentences.append(f"{mobilizer} {tactic}.")
         if subtype in HANDLE_BEARING and rng.random() < 0.5:
-            site = _choice(rng, ("twitter", "youtube", "instagram"))
+            site = pick(rng, ("twitter", "youtube", "instagram"))
             handle = {
                 "twitter": person.twitter,
                 "youtube": person.youtube,
@@ -404,12 +401,12 @@ def render_cth(
     # Harassers also claim justification (~20 % of the time), overlapping
     # with the legitimate counter-reporting negatives.
     if rng.random() < 0.2:
-        sentences.append(f"{_choice(rng, JUSTIFICATIONS)}.")
+        sentences.append(f"{pick(rng, JUSTIFICATIONS)}.")
     body = " ".join(sentences)
     if platform is Platform.GAB and rng.random() < 0.5:
-        body = f"{body} {_choice(rng, vocab.GAB_HASHTAGS)}"
+        body = f"{body} {pick(rng, vocab.GAB_HASHTAGS)}"
     elif platform is Platform.CHAT and rng.random() < 0.3:
-        body = f"{body} {_choice(rng, vocab.CHAT_FILLER)}"
+        body = f"{body} {pick(rng, vocab.CHAT_FILLER)}"
     return body
 
 
@@ -432,24 +429,24 @@ def render_dox(
         narrative = long_form or rng.random() < 0.3
     lines: list[str] = []
     if long_form:
-        lines.append(_choice(rng, vocab.DOX_HEADERS))
+        lines.append(pick(rng, vocab.DOX_HEADERS))
     if narrative:
-        story = _choice(rng, vocab.DOX_NARRATIVES)
+        story = pick(rng, vocab.DOX_NARRATIVES)
         if gender_visible:
             subj, _obj, poss = person.pronouns
             story = f"{story}. {subj} thought {poss} accounts were separate. {subj} was wrong"
         lines.append(story)
-    name_label = _choice(rng, vocab.DOX_FIELD_LABELS["name"])
+    name_label = pick(rng, vocab.DOX_FIELD_LABELS["name"])
     lines.append(f"{name_label}: {person.full_name}")
     for category in pii_types:
-        label = _choice(rng, vocab.DOX_FIELD_LABELS[category])
+        label = pick(rng, vocab.DOX_FIELD_LABELS[category])
         lines.append(f"{label}: {person.pii_value(category)}")
     if reputation_info:
-        employer_label = _choice(rng, vocab.DOX_FIELD_LABELS["employer"])
-        family_label = _choice(rng, vocab.DOX_FIELD_LABELS["family"])
+        employer_label = pick(rng, vocab.DOX_FIELD_LABELS["employer"])
+        family_label = pick(rng, vocab.DOX_FIELD_LABELS["family"])
         lines.append(f"{employer_label}: {person.employer}")
         lines.append(f"{family_label}: {person.family_member}")
-    signoff = _choice(rng, vocab.DOX_SIGNOFFS)
+    signoff = pick(rng, vocab.DOX_SIGNOFFS)
     if long_form and signoff:
         lines.append(signoff)
     separator = "\n" if long_form else " | "

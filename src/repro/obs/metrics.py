@@ -83,11 +83,14 @@ class LatencyHistogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile.
+        """The ``q``-quantile, interpolated inside the bucket holding it.
 
-        Deterministic and mergeable at the cost of bucket resolution
-        (~1.78x); the extremes are clamped to the observed min/max so
-        p50 of a single sample is that sample.
+        The rank ``q * count`` falls in one bucket; the estimate moves
+        linearly from the bucket's lower to its upper bound, each clamped
+        to the observed min/max, as the rank crosses the bucket's count.
+        A pure function of counts, min and max, so merged histograms give
+        the quantiles of combined recording; a single sample is every
+        quantile, ``q = 0`` is the min and ``q = 1`` the max.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -96,9 +99,11 @@ class LatencyHistogram:
         rank = q * self.count
         cumulative = 0
         for i, bucket_count in enumerate(self.counts):
+            if bucket_count and cumulative + bucket_count >= rank:
+                low = max(self.min, BUCKET_BOUNDS[i - 1] if i else 0.0)
+                high = min(self.max, BUCKET_BOUNDS[i])
+                return low + (high - low) * (rank - cumulative) / bucket_count
             cumulative += bucket_count
-            if cumulative >= rank and bucket_count:
-                return max(self.min, min(self.max, BUCKET_BOUNDS[i]))
         return self.max
 
     def as_dict(self) -> dict[str, float | int]:

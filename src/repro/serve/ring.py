@@ -42,7 +42,8 @@ from repro.util.rng import stable_hash
 DEFAULT_VNODES = 128
 
 #: Sentinel accepted by :class:`KillSpec` — resolve the victim to the
-#: shard that scored the most messages so far when the kill fires.
+#: live shard with the most arrivals routed to it before the kill (ties
+#: to the lowest id).
 HOTTEST = "hottest"
 
 
@@ -196,11 +197,11 @@ class KillSpec:
     """Kill one shard partway through a run to exercise failover.
 
     ``shard`` is an explicit shard id or :data:`HOTTEST` (resolve to the
-    shard with the most scored messages when the kill fires).  The kill
-    lands after ``at_fraction`` of the arrivals have been routed: the
-    victim finishes its in-flight batch and its queued messages are
-    requeued to the surviving owners.  The victim only scored, so no
-    target state moves.
+    live shard with the most arrivals routed to it before the kill, ties
+    to the lowest id).  The kill lands after ``at_fraction`` of the
+    arrivals have been routed: the victim finishes its in-flight batch
+    and its queued messages are requeued to the surviving owners.  The
+    victim only scored, so no target state moves.
     """
 
     shard: int | str = HOTTEST

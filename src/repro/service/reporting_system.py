@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.util.rng import child_rng
+from repro.util.rng import child_rng, pick
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -86,7 +86,7 @@ class ReportingSystem:
                 target=target,
                 reporter=reporter,
                 timestamp=ts,
-                reason=str(self._rng.choice(REPORT_REASONS)),
+                reason=pick(self._rng, REPORT_REASONS),
                 coordinated=coordinated,
             )
         )
@@ -120,7 +120,7 @@ class ReportingSystem:
         rng = self._rng
         for _ in range(n_reports):
             if rng.random() < clique_share:
-                reporter = str(rng.choice(self._clique))
+                reporter = pick(rng, self._clique)
             else:
                 reporter = f"user{int(rng.integers(0, 10_000_000))}"
             self._emit(

@@ -10,10 +10,13 @@ library revisions.
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+T = TypeVar("T")
 
 
 def stable_hash(*parts: object) -> int:
@@ -43,3 +46,15 @@ def child_rng(seed: int, *name: object) -> np.random.Generator:
     same arguments, and streams for distinct names are independent.
     """
     return np.random.default_rng(stable_hash(seed, *name))  # repro: noqa[DET001]
+
+
+def pick(rng: np.random.Generator, seq: Sequence[T]) -> T:
+    """One uniform draw from ``seq``: the element ``rng.choice(seq)`` returns.
+
+    ``Generator.choice`` without ``p``, ``size`` or ``replace`` draws
+    ``rng.integers(0, len(seq))`` and indexes with it, so this returns
+    the same element and leaves ``rng`` in the same state.  It skips
+    the conversion of ``seq`` to an array on every call, and returns
+    the sequence's own object rather than a NumPy scalar.
+    """
+    return seq[int(rng.integers(0, len(seq)))]

@@ -1,13 +1,15 @@
-"""Reference implementations of the three optimised text kernels.
+"""Reference implementations of the optimised text and corpus kernels.
 
 :meth:`repro.nlp.features.HashingVectorizer.transform_hashes` builds its
 CSR matrix in one pass over the batch;
 :func:`repro.extraction.pii.extract_pii` skips the categories whose
 triggers a text lacks, and the card and profile-URL patterns whose shape
 or domain it lacks; :meth:`repro.taxonomy.coding.ExpertCoder.code_text`
-skips the subtypes whose signature triggers a text lacks.  The per-row
-build and the ungated regex banks they replaced live on here, outside
-the package, as the oracles the kernels must match byte for byte.
+skips the subtypes whose signature triggers a text lacks;
+:func:`repro.util.rng.pick` draws a sequence element by index where the
+corpus generator called ``Generator.choice``.  The per-row build, the
+ungated regex banks and ``Generator.choice`` live on here, outside the
+package, as the oracles the kernels must match byte for byte.
 ``tests/test_kernel_equivalence.py`` checks them on the tiny corpora and
 adversarial inputs; ``scripts/check_kernels.py`` checks them on the full
 corpus.
@@ -15,7 +17,9 @@ corpus.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import contextlib
+import sys
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -29,7 +33,9 @@ from repro.extraction.pii import (
 from repro.nlp.features import _MIX, HashingVectorizer
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import _BANK, ExpertCoder
-from repro.util.rng import child_rng
+from repro.util.rng import child_rng, pick
+
+T = TypeVar("T")
 
 # -- hashing vectorizer: one np.unique per row ------------------------------
 
@@ -152,6 +158,35 @@ def taxonomy_mismatches(texts: Iterable[str]) -> list[str]:
     """The texts on which the gated coder and the reference disagree."""
     code = ExpertCoder().code_text
     return [text for text in texts if code(text) != reference_code_text(text)]
+
+
+# -- uniform sequence draw: Generator.choice ---------------------------------
+
+
+def reference_pick(rng: np.random.Generator, seq: Sequence[T]) -> T:
+    """One uniform draw from ``seq`` through ``Generator.choice``."""
+    return rng.choice(seq).item()
+
+
+@contextlib.contextmanager
+def reference_draws() -> Iterator[list[str]]:
+    """Rebind every imported ``pick`` in ``repro`` to :func:`reference_pick`.
+
+    Yields the names of the rebound modules; code run inside the block
+    draws through ``Generator.choice`` wherever it called ``pick``.
+    """
+    bound = [
+        module for name, module in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and getattr(module, "pick", None) is pick
+    ]
+    for module in bound:
+        module.pick = reference_pick
+    try:
+        yield [module.__name__ for module in bound]
+    finally:
+        for module in bound:
+            module.pick = pick
 
 
 # -- adversarial inputs -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The one-pass CSR build and the gated regex banks against their references.
+"""The optimised text and corpus kernels against their references.
 
 The kernels must reproduce the implementations they replaced byte for
 byte (``tests/kernel_reference.py``): CSR shape, ``indptr``, ``indices``,
@@ -9,10 +9,17 @@ built from the gates' triggers and the Unicode case-fold hazards, and
 the edge batches of the one-pass build.  Structural tests read off each
 parsed pattern that its matches hold its gates (category trigger, card
 shape, URL domain, signature trigger), so no gate can fall behind its
-bank.  ``scripts/check_kernels.py`` runs the same checks on the full
-corpus.
+bank.  On the corpus side, ``pick`` must draw what ``Generator.choice``
+draws and leave the generator where it leaves it, the tiny corpora must
+write the same JSONL under either draw, documents must pickle the
+generated dataclass state, and ``write_jsonl`` must write the lines
+``json.dumps`` gives.  ``scripts/check_kernels.py`` runs the corpus and
+text checks on the full corpus.
 """
 
+import dataclasses
+import json
+import pickle
 import re
 
 import numpy as np
@@ -26,6 +33,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import CorpusBuilder, CorpusConfig
+from repro.corpus.documents import Document, GroundTruth
+from repro.corpus.io import document_to_dict, write_jsonl
 from repro.extraction.pii import (
     _CARD_SHAPE,
     PII_EXTRACTORS,
@@ -39,12 +48,16 @@ from repro.nlp.features import HashingVectorizer
 from repro.nlp.tokenize import hash_text
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import _SIGNATURES, ExpertCoder
+from repro.types import Gender, Platform, Source
+from repro.util.rng import child_rng, pick
 from tests.kernel_reference import (
     csr_differences,
     perturbed_variants,
     pii_mismatches,
     reference_code_text,
+    reference_draws,
     reference_extract_pii,
+    reference_pick,
     reference_pii_categories_present,
     reference_transform_hashes,
     taxonomy_mismatches,
@@ -443,3 +456,105 @@ def test_csr_matches_reference_on_random_batches(arrays, n_bits, use_bigrams):
         vectorizer.transform_hashes(arrays),
         reference_transform_hashes(vectorizer, arrays),
     ) == []
+
+
+# -- corpus kernels: uniform draws, document state, JSONL lines ---------------
+
+
+@pytest.mark.parametrize("length", [1, 2, 26, 100])
+def test_pick_draws_what_generator_choice_draws(length):
+    banks = (tuple(f"word{i}" for i in range(length)), list(range(length)))
+    for seed in range(100):
+        for bank in banks:
+            ours = child_rng(seed, "pick", length)
+            theirs = child_rng(seed, "pick", length)
+            for step in range(30):
+                drawn = pick(ours, bank)
+                assert drawn == reference_pick(theirs, bank)
+                assert type(drawn) is type(bank[0])
+                # Interleave the generator's other draws, so a state
+                # that drifted apart shows in them too.
+                if step % 3 == 0:
+                    assert ours.random() == theirs.random()
+                if step % 4 == 1:
+                    assert ours.integers(0, 1000) == theirs.integers(0, 1000)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{seed}")
+def test_tiny_corpus_jsonl_is_identical_under_reference_draws(seed, tmp_path):
+    config = CorpusConfig.tiny(seed)
+    write_jsonl(CorpusBuilder(config).build(), tmp_path / "pick.jsonl")
+    with reference_draws() as rebound:
+        write_jsonl(CorpusBuilder(config).build(), tmp_path / "choice.jsonl")
+    # Persons, templates, blogs, board and flat platforms all draw.
+    assert {
+        "repro.corpus.identity",
+        "repro.corpus.templates",
+        "repro.corpus.platforms.blogs",
+        "repro.corpus.platforms.boards",
+        "repro.corpus.platforms.flat",
+    } <= set(rebound)
+    assert (tmp_path / "pick.jsonl").read_bytes() == (
+        tmp_path / "choice.jsonl"
+    ).read_bytes()
+
+
+_TRUTHS = (
+    GroundTruth(),
+    GroundTruth(
+        is_dox=True,
+        is_cth=True,
+        cth_subtypes=(AttackSubtype.MASS_FLAGGING, AttackSubtype.RAIDING),
+        target_id=41,
+        target_gender=Gender.FEMALE,
+        pii_planted=("phone", "address"),
+        reputation_info=True,
+        hard_negative=True,
+    ),
+)
+
+_TEXTS = (
+    "plain ascii text",
+    "naïve café, “curly quotes”, 東京 and 😀",
+    'say "hi" and \\ back\\slash \\u0041',
+    "tab\there\nnewline\rreturn \x00\x08\x1f\x7f end",
+    "line\u2028paragraph\u2029separators",
+)
+
+
+def _documents():
+    return [
+        Document(
+            doc_id=i,
+            platform=Platform.BOARDS if i % 2 else Platform.GAB,
+            source=Source.GAB if i % 2 == 0 else None,
+            domain=f"dömain\"{i}\\.example",
+            text=text,
+            timestamp=1.5e9 + i / 3,
+            author=f"author \"{i}\"",
+            thread_id=7 if i % 2 else None,
+            position=i if i % 2 else None,
+            truth=_TRUTHS[i % 2],
+        )
+        for i, text in enumerate(_TEXTS)
+    ]
+
+
+def test_documents_pickle_the_generated_dataclass_state():
+    for obj in [*_TRUTHS, *_documents()]:
+        assert obj.__getstate__() == [
+            getattr(obj, field.name) for field in dataclasses.fields(obj)
+        ]
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol=protocol)) == obj
+
+
+def test_write_jsonl_writes_the_lines_json_dumps_gives(tmp_path):
+    documents = _documents()
+    path = tmp_path / "documents.jsonl"
+    assert write_jsonl(documents, path) == len(documents)
+    assert path.read_bytes().decode("utf-8").split("\n") == [
+        json.dumps(document_to_dict(doc), ensure_ascii=False)
+        for doc in documents
+    ] + [""]

@@ -115,6 +115,18 @@ def test_quantile_edge_cases():
         spread.quantile(-0.1)
 
 
+def test_quantile_interpolates_inside_the_bucket():
+    # Regression: every quantile in the max's bucket read the max.  60 ms
+    # and 80 ms share the (56.2, 100] ms bucket, clamped to [60, 80] ms.
+    histogram = _hist([0.060] * 99 + [0.080])
+    assert histogram.quantile(0.5) < histogram.max
+    assert histogram.quantile(0.5) == pytest.approx(0.070)
+    assert histogram.quantile(0.0) == pytest.approx(0.060)
+    assert histogram.quantile(1.0) == pytest.approx(0.080)
+    quantiles = [histogram.quantile(q / 20) for q in range(21)]
+    assert quantiles == sorted(quantiles)
+
+
 def test_negative_latency_rejected():
     with pytest.raises(ValueError):
         LatencyHistogram().record(-1e-9)

@@ -10,6 +10,7 @@ queue-accounting conservation law ``offered == taken + shed + dropped +
 requeued + depth`` holds for every shard through all of it.
 """
 
+import collections
 import json
 
 import numpy as np
@@ -297,6 +298,28 @@ def test_kill_then_rebalance_compose(serve_models, corpus_stream):
     victim = result.failover["killed_shard"]
     assert victim not in result.ring.shard_ids
     assert victim not in result.rebalances[-1]["shards_after"]
+
+
+def test_hottest_is_the_shard_with_the_most_arrivals_routed_before_the_kill(
+    serve_models,
+):
+    # The stream serve-bench replays at its default seed 7: the non-blog
+    # documents of the seed-8 tiny corpus.
+    live = CorpusBuilder(CorpusConfig.tiny(seed=8)).build()
+    stream = MessageStream([d for d in live if d.platform is not Platform.BLOGS])
+    kill = KillSpec(shard=HOTTEST, at_fraction=0.5)
+    runtime = ServingRuntime(_factory(serve_models), ServeConfig(n_shards=4))
+    result = runtime.serve_stream(stream, LoadProfile(seed=7), kill=kill)
+    messages = list(stream)  # arrival order
+    cut = int(len(messages) * kill.at_fraction)
+    ring = HashRing(range(4))
+    routed = collections.Counter(
+        ring.owner(routing_key(message)) for message in messages[:cut]
+    )
+    # Most arrivals routed before the cut, ties to the lowest id.
+    expected = min(ring.shard_ids, key=lambda shard: (-routed[shard], shard))
+    assert result.failover["at_index"] == cut
+    assert result.failover["killed_shard"] == expected
 
 
 # -- a boundary changes only where later arrivals go ----------------------------
