@@ -28,8 +28,10 @@ lint-concurrency:
 # and the trigger-gated taxonomy coder against their kept references
 # (tests/kernel_reference.py), over every distinct text and every
 # corpus/perturb.py variant of it, plus byte-identical JSONL from the
-# corpus built with pick and with Generator.choice; the tiny-corpus half
-# runs in tier-1.  About ten minutes and 0.65 GB on a 2-vCPU host.
+# corpus built with pick and with Generator.choice, and byte-identical
+# filter fits (Adam on the touched columns against reference_fit); the
+# tiny-corpus half runs in tier-1.  About twelve minutes and 0.85 GB on
+# a 2-vCPU host.
 check-kernels:
 	python scripts/check_kernels.py
 

@@ -13,6 +13,9 @@ The study is an execution graph on :mod:`repro.engine`::
 With ``cache_dir`` set, every stage artifact is checkpointed to disk
 (corpus as JSONL, final models as ``.npz``, scores as ``.npy``, states
 as pickles) and a re-run with the same config executes zero stages.
+The documents are pickled once, in the vectorized artifact: each
+``result:<task>`` artifact stores none, and :func:`run_study` binds the
+vectorized corpus's documents to the results it returns.
 With ``jobs > 1`` the two task pipelines — which share only the
 vectorized corpus — and the per-source threshold searches inside each
 task run concurrently on a thread pool, with byte-identical results.
@@ -150,12 +153,15 @@ def run_study(
     if recorder is not None:
         outcome.report.populate_metrics(recorder.metrics)
         recorder.save(trace_dir)
+    vectorized = outcome.values[targets["vectorized"]]
     return Study(
         config=config,
         corpus=outcome.values[targets["corpus"]],
-        vectorized=outcome.values[targets["vectorized"]],
+        vectorized=vectorized,
         results={
-            task: outcome.values[targets[f"result:{task.value}"]]
+            task: outcome.values[targets[f"result:{task.value}"]].bind(
+                vectorized.documents
+            )
             for task in (Task.DOX, Task.CTH)
         },
         run_report=outcome.report,

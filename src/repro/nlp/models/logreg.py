@@ -5,6 +5,16 @@ score the full synthetic crawl repeatedly during active learning and
 threshold selection, with calibrated-ish probabilities for the decile
 sampler.  Class imbalance (positives are <5 % of training data) is handled
 with inverse-frequency example weights.
+
+Adam runs only on the *touched* columns, those with a stored entry in
+some training row (1-5 % of the 2^18 hashed columns on the study's
+fits), and the weights are scattered into the full vector.  This is
+exact: an untouched column's gradient is exactly 0.0 at every step, so
+its weight stays +0.0, and a touched column sees the same operands in
+the same order, because the renumbering keeps each row's entries in
+their stored order (DESIGN.md §11).  The full-width loop is kept as
+``tests/kernel_reference.py::reference_fit``, which the fit must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -49,9 +59,25 @@ class LogisticRegressionClassifier:
         self.bias: float = 0.0
 
     def fit(self, features: sparse.csr_matrix, labels: np.ndarray) -> "LogisticRegressionClassifier":
+        if not (sparse.issparse(features) and features.format == "csr"):
+            raise TypeError(
+                f"fit needs a CSR matrix or array, not {type(features).__name__}"
+            )
         labels = validate_training_inputs(features, labels)
         rng = child_rng(self.seed, "logreg-shuffle")
         n, d = features.shape
+        # Renumber the touched columns 0..k-1 in column order; the
+        # entries of each row keep their stored order.
+        cols = np.flatnonzero(np.bincount(features.indices, minlength=d))
+        # Allocated before the loop, the long-lived full-width vector sits
+        # below the loop's temporaries, so the heap can shrink after them.
+        weights = np.zeros(d)
+        renumber = np.zeros(d, dtype=features.indices.dtype)
+        renumber[cols] = np.arange(cols.size)
+        features = sparse.csr_matrix(
+            (features.data, renumber[features.indices], features.indptr),
+            shape=(n, cols.size),
+        )
         y = labels.astype(np.float64)
         if self.balanced:
             pos_w = n / (2.0 * y.sum())
@@ -60,10 +86,10 @@ class LogisticRegressionClassifier:
         else:
             sample_w = np.ones(n)
 
-        w = np.zeros(d)
+        w = np.zeros(cols.size)
         b = 0.0
-        m_w = np.zeros(d)
-        v_w = np.zeros(d)
+        m_w = np.zeros(cols.size)
+        v_w = np.zeros(cols.size)
         m_b = v_b = 0.0
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
@@ -88,7 +114,8 @@ class LogisticRegressionClassifier:
                 bias_corr2 = 1 - beta2 ** step
                 w -= self.lr * (m_w / bias_corr1) / (np.sqrt(v_w / bias_corr2) + eps)
                 b -= self.lr * (m_b / bias_corr1) / (np.sqrt(v_b / bias_corr2) + eps)
-        self.weights = w
+        weights[cols] = w
+        self.weights = weights
         self.bias = b
         return self
 

@@ -75,10 +75,29 @@ class TokenCache:
     The cache stores one uint64 hash array per document.  Everything
     downstream (n-gram hashing, span windows) is pure numpy on these
     arrays, which is what makes full-corpus prediction affordable.
+    It pickles flat, as one concatenated array plus the per-document
+    lengths, and loads as views into that array.
     """
 
     def __init__(self, texts: Iterable[str]) -> None:
         self._arrays: list[np.ndarray] = [hash_text(t) for t in texts]
+
+    def __getstate__(self) -> dict:
+        hashes = (
+            np.concatenate(self._arrays) if self._arrays
+            else np.empty(0, dtype=np.uint64)
+        )
+        return {"hashes": hashes, "lengths": self.lengths()}
+
+    def __setstate__(self, state: dict) -> None:
+        if "_arrays" in state:  # the per-array state of older pickles
+            self._arrays = state["_arrays"]
+            return
+        ends = np.cumsum(state["lengths"]).tolist()
+        hashes = state["hashes"]
+        self._arrays = [
+            hashes[start:end] for start, end in zip([0, *ends], ends)
+        ]
 
     def __len__(self) -> int:
         return len(self._arrays)

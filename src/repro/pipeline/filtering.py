@@ -177,7 +177,7 @@ class FilteringPipeline:
             engine = Engine()
         source = engine.add_source(f"vectorized:{self.task.value}", vc)
         result = self.register(engine, source)
-        return engine.run([result]).values[result]
+        return engine.run([result]).values[result].bind(vc.documents)
 
     def register(self, engine: Engine, vectorized: str) -> str:
         """Register this task's stage graph; returns the result stage name.
@@ -261,7 +261,7 @@ class FilteringPipeline:
         labels = dict(state.labels)
         crowd_labels = dict(state.crowd_labels)
         batches = list(state.crowd_batches)
-        for source, positions in self._eligible_by_source(documents).items():
+        for source, positions in self._eligible_by_source(vc).items():
             if positions.size == 0:
                 continue
             already = np.array(
@@ -364,7 +364,7 @@ class FilteringPipeline:
         """
         cfg = self.config
         documents = vc.documents
-        positions = self._eligible_by_source(documents)[source]
+        positions = self._eligible_by_source(vc)[source]
         if positions.size == 0:
             return None
         expert = self._expert_for(source)
@@ -412,16 +412,20 @@ class FilteringPipeline:
         scores: np.ndarray,
         *source_outcomes: SourceOutcome | None,
     ) -> PipelineResult:
-        """Stage 7: fold every stage output into the result container."""
-        documents = vc.documents
+        """Stage 7: fold every stage output into the result container.
+
+        The result carries no documents (its positions index ``vc``), so
+        its artifact does not pickle the corpus; :meth:`run` and
+        :func:`repro.lab.run_study` bind them on return.
+        """
         outcomes = {o.source: o for o in source_outcomes if o is not None}
         return PipelineResult(
             task=self.task,
-            documents=documents,
+            documents=(),
             outcomes=outcomes,
             eval_report=evaluation.report,
             eval_auc=evaluation.auc,
-            training_data_sizes=self._training_sizes(state.crowd_labels, documents),
+            training_data_sizes=self._training_sizes(state.crowd_labels, vc.documents),
             annotation_stats=_combine_crowd_stats(state.crowd_batches, state.crowd),
             scores=scores,
             max_tokens=self.config.max_tokens or TASK_MAX_TOKENS[self.task],
@@ -434,14 +438,9 @@ class FilteringPipeline:
         max_tokens = cfg.max_tokens or TASK_MAX_TOKENS[self.task]
         return vc.task_view(max_tokens, cfg.span_strategy)
 
-    def _eligible_by_source(self, documents: Sequence) -> dict[Source, np.ndarray]:
-        source_of = np.array(
-            [s.value if (s := doc.source) is not None else "" for doc in documents]
-        )
-        return {
-            source: np.flatnonzero(source_of == source.value)
-            for source in TASK_SOURCES[self.task]
-        }
+    def _eligible_by_source(self, vc: VectorizedCorpus) -> dict[Source, np.ndarray]:
+        by_source = vc._source_positions()
+        return {source: by_source[source] for source in TASK_SOURCES[self.task]}
 
     def _expert_for(self, source: Source) -> SimulatedAnnotator:
         """One domain expert per (task, source), on an independent stream."""

@@ -46,7 +46,13 @@ class AnnotationProcessStats:
 
 @dataclasses.dataclass(frozen=True)
 class PipelineResult:
-    """Everything one task's pipeline produced."""
+    """Everything one task's pipeline produced.
+
+    Positions index the vectorized corpus the pipeline ran on.  The
+    ``result:<task>`` stage stores no documents (``documents=()``), so
+    the cached artifact does not pickle the corpus again; the caller
+    that ran the stage attaches them with :meth:`bind`.
+    """
 
     task: Task
     documents: Sequence[Document]
@@ -62,6 +68,14 @@ class PipelineResult:
     scores: np.ndarray
     #: Text length (max tokens per span) used by the final model.
     max_tokens: int
+
+    def bind(self, documents: Sequence[Document]) -> "PipelineResult":
+        """A copy with ``documents`` attached, one per score."""
+        if len(documents) != len(self.scores):
+            raise ValueError(
+                f"{len(documents)} documents for {len(self.scores)} scores"
+            )
+        return dataclasses.replace(self, documents=documents)
 
     @property
     def n_above_total(self) -> int:

@@ -22,6 +22,7 @@ from repro.corpus.documents import Document
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.spans import SpanStrategy, make_spans
 from repro.nlp.tokenize import TokenCache
+from repro.types import Source
 from repro.util.rng import child_rng
 
 
@@ -87,6 +88,7 @@ class VectorizedCorpus:
         self.seed = seed
         self.cache = TokenCache(doc.text for doc in self.documents)
         self._views: dict[tuple[int, SpanStrategy], TaskView] = {}
+        self._by_source: dict[Source, np.ndarray] | None = None
         self._view_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -99,7 +101,29 @@ class VectorizedCorpus:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        # Artifacts written before the per-source cache existed lack it.
+        self.__dict__.setdefault("_by_source", None)
         self._view_lock = threading.Lock()
+
+    def _source_positions(self) -> dict[Source, np.ndarray]:
+        """Positions of each source's documents (computed once, read-only).
+
+        Thread-safe like :meth:`task_view`: the per-source stages of both
+        pipelines share one vectorized corpus.
+        """
+        with self._view_lock:
+            if self._by_source is None:
+                source_of = np.array([
+                    s.value if (s := doc.source) is not None else ""
+                    for doc in self.documents
+                ])
+                by_source = {}
+                for source in Source:
+                    positions = np.flatnonzero(source_of == source.value)
+                    positions.setflags(write=False)
+                    by_source[source] = positions
+                self._by_source = by_source
+            return self._by_source
 
     def task_view(self, max_tokens: int, strategy: SpanStrategy) -> TaskView:
         """Build (or return the cached) span-row matrix for a task config.

@@ -7,12 +7,14 @@ triggers a text lacks, and the card and profile-URL patterns whose shape
 or domain it lacks; :meth:`repro.taxonomy.coding.ExpertCoder.code_text`
 skips the subtypes whose signature triggers a text lacks;
 :func:`repro.util.rng.pick` draws a sequence element by index where the
-corpus generator called ``Generator.choice``.  The per-row build, the
-ungated regex banks and ``Generator.choice`` live on here, outside the
-package, as the oracles the kernels must match byte for byte.
-``tests/test_kernel_equivalence.py`` checks them on the tiny corpora and
-adversarial inputs; ``scripts/check_kernels.py`` checks them on the full
-corpus.
+corpus generator called ``Generator.choice``;
+:meth:`repro.nlp.models.logreg.LogisticRegressionClassifier.fit` runs
+Adam on the columns its training rows touch.  The per-row build, the
+ungated regex banks, ``Generator.choice`` and the full-width Adam loop
+live on here, outside the package, as the oracles the kernels must match
+byte for byte.  ``tests/test_kernel_equivalence.py`` checks them on the
+tiny corpora and adversarial inputs; ``scripts/check_kernels.py`` checks
+them on the full corpus.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.extraction.pii import (
     pii_categories_present,
 )
 from repro.nlp.features import _MIX, HashingVectorizer
+from repro.nlp.models.base import validate_training_inputs
+from repro.nlp.models.logreg import LogisticRegressionClassifier, _sigmoid
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import _BANK, ExpertCoder
 from repro.util.rng import child_rng, pick
@@ -158,6 +162,71 @@ def taxonomy_mismatches(texts: Iterable[str]) -> list[str]:
     """The texts on which the gated coder and the reference disagree."""
     code = ExpertCoder().code_text
     return [text for text in texts if code(text) != reference_code_text(text)]
+
+
+# -- logistic regression: Adam over every hashed column ----------------------
+
+
+def reference_fit(
+    model: LogisticRegressionClassifier,
+    features: sparse.csr_matrix,
+    labels: np.ndarray,
+) -> LogisticRegressionClassifier:
+    """Fit ``model`` with mini-batch Adam over all ``d`` columns."""
+    labels = validate_training_inputs(features, labels)
+    rng = child_rng(model.seed, "logreg-shuffle")
+    n, d = features.shape
+    y = labels.astype(np.float64)
+    if model.balanced:
+        pos_w = n / (2.0 * y.sum())
+        neg_w = n / (2.0 * (n - y.sum()))
+        sample_w = np.where(labels, pos_w, neg_w)
+    else:
+        sample_w = np.ones(n)
+
+    w = np.zeros(d)
+    b = 0.0
+    m_w = np.zeros(d)
+    v_w = np.zeros(d)
+    m_b = v_b = 0.0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _epoch in range(model.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, model.batch_size):
+            idx = order[start : start + model.batch_size]
+            batch = features[idx]
+            yb = y[idx]
+            wb = sample_w[idx]
+            z = batch @ w + b
+            p = _sigmoid(z)
+            residual = (p - yb) * wb / idx.size
+            grad_w = batch.T @ residual + model.l2 * w
+            grad_b = float(residual.sum())
+            step += 1
+            m_w = beta1 * m_w + (1 - beta1) * grad_w
+            v_w = beta2 * v_w + (1 - beta2) * grad_w * grad_w
+            m_b = beta1 * m_b + (1 - beta1) * grad_b
+            v_b = beta2 * v_b + (1 - beta2) * grad_b * grad_b
+            bias_corr1 = 1 - beta1 ** step
+            bias_corr2 = 1 - beta2 ** step
+            w -= model.lr * (m_w / bias_corr1) / (np.sqrt(v_w / bias_corr2) + eps)
+            b -= model.lr * (m_b / bias_corr1) / (np.sqrt(v_b / bias_corr2) + eps)
+    model.weights = w
+    model.bias = b
+    return model
+
+
+def fit_differences(
+    actual: LogisticRegressionClassifier, expected: LogisticRegressionClassifier
+) -> list[str]:
+    """How two fitted models differ in weight or bias bytes ([] if not)."""
+    problems = []
+    if actual.weights.tobytes() != expected.weights.tobytes():
+        problems.append("weight bytes differ")
+    if float(actual.bias).hex() != float(expected.bias).hex():
+        problems.append(f"bias {float(actual.bias).hex()} != {float(expected.bias).hex()}")
+    return problems
 
 
 # -- uniform sequence draw: Generator.choice ---------------------------------

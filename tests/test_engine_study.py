@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import PICKLE, ArtifactStore
 from repro.lab import StudyConfig, run_study
 from repro.types import Task
 
@@ -59,6 +60,23 @@ def test_warm_run_executes_zero_stages(cold_study, cache_dir):
     assert warm.run_report.n_executed == 0
     assert warm.run_report.n_cache_hits > 0
     _assert_results_identical(cold_study, warm)
+
+
+def test_results_are_bound_to_the_vectorized_documents(cold_study, cache_dir):
+    warm = run_study(StudyConfig.tiny(), cache_dir=cache_dir)
+    assert warm.run_report.n_executed == 0
+    for study in (cold_study, warm):
+        for result in study.results.values():
+            assert result.documents is study.vectorized.documents
+
+
+def test_result_artifacts_store_no_documents(cold_study, cache_dir):
+    store = ArtifactStore(cache_dir)
+    for task in Task:
+        name = f"result:{task.value}"
+        cached = store.load(name, cold_study.run_report.record(name).key, PICKLE)
+        assert cached.documents == ()
+        assert cached.scores.tobytes() == cold_study.results[task].scores.tobytes()
 
 
 def test_uncached_run_matches_cached(cold_study):

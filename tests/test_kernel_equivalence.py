@@ -13,8 +13,11 @@ bank.  On the corpus side, ``pick`` must draw what ``Generator.choice``
 draws and leave the generator where it leaves it, the tiny corpora must
 write the same JSONL under either draw, documents must pickle the
 generated dataclass state, and ``write_jsonl`` must write the lines
-``json.dumps`` gives.  ``scripts/check_kernels.py`` runs the corpus and
-text checks on the full corpus.
+``json.dumps`` gives.  The logistic-regression fit, which runs Adam on
+the columns its rows touch, must give the weight and bias bytes of the
+full-width loop (``reference_fit``) on the tiny study's task views and
+on adversarial CSR inputs.  ``scripts/check_kernels.py`` runs the
+corpus, text and fit checks on the full corpus.
 """
 
 import dataclasses
@@ -24,6 +27,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 try:
     from re import _parser  # the parser behind re.compile (Python 3.11+)
@@ -45,18 +49,22 @@ from repro.extraction.pii import (
     pii_categories_present,
 )
 from repro.nlp.features import HashingVectorizer
+from repro.nlp.models.logreg import LogisticRegressionClassifier
 from repro.nlp.tokenize import hash_text
+from repro.pipeline.filtering import TASK_MAX_TOKENS
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import _SIGNATURES, ExpertCoder
-from repro.types import Gender, Platform, Source
+from repro.types import Gender, Platform, Source, Task
 from repro.util.rng import child_rng, pick
 from tests.kernel_reference import (
     csr_differences,
+    fit_differences,
     perturbed_variants,
     pii_mismatches,
     reference_code_text,
     reference_draws,
     reference_extract_pii,
+    reference_fit,
     reference_pick,
     reference_pii_categories_present,
     reference_transform_hashes,
@@ -558,3 +566,141 @@ def test_write_jsonl_writes_the_lines_json_dumps_gives(tmp_path):
         json.dumps(document_to_dict(doc), ensure_ascii=False)
         for doc in documents
     ] + [""]
+
+
+# -- logistic regression: Adam on the touched columns --------------------------
+
+
+def _assert_fit_matches_reference(features, labels, **params):
+    """Weight and bias bytes equal, and no -0.0 in an untouched column."""
+    ours = LogisticRegressionClassifier(**params).fit(features, labels)
+    expected = reference_fit(LogisticRegressionClassifier(**params), features, labels)
+    assert fit_differences(ours, expected) == []
+    untouched = np.ones(features.shape[1], dtype=bool)
+    untouched[features.indices] = False
+    assert not np.signbit(ours.weights[untouched]).any()
+
+
+@pytest.mark.parametrize("task", list(Task), ids=lambda task: task.value)
+def test_fit_matches_reference_on_the_tiny_study_views(tiny_study, task):
+    config = tiny_study.config.pipeline
+    vectorized = tiny_study.vectorized
+    view = vectorized.task_view(TASK_MAX_TOKENS[task], config.span_strategy)
+    truth = np.array([doc.truth_for(task) for doc in vectorized.documents])
+    _assert_fit_matches_reference(
+        view.matrix, truth[view.span_doc],
+        epochs=config.model_epochs, l2=config.model_l2, seed=config.seed,
+    )
+
+
+def _csr(rows, n_columns, data_dtype, index_dtype):
+    """A CSR matrix holding ``rows`` of (column, value) entries as given:
+    unsorted and duplicate columns stay, in their order."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    matrix = sparse.csr_matrix(
+        (
+            np.array([v for row in rows for _, v in row], dtype=data_dtype),
+            np.array([c for row in rows for c, _ in row], dtype=np.int64),
+            indptr,
+        ),
+        shape=(len(rows), n_columns),
+    )
+    # The constructor may narrow the index arrays; set the ones asked for.
+    matrix.indices = matrix.indices.astype(index_dtype)
+    matrix.indptr = matrix.indptr.astype(index_dtype)
+    return matrix
+
+
+_DTYPES = [
+    (data, index)
+    for data in (np.float32, np.float64)
+    for index in (np.int32, np.int64)
+]
+
+_PERMUTED = child_rng(0, "fit-edges").permutation(256).tolist()
+
+_EDGE_FITS = {
+    "no_entries": [[], [], [], []],
+    "one_touched_column": [[(17, 1.0), (17, 0.5)], [], [(17, -2.0)], [(17, 1.0)]],
+    "every_column_touched": [
+        [(c, 1.0 + (c % 5)) for c in _PERMUTED[i::3]] + [(_PERMUTED[i], 0.25)]
+        for i in range(6)
+    ],
+    "empty_rows_between_unsorted_duplicates": [
+        [], [(200, 1.0), (3, 2.0), (200, -1.0)], [], [(9, 0.5), (3, 1.5)], [],
+    ],
+}
+
+_EDGE_PARAMS = {
+    "defaults": {},
+    "l2_0_unbalanced_batch_1": {"l2": 0.0, "balanced": False, "batch_size": 1, "epochs": 3},
+    "one_batch_for_all_rows": {"batch_size": 512, "epochs": 2, "seed": 9},
+}
+
+
+@pytest.mark.parametrize("params", list(_EDGE_PARAMS))
+@pytest.mark.parametrize("dtypes", _DTYPES, ids=lambda d: f"{d[0].__name__}-{d[1].__name__}")
+@pytest.mark.parametrize("rows", list(_EDGE_FITS))
+def test_fit_matches_reference_on_edge_matrices(rows, dtypes, params):
+    features = _csr(_EDGE_FITS[rows], 256, *dtypes)
+    assert (features.data.dtype, features.indices.dtype) == tuple(map(np.dtype, dtypes))
+    labels = np.arange(features.shape[0]) % 2 == 0
+    _assert_fit_matches_reference(features, labels, **_EDGE_PARAMS[params])
+    if rows == "every_column_touched":
+        assert np.unique(features.indices).size == 256
+
+
+@st.composite
+def _training_sets(draw):
+    """Rows over a few hot columns and any column, unsorted, with
+    duplicates and empty rows; labels with both classes."""
+    n_columns = 1 << draw(st.sampled_from([8, 18]))
+    hot = draw(st.lists(st.integers(0, n_columns - 1), min_size=1, max_size=5))
+    column = st.sampled_from(hot) | st.integers(0, n_columns - 1)
+    value = st.floats(-4, 4, allow_nan=False, width=32)
+    rows = draw(st.lists(
+        st.lists(st.tuples(column, value), max_size=6), min_size=2, max_size=30,
+    ))
+    labels = draw(
+        st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+        .filter(lambda labels: any(labels) and not all(labels))
+    )
+    dtypes = draw(st.sampled_from(_DTYPES))
+    return _csr(rows, n_columns, *dtypes), np.array(labels)
+
+
+_fit_params = st.fixed_dictionaries({
+    "l2": st.sampled_from([0.0, 1e-6, 1e-2]),
+    "lr": st.sampled_from([0.05, 0.5]),
+    "epochs": st.integers(1, 3),
+    "batch_size": st.sampled_from([1, 2, 7, 512]),
+    "balanced": st.booleans(),
+    "seed": st.integers(0, 7),
+})
+
+
+@given(_training_sets(), _fit_params)
+@settings(max_examples=150, deadline=None)
+def test_fit_matches_reference_on_random_csr(training_set, params):
+    features, labels = training_set
+    _assert_fit_matches_reference(features, labels, **params)
+
+
+def test_fit_takes_a_csr_array_as_a_csr_matrix():
+    features = _csr(_EDGE_FITS["every_column_touched"], 256, np.float32, np.int32)
+    labels = np.arange(features.shape[0]) % 3 == 0
+    as_array = LogisticRegressionClassifier().fit(sparse.csr_array(features), labels)
+    as_matrix = LogisticRegressionClassifier().fit(features, labels)
+    assert fit_differences(as_array, as_matrix) == []
+
+
+@pytest.mark.parametrize(
+    "convert, name",
+    [(lambda m: m.toarray(), "ndarray"), (sparse.csc_matrix, "csc_matrix")],
+    ids=["ndarray", "csc_matrix"],
+)
+def test_fit_rejects_features_that_are_not_csr(convert, name):
+    features = _csr(_EDGE_FITS["one_touched_column"], 256, np.float32, np.int32)
+    labels = np.array([True, False, True, False])
+    with pytest.raises(TypeError, match=name):
+        LogisticRegressionClassifier().fit(convert(features), labels)

@@ -74,6 +74,7 @@ def test_pipeline_zero_al_rounds(tiny_study):
     result = FilteringPipeline(Task.DOX, config).run(tiny_study.vectorized)
     assert result.n_true_positive_total > 0
     assert result.annotation_stats.n_documents == 0  # no crowd rounds ran
+    assert result.documents is tiny_study.vectorized.documents
 
 
 def test_pipeline_custom_caps(tiny_study):

@@ -1,5 +1,7 @@
 """Unit tests for the pipeline result containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,20 @@ def test_funnel_keys(result):
     }
     assert funnel["raw_documents"] == 30
     assert funnel["annotations"] == 25
+
+
+def test_bind_attaches_one_document_per_score(result):
+    documents = list(result.documents)
+    bare = dataclasses.replace(result, documents=())
+    bound = bare.bind(documents)
+    assert bound.documents is documents
+    assert bare.documents == ()
+    assert bound.true_positive_documents() == result.true_positive_documents()
+    assert bound.funnel() == result.funnel()
+
+
+@pytest.mark.parametrize("size", [0, 29, 31])
+def test_bind_rejects_a_document_list_of_the_wrong_length(result, size):
+    documents = [_doc(i) for i in range(size)]
+    with pytest.raises(ValueError, match=f"{size} documents for 30 scores"):
+        result.bind(documents)

@@ -1,6 +1,11 @@
 """Unit and property tests for tokenization and token caching."""
 
+import copyreg
+import io
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -57,6 +62,48 @@ def test_token_cache_from_arrays():
     arrays = [np.array([1, 2], dtype=np.uint64)]
     cache = TokenCache.from_arrays(arrays)
     assert cache[0] is arrays[0]
+
+
+def _assert_same_arrays(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual.arrays, expected.arrays):
+        assert got.dtype == want.dtype == np.uint64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [[], [""], ["", ""], ["one two", "", "three four five", "!", ""]],
+    ids=["empty_cache", "one_empty", "all_empty", "mixed"],
+)
+def test_token_cache_pickles_as_one_flat_array(texts):
+    cache = TokenCache(texts)
+    state = cache.__getstate__()
+    assert set(state) == {"hashes", "lengths"}
+    assert state["hashes"].dtype == np.uint64
+    assert state["lengths"].dtype == np.int64
+    assert state["hashes"].size == sum(a.size for a in cache.arrays)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        _assert_same_arrays(pickle.loads(pickle.dumps(cache, protocol)), cache)
+
+
+class _PerArrayPickler(pickle.Pickler):
+    """Pickles a ``TokenCache`` as it pickled before it pickled flat:
+    the default object state, ``{"_arrays": [...]}``."""
+
+    def reducer_override(self, obj):
+        if type(obj) is TokenCache:
+            return copyreg.__newobj__, (TokenCache,), {"_arrays": obj.arrays}
+        return NotImplemented
+
+
+def test_token_cache_loads_the_per_array_state_of_older_pickles():
+    cache = TokenCache(["one two", "", "three"])
+    buffer = io.BytesIO()
+    _PerArrayPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(cache)
+    loaded = pickle.loads(buffer.getvalue())
+    assert type(loaded) is TokenCache
+    _assert_same_arrays(loaded, cache)
 
 
 @given(st.text(max_size=200))

@@ -1,5 +1,7 @@
 """Unit tests for the shared vectorization layer (TaskView)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,25 @@ def test_strategies_produce_distinct_views(vc):
     random_view = vc.task_view(32, SpanStrategy.RANDOM_NO_OVERLAP)
     head_tail = vc.task_view(32, SpanStrategy.HEAD_TAIL)
     assert head_tail is not random_view
+
+
+def test_source_positions_are_computed_once_per_corpus():
+    sources = [Source.GAB, None, Source.PASTES, Source.GAB, Source.BOARDS, None]
+    docs = [
+        dataclasses.replace(doc, source=source)
+        for doc, source in zip(_docs([f"text {i}" for i in range(6)]), sources)
+    ]
+    vc = VectorizedCorpus(docs)
+    by_source = vc._source_positions()
+    assert vc._source_positions() is by_source
+    for source in Source:
+        expected = [i for i, s in enumerate(sources) if s is source]
+        np.testing.assert_array_equal(by_source[source], expected)
+        assert not by_source[source].flags.writeable
+    # A vectorized artifact pickled before the cache existed lacks it.
+    state = vc.__getstate__()
+    del state["_by_source"]
+    older = VectorizedCorpus.__new__(VectorizedCorpus)
+    older.__setstate__(state)
+    for source, positions in older._source_positions().items():
+        np.testing.assert_array_equal(positions, by_source[source])
