@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-repro lint-concurrency check-kernels bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
+.PHONY: install test lint lint-repro lint-concurrency check-kernels bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
 
 CACHE_DIR ?= .study-cache
 
@@ -69,15 +69,6 @@ test-ring:
 # ARGS="--shards 8 --rate 5000 --policy shed-newest".
 serve-bench:
 	PYTHONPATH=src python -m repro.cli serve-bench --tiny --shards 4 --check-equivalence $(ARGS)
-
-# Scoring-core microbenchmark (messages/sec, work ledger); gated against
-# the committed baseline.  After an intentional cost change, refresh the
-# baseline with: PYTHONPATH=src python -m repro.cli score-bench --tiny
-# (default --report is the baseline path) and commit the result.
-score-bench:
-	PYTHONPATH=src python -m repro.cli score-bench --tiny \
-		--report score-bench-report.json \
-		--baseline benchmarks/reports/BENCH_score.json $(ARGS)
 
 # Multi-tenant gateway suite: auth/admission conservation, token-bucket
 # edges, feed cursors, and the tenant-isolation invariant across shard

@@ -14,9 +14,6 @@ Subcommands::
                     [--policy block|drop-oldest|shed-newest] [--rate F]
                     [--burst-every N --burst-size N] [--jobs N]
                     [--check-equivalence] [--report FILE] [--trace-dir DIR]
-    repro score-bench [--tiny/--full] [--seed N] [--batch-size N]
-                    [--report FILE] [--baseline FILE] [--max-regression F]
-                    [--trace-dir DIR]
     repro gateway-bench [--tiny/--full] [--seed N] [--shards N] [--rate F]
                     [--jobs N] [--report FILE] [--baseline FILE]
                     [--max-regression F] [--trace-dir DIR]
@@ -42,15 +39,11 @@ on one synthetic corpus, replays a second through the sharded
 ``repro.serve`` runtime under a seeded open-loop load profile, prints an
 alert/latency/throughput summary, and writes a machine-readable JSON
 report (deterministic — the simulation never reads a wall clock);
-``score-bench`` isolates the shared scoring core (``repro.score``) and
-reports simulated messages/sec plus a per-component work ledger, with an
-optional ``--baseline`` regression gate for CI; ``gateway-bench`` drives
-the multi-tenant gateway (``repro.gateway``) through its canonical
-auth/quota/throttle overload mix, verifies per-tenant conservation and
-the tenant-isolation invariant, and gates against a committed baseline;
-``--trace-dir`` on
-``study``/``serve-bench``/``score-bench``/``gateway-bench``
-additionally saves the run's
+``gateway-bench`` drives the multi-tenant gateway (``repro.gateway``)
+through its canonical auth/quota/throttle overload mix, verifies
+per-tenant conservation and the tenant-isolation invariant, and gates
+against a committed baseline; ``--trace-dir`` on
+``study``/``serve-bench``/``gateway-bench`` additionally saves the run's
 deterministic observability bundle (structured trace, Chrome trace-event
 export, labeled metrics snapshot, text dashboard), which ``obs``
 inspects (``report``/``trace``) and regression-gates run over run
@@ -434,97 +427,6 @@ def cmd_serve_bench(args) -> int:
         print(f"trace dir written to {args.trace_dir}")
     if report["equivalence"] == "FAILED" or result.unaccounted:
         return 1
-    return 0
-
-
-def cmd_score_bench(args) -> int:
-    import json
-    import time
-
-    from repro.score import ScoringCore, compare_reports, run_score_bench
-    from repro.types import Task
-    from repro.util.tables import format_table
-
-    models, vectorizer, stream = _serve_models(args)
-    core = ScoringCore(models[Task.CTH], models[Task.DOX], vectorizer)
-    recorder = None
-    if args.trace_dir:
-        from repro.obs import RunObserver
-
-        recorder = RunObserver("score-bench")
-    wall_start = time.perf_counter()
-    result = run_score_bench(
-        core, stream, batch_size=args.batch_size, recorder=recorder
-    )
-    wall_seconds = time.perf_counter() - wall_start
-    report = result.as_dict()
-
-    print(
-        f"scored {result.n_messages:,} messages in {result.n_batches:,} "
-        f"batches of {result.batch_size} "
-        f"({result.distinct_texts:,} distinct texts)\n"
-    )
-    work = result.work
-    print(format_table(
-        ("component", "ran", "cache hits", "simulated s"),
-        [
-            (
-                "tokenize", work.tokenized_messages, work.token_cache_hits,
-                f"{result.breakdown.tokenize_seconds:.4f}",
-            ),
-            (
-                "score", work.messages, "-",
-                f"{result.breakdown.score_seconds:.4f}",
-            ),
-            (
-                "extract", work.extracted_messages, work.extraction_cache_hits,
-                f"{result.breakdown.extract_seconds:.4f}",
-            ),
-            ("code", work.coded_messages, work.coding_cache_hits, "-"),
-            ("state", "-", "-", f"{result.breakdown.state_seconds:.4f}"),
-        ],
-        title="Scoring work",
-    ))
-    print()
-    print(
-        f"simulated throughput: {result.messages_per_second:,.0f} msg/s "
-        f"over {result.simulated_seconds:.4f}s simulated; "
-        f"extractions/message: {result.extractions_per_message:.3f}; "
-        f"detections: {result.detections:,}"
-    )
-    # Wall-clock throughput is stdout-only colour; the JSON report stays
-    # fully deterministic so the committed baseline is byte-diffable.
-    if wall_seconds > 0:
-        print(
-            f"wall-clock: {result.n_messages / wall_seconds:,.0f} msg/s "
-            f"({wall_seconds:.2f}s)"
-        )
-
-    report_path = pathlib.Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"report written to {report_path}")
-    if recorder is not None:
-        recorder.save(args.trace_dir)
-        print(f"trace dir written to {args.trace_dir}")
-
-    if args.baseline:
-        baseline_path = pathlib.Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-        failures = compare_reports(
-            report, baseline, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"GATE FAILED [{failure.check}]: {failure.detail}")
-            return 1
-        print(
-            f"gate ok vs {baseline_path} "
-            f"(tolerance {args.max_regression:.0%})"
-        )
     return 0
 
 
@@ -1047,37 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="save the deterministic observability bundle (repro obs) here",
     )
     p_serve.set_defaults(func=cmd_serve_bench)
-
-    p_score_bench = sub.add_parser(
-        "score-bench",
-        help="microbenchmark the shared scoring core (messages/sec)",
-    )
-    _add_scale_args(p_score_bench)
-    p_score_bench.add_argument(
-        "--batch-size", type=_parse_jobs, default=64,
-        help="messages scored per core call",
-    )
-    p_score_bench.add_argument(
-        "--epochs", type=int, default=5,
-        help="training epochs for the benchmark filter models",
-    )
-    p_score_bench.add_argument(
-        "--report", default="benchmarks/reports/BENCH_score.json",
-        help="write the deterministic JSON report here",
-    )
-    p_score_bench.add_argument(
-        "--baseline", default=None,
-        help="compare against this committed report and fail on regression",
-    )
-    p_score_bench.add_argument(
-        "--max-regression", type=float, default=0.02,
-        help="allowed fractional throughput drop vs the baseline",
-    )
-    p_score_bench.add_argument(
-        "--trace-dir", default=None,
-        help="save the deterministic observability bundle (repro obs) here",
-    )
-    p_score_bench.set_defaults(func=cmd_score_bench)
 
     p_gateway = sub.add_parser(
         "gateway-bench",

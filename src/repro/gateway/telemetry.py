@@ -3,15 +3,14 @@
 :class:`TenantTelemetry` is a :class:`~repro.obs.ledger.Ledger`: its
 fields declare how they merge and which registry series they feed, and
 ``merge``/``as_dict``/``populate_metrics`` follow from that.
-:class:`GatewayTelemetry` is the keyed union of those ledgers by tenant
-id, rendered sorted so snapshots are byte-stable.  All numbers are
-simulated-time arithmetic; nothing here reads a clock.
+:class:`GatewayTelemetry` keeps one such ledger per tenant id for the
+gateway's lifetime, rendered sorted so snapshots are byte-stable.  All
+numbers are simulated-time arithmetic; nothing here reads a clock.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 from repro.gateway.admission import AdmissionAccounting
 from repro.obs.ledger import ANY, SAME, Ledger, Series, field
@@ -75,27 +74,6 @@ class GatewayTelemetry:
             entry = TenantTelemetry(tenant=tenant, registered=registered)
             self.tenants[tenant] = entry
         return entry
-
-    def merge(self, other: "GatewayTelemetry") -> "GatewayTelemetry":
-        """Combine two gateway views (pure): tenants fold by id."""
-        by_id: dict[str, TenantTelemetry] = dict(self.tenants)
-        for tenant in sorted(other.tenants):
-            entry = other.tenants[tenant]
-            seen = by_id.get(tenant)
-            by_id[tenant] = entry if seen is None else seen.merge(entry)
-        return GatewayTelemetry(
-            tenants={tenant: by_id[tenant] for tenant in sorted(by_id)},
-            runs=self.runs + other.runs,
-        )
-
-    @classmethod
-    def merged(
-        cls, telemetries: Iterable["GatewayTelemetry"]
-    ) -> "GatewayTelemetry":
-        total = cls()
-        for telemetry in telemetries:
-            total = total.merge(telemetry)
-        return total
 
     @property
     def conservation_ok(self) -> bool:

@@ -151,14 +151,3 @@ class TokenHashCache:
     def cached(self, text: str) -> tuple[np.ndarray, bool]:
         """Token-hash array plus whether it was a cache hit."""
         return self._cache.get_or_compute(text, hash_text)
-
-    @property
-    def hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.misses
-
-    def stats(self) -> dict[str, int | float]:
-        return self._cache.stats()

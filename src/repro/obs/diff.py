@@ -3,8 +3,9 @@
 ``repro obs diff A B`` compares two trace dirs' metric snapshots series
 by series.  Because both snapshots are deterministic, *any* delta is a
 real behaviour change — there is no machine noise to absorb — so the
-throughput gate here can be as tight as the score-bench gate's 2%
-without flaking.
+throughput gate here can be as tight as 2% without flaking.  The gated
+throughput is simulated: it can catch a queueing regression, never a
+slower scoring path, whose gate is the wall-clock ``perfbench``.
 
 Counters and gauges diff by value; histograms diff by count and mean.
 Series present on only one side are reported as added/removed (a new
@@ -19,7 +20,8 @@ from typing import Iterator
 from repro.obs.recorder import RunArtifacts
 
 #: Gauges where lower-than-baseline means a performance regression.
-#: Both bench recorders publish their headline rate under this name.
+#: The serving runtime's telemetry publishes its simulated fleet rate
+#: under this name, in serve-bench and gateway-bench trace dirs alike.
 THROUGHPUT_METRICS = ("throughput_msgs_per_second",)
 
 

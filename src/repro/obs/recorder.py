@@ -113,7 +113,7 @@ def load_run(trace_dir: str | pathlib.Path) -> RunArtifacts:
     if not manifest_path.exists():
         raise FileNotFoundError(
             f"{directory} is not a trace dir (no {MANIFEST_FILE}); "
-            "produce one with --trace-dir on serve-bench/score-bench/study"
+            "produce one with --trace-dir on serve-bench/gateway-bench/study"
         )
     manifest = json.loads(manifest_path.read_text())
     declared = str(manifest.get("format", ""))

@@ -482,21 +482,16 @@ class FilteringPipeline:
 
 def _combine_crowd_stats(
     batches: Sequence[CrowdsourceResult],
-    service: CrowdsourcingService | None = None,
+    service: CrowdsourcingService,
 ) -> AnnotationProcessStats:
     """Aggregate per-batch agreement stats with the service's lifetime totals.
 
     Removal and qualification-failure counts accumulate on the long-lived
     :class:`CrowdsourcingService` across batches, so the totals come from
-    the service; per-batch deltas are only summed as a fallback when no
-    service is supplied.
+    the service.
     """
-    if service is not None:
-        n_removed = service.n_removed_annotators
-        n_qualification = service.n_qualification_failures
-    else:
-        n_removed = sum(b.n_removed_annotators for b in batches)
-        n_qualification = sum(b.n_qualification_failures for b in batches)
+    n_removed = service.n_removed_annotators
+    n_qualification = service.n_qualification_failures
     if not batches:
         return AnnotationProcessStats(0, 0.0, float("nan"), 0, n_removed, n_qualification)
     first = np.concatenate([b.first for b in batches])

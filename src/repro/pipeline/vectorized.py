@@ -27,10 +27,19 @@ from repro.util.rng import child_rng
 
 
 def _compact(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Shrink dtypes: float32 data, int32 indices (halves memory)."""
+    """Shrink dtypes: float32 data, one index dtype for both index arrays.
+
+    The index dtype is int32 when every entry offset and dimension fits
+    it, else int64: SciPy's ``get_index_dtype`` rule.  SciPy converts
+    ``indices`` and ``indptr`` to one dtype on every row gather and
+    mat-vec of a matrix whose index arrays differ, so mixing int32 and
+    int64 costs a copy of both arrays per call.
+    """
+    fits = max(matrix.nnz, *matrix.shape) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
     matrix.data = matrix.data.astype(np.float32)
-    matrix.indices = matrix.indices.astype(np.int32)
-    matrix.indptr = matrix.indptr.astype(np.int64)
+    matrix.indices = matrix.indices.astype(index_dtype)
+    matrix.indptr = matrix.indptr.astype(index_dtype)
     return matrix
 
 

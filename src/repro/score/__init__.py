@@ -1,11 +1,5 @@
 """Shared scoring core consumed by both the batch and streaming runtimes."""
 
-from repro.score.bench import (
-    GateFailure,
-    ScoreBenchResult,
-    compare_reports,
-    run_score_bench,
-)
 from repro.score.core import (
     OSN_PLATFORMS,
     Extraction,
@@ -18,12 +12,8 @@ from repro.score.core import (
 __all__ = [
     "OSN_PLATFORMS",
     "Extraction",
-    "GateFailure",
-    "ScoreBenchResult",
     "ScoredBatch",
     "ScoreWork",
     "ScoringCore",
-    "compare_reports",
     "extract_targets",
-    "run_score_bench",
 ]

@@ -48,6 +48,12 @@ from repro.util.cache import LRUCache
 if TYPE_CHECKING:  # service layer sits above the core; type-only import
     from repro.service.stream import StreamMessage
 
+#: Distinct texts each per-core LRU holds: token hashes, extractions and
+#: taxonomy codings.  Eviction only re-runs a pure function of the text.
+TOKEN_CACHE_SIZE = 4096
+EXTRACTION_CACHE_SIZE = 4096
+CODING_CACHE_SIZE = 2048
+
 #: Online-social-network PII categories whose values name a *target
 #: account* — the handles campaign state is keyed on.
 OSN_PLATFORMS = ("facebook", "instagram", "twitter", "youtube")
@@ -140,15 +146,14 @@ class ScoredBatch:
     """One batch after the pure scoring pass, before any state updates.
 
     Holds everything :meth:`HarassmentMonitor.process_scored` needs to
-    make alert decisions without touching a tokenizer: features, both
-    model scores, and per-message extraction slots.  A slot starts as
+    make alert decisions without touching a tokenizer: both model
+    scores and per-message extraction slots.  A slot starts as
     ``None`` (scoring comes first; only detections are extracted), and
     :meth:`extraction` fills it on demand through the core's cache,
     recording the work on this batch's ledger.
     """
 
     messages: Sequence["StreamMessage"]
-    features: sparse.csr_matrix
     cth_scores: np.ndarray
     dox_scores: np.ndarray
     work: ScoreWork
@@ -189,10 +194,9 @@ class ScoredBatch:
         keyed state pass rebuilds batches from them for
         :meth:`HarassmentMonitor.process_scored` — no re-tokenization,
         no re-extraction.  A ``None`` slot that is read anyway is
-        extracted through ``core`` and billed to this batch.
-        ``features`` is ``None`` (the state path never reads it) and the
-        fresh work ledger accumulates only the work done during the
-        pass: taxonomy coding, plus any such lazy extraction.
+        extracted through ``core`` and billed to this batch.  The fresh
+        work ledger accumulates only the work done during the pass:
+        taxonomy coding, plus any such lazy extraction.
         """
         if not (
             len(messages) == len(cth_scores) == len(dox_scores)
@@ -205,7 +209,6 @@ class ScoredBatch:
             )
         return cls(
             messages=list(messages),
-            features=None,
             cth_scores=np.asarray(cth_scores, dtype=float),
             dox_scores=np.asarray(dox_scores, dtype=float),
             work=ScoreWork(),
@@ -228,19 +231,15 @@ class ScoringCore:
         cth_model,
         dox_model,
         vectorizer: HashingVectorizer | None = None,
-        *,
-        token_cache_size: int = 4096,
-        extraction_cache_size: int = 4096,
-        coding_cache_size: int = 2048,
     ) -> None:
         self._cth = cth_model
         self._dox = dox_model
         self.vectorizer = vectorizer or HashingVectorizer()
-        self.token_cache = TokenHashCache(token_cache_size)
+        self.token_cache = TokenHashCache(TOKEN_CACHE_SIZE)
         self.extraction_cache: LRUCache[str, Extraction] = LRUCache(
-            extraction_cache_size
+            EXTRACTION_CACHE_SIZE
         )
-        self.coder = ExpertCoder(cache_size=coding_cache_size)
+        self.coder = ExpertCoder(cache_size=CODING_CACHE_SIZE)
 
     # -- per-text primitives -----------------------------------------------
 
@@ -312,23 +311,9 @@ class ScoringCore:
             )
         return ScoredBatch(
             messages=messages,
-            features=features,
             cth_scores=cth_scores,
             dox_scores=dox_scores,
             work=work,
             _extractions=[None] * len(texts),
             _core=self,
         )
-
-    # -- introspection ------------------------------------------------------
-
-    def cache_stats(self) -> dict[str, dict[str, int | float]]:
-        """Per-cache counter snapshots (stable key order, JSON-ready)."""
-        stats = {
-            "tokens": self.token_cache.stats(),
-            "extraction": self.extraction_cache.stats(),
-        }
-        coding = self.coder.cache_stats()
-        if coding is not None:
-            stats["coding"] = coding
-        return stats

@@ -259,10 +259,6 @@ class ExpertCoder:
         """:meth:`code_text` over a batch (memoised when caching is on)."""
         return [self.code_text(text) for text in texts]
 
-    def cache_stats(self) -> dict[str, int | float] | None:
-        """Counter snapshot of the coding cache, or ``None`` if disabled."""
-        return self._cache.stats() if self._cache is not None else None
-
     def code(self, document: Document) -> CodedDocument:
         return CodedDocument(document=document, subtypes=self.code_text(document.text))
 

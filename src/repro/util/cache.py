@@ -10,8 +10,10 @@ Determinism contract: the cache only ever stores values of **pure**
 functions of the key, so a hit and a miss produce the same value and
 eviction can change *work*, never *outputs*.  Recency order is an
 ``OrderedDict`` (insertion/access order), a pure function of the call
-sequence — no clocks, no hash-salted iteration — so hit/miss counters
-are byte-stable across runs for a fixed call sequence.
+sequence — no clocks, no hash-salted iteration — so which calls hit
+(the flag :meth:`LRUCache.get_or_compute` returns, which callers tally
+into their work ledgers) is the same on every run of a fixed call
+sequence.
 """
 
 from __future__ import annotations
@@ -24,24 +26,18 @@ V = TypeVar("V")
 
 
 class LRUCache(Generic[K, V]):
-    """Bounded least-recently-used mapping with hit/miss accounting."""
+    """Bounded least-recently-used mapping that reports each hit."""
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
+    __slots__ = ("capacity", "_entries")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self._entries: collections.OrderedDict[K, V] = collections.OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._entries
 
     def get_or_compute(self, key: K, compute: Callable[[K], V]) -> tuple[V, bool]:
         """Return ``(value, hit)``; computes and stores on a miss.
@@ -51,33 +47,10 @@ class LRUCache(Generic[K, V]):
         """
         entry = self._entries.get(key)
         if entry is not None or key in self._entries:
-            self.hits += 1
             self._entries.move_to_end(key)
             return self._entries[key], True
-        self.misses += 1
         value = compute(key)
         self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
         return value, False
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, int | float]:
-        """Counter snapshot (stable key order, JSON-ready)."""
-        return {
-            "capacity": self.capacity,
-            "size": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def clear(self) -> None:
-        """Drop entries; counters keep accumulating."""
-        self._entries.clear()

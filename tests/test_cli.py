@@ -268,37 +268,6 @@ def test_serve_bench_reports_the_schedules_starting_fleet(tmp_path, capsys):
     assert json.loads(report_path.read_text())["config"]["n_shards"] == 2
 
 
-def test_score_bench_deterministic_report_and_gate(tmp_path, capsys):
-    import json
-
-    first = tmp_path / "score_a.json"
-    second = tmp_path / "score_b.json"
-    args = ["score-bench", "--tiny", "--seed", "7", "--epochs", "2"]
-    assert main(args + ["--report", str(first)]) == 0
-    assert main(args + ["--report", str(second)]) == 0
-    capsys.readouterr()
-    # The JSON report is simulated-time only — byte-identical across runs.
-    assert first.read_text() == second.read_text()
-    report = json.loads(first.read_text())
-    assert report["messages_per_second"] > 0
-    assert report["extractions_per_message"] <= 1.0
-    assert report["work"]["extracted_messages"] < report["n_messages"]
-
-    # Gate passes against its own report...
-    assert main(args + ["--report", str(second), "--baseline", str(first)]) == 0
-    assert "gate ok" in capsys.readouterr().out
-    # ...fails against an inflated baseline...
-    inflated = dict(report)
-    inflated["messages_per_second"] = report["messages_per_second"] * 2
-    baseline = tmp_path / "inflated.json"
-    baseline.write_text(json.dumps(inflated))
-    assert main(args + ["--report", str(second), "--baseline", str(baseline)]) == 1
-    assert "GATE FAILED" in capsys.readouterr().out
-    # ...and a missing baseline is a usage error, not a silent pass.
-    assert main(args + ["--baseline", str(tmp_path / "missing.json"),
-                        "--report", str(second)]) == 2
-
-
 def test_serve_bench_overload_policy_sheds(tmp_path, capsys):
     report_path = tmp_path / "overload.json"
     code = main([

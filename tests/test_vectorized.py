@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.corpus.documents import Document, GroundTruth
+from repro.corpus.documents import Document
 from repro.nlp.spans import SpanStrategy
-from repro.pipeline.vectorized import VectorizedCorpus
+from repro.pipeline.vectorized import VectorizedCorpus, _compact
 from repro.types import Platform, Source
 
 
@@ -77,6 +78,23 @@ def test_compact_dtypes(vc):
     view = vc.task_view(32, SpanStrategy.RANDOM_NO_OVERLAP)
     assert view.matrix.data.dtype == np.float32
     assert view.matrix.indices.dtype == np.int32
+    # Mixed int32/int64 index arrays make SciPy convert both on every
+    # row gather and mat-vec; a view and its gathers keep int32 for both.
+    assert view.matrix.indptr.dtype == np.int32
+    rows, _ = view.rows_for_docs([6, 2])
+    assert rows.indices.dtype == rows.indptr.dtype == np.int32
+
+
+def test_compact_widens_both_index_arrays_together():
+    # A dimension past int32 needs int64 indices, so indptr widens too.
+    wide = sparse.csr_matrix(
+        (np.ones(1), (np.zeros(1, dtype=np.int64), np.array([2**31]))),
+        shape=(1, 2**31 + 1),
+    )
+    compact = _compact(wide)
+    assert compact.indices.dtype == compact.indptr.dtype == np.int64
+    assert compact.data.dtype == np.float32
+    assert compact.indices.tolist() == [2**31]
 
 
 def test_deterministic_views():
