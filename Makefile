@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-repro lint-concurrency check-kernels bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
+.PHONY: install test lint lint-repro check-kernels bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
 
 CACHE_DIR ?= .study-cache
 
@@ -13,16 +13,11 @@ test:
 lint:
 	ruff check src tests
 
-# Full static analysis (per-file DET001-DET003/PUR001-PUR002 plus the
-# call-graph-backed CONC001-CONC003 pack); fails on findings not in
-# .repro-lint-baseline.json.
+# Full static analysis (the per-file DET001-DET003 determinism and
+# PUR001-PUR003 stage-purity and shared-state rules); fails on findings
+# not in .repro-lint-baseline.json.
 lint-repro:
 	PYTHONPATH=src python -m repro.cli lint src
-
-# Just the cross-module pack: shard-isolation race rules (CONC), with
-# the shared-call-graph timing line on stderr.
-lint-concurrency:
-	PYTHONPATH=src python -m repro.cli lint src --select CONC --stats
 
 # Full-corpus equivalence of the one-pass CSR build, the gated PII bank
 # and the trigger-gated taxonomy coder against their kept references

@@ -3,9 +3,10 @@
 Every rule sees one shared :class:`FileContext` per file — a single
 ``ast.parse`` plus precomputed helpers (import alias map, module-level
 bindings, ``# repro: noqa`` lines) — so adding a rule never adds a
-parse.  Rules register themselves with :func:`register`; the rule pack
-in :mod:`repro.analysis.lint.rules` is imported lazily the first time
-rules are requested, which keeps ``import repro`` free of lint costs.
+parse.  The rule pack is the ``RULES`` tuple of
+:mod:`repro.analysis.lint.rules`, imported lazily the first time rules
+are requested, which keeps ``import repro`` free of lint costs.  Every
+rule checks one file at a time.
 
 Suppression syntax, checked per finding line::
 
@@ -22,13 +23,9 @@ import ast
 import dataclasses
 import pathlib
 import re
-import time
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.analysis.lint.graph import ProjectGraph
-
-#: Rule id used for files the parser rejects (not a registered rule —
+#: Rule id used for files the parser rejects (not a rule of the pack —
 #: it cannot be selected, ignored, or suppressed away silently).
 PARSE_ERROR = "E999"
 
@@ -84,43 +81,11 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that checks the whole project, not one file at a time.
-
-    Subclasses implement :meth:`check_project` against a :class:`Project`
-    (every parsed file plus the lazily-built, shared call graph).  The
-    per-file :meth:`check` hook is a no-op so project rules slot into the
-    same registry, selection, noqa, and baseline machinery as everything
-    else; findings are still attributed to concrete file/line positions
-    and suppressed by that file's ``# repro: noqa`` comments.
-    """
-
-    def check(self, ctx: "FileContext") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-_REGISTRY: dict[str, Rule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding one instance of ``cls`` to the registry."""
-    rule = cls()
-    if not rule.id:
-        raise ValueError(f"rule {cls.__name__} has no id")
-    if rule.id in _REGISTRY:
-        raise ValueError(f"rule id {rule.id!r} is already registered")
-    _REGISTRY[rule.id] = rule
-    return cls
-
-
 def all_rules() -> Mapping[str, Rule]:
-    """Every registered rule, keyed by id (loads the rule pack)."""
-    from repro.analysis.lint import rules  # noqa: F401 - import populates registry
+    """Every rule in the pack, keyed by id (loads the rule pack)."""
+    from repro.analysis.lint.rules import RULES
 
-    return dict(_REGISTRY)
+    return {rule.id: rule for rule in RULES}
 
 
 def _expand_rule_tokens(
@@ -128,7 +93,7 @@ def _expand_rule_tokens(
 ) -> tuple[set[str], set[str]]:
     """Expand exact ids and family prefixes; return (ids, unknown tokens).
 
-    ``--select DET,CONC`` selects every rule in those families;
+    ``--select DET,PUR`` selects every rule in those families;
     ``--select DET003`` still selects exactly one rule.  A token that
     matches nothing (neither exactly nor as a prefix) is reported back.
     """
@@ -151,7 +116,7 @@ def select_rules(
     """Resolve ``--select`` / ``--ignore`` to an ordered rule list.
 
     Both accept exact rule ids (``DET001``) and family prefixes
-    (``DET``, ``CONC``) that expand to every registered rule they match.
+    (``DET``, ``PUR``) that expand to every rule they match.
     """
     rules = all_rules()
     chosen_ids, unknown = (
@@ -304,76 +269,6 @@ def _noqa_map(lines: Sequence[str]) -> dict[int, frozenset[str]]:
     return suppressions
 
 
-# -- project ----------------------------------------------------------------
-
-
-class Project:
-    """Every parsed file in a run, plus one lazily-built call graph.
-
-    The graph is constructed at most once per :class:`Project` no matter
-    how many :class:`ProjectRule`\\ s ask for it; ``graph_builds`` and
-    ``graph_seconds`` record the (single) construction for ``--stats``.
-    """
-
-    def __init__(self, contexts: Iterable[FileContext]) -> None:
-        self.contexts = sorted(contexts, key=lambda c: c.display_path)
-        self.by_path = {ctx.display_path: ctx for ctx in self.contexts}
-        self._graph: "ProjectGraph | None" = None
-        self.graph_builds = 0
-        self.graph_seconds = 0.0
-
-    @property
-    def graph(self) -> "ProjectGraph":
-        if self._graph is None:
-            # Imported lazily: the graph package imports FileContext from
-            # this module, and building it costs nothing until a
-            # graph-backed rule is actually selected.
-            from repro.analysis.lint.graph import build_graph
-
-            started = time.perf_counter()
-            self._graph = build_graph(self.contexts)
-            self.graph_seconds += time.perf_counter() - started
-            self.graph_builds += 1
-        return self._graph
-
-
-@dataclasses.dataclass
-class LintStats:
-    """Timing/size counters for one lint run (``--stats``)."""
-
-    n_files: int = 0
-    parse_seconds: float = 0.0
-    rule_seconds: float = 0.0
-    graph_builds: int = 0
-    graph_seconds: float = 0.0
-    graph_functions: int = 0
-    graph_edges: int = 0
-
-    def render(self) -> str:
-        line = (
-            f"lint: {self.n_files} files, parse {self.parse_seconds:.3f}s, "
-            f"rules {self.rule_seconds:.3f}s"
-        )
-        if self.graph_builds:
-            line += (
-                f"; call graph: built {self.graph_builds}x, "
-                f"{self.graph_functions} functions, {self.graph_edges} edges, "
-                f"{self.graph_seconds:.3f}s"
-            )
-        else:
-            line += "; call graph: not built"
-        return line
-
-
-@dataclasses.dataclass
-class LintResult:
-    """Findings plus run statistics and the project they came from."""
-
-    findings: list[Finding]
-    stats: LintStats
-    project: Project
-
-
 # -- driving ----------------------------------------------------------------
 
 
@@ -388,53 +283,21 @@ def _parse_error(display_path: str, exc: SyntaxError) -> Finding:
     )
 
 
-def _check_all(
-    contexts: Sequence[FileContext],
-    rules: Sequence[Rule],
-    stats: LintStats | None = None,
-) -> tuple[list[Finding], Project]:
-    """Run per-file rules on each file, then project rules once."""
-    project = Project(contexts)
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    started = time.perf_counter()
-    findings = [
-        finding
-        for ctx in project.contexts
-        for rule in file_rules
-        for finding in rule.check(ctx)
-        if not ctx.is_suppressed(finding)
-    ]
-    for rule in project_rules:
-        for finding in rule.check_project(project):
-            ctx = project.by_path.get(finding.path)
-            if ctx is not None and ctx.is_suppressed(finding):
-                continue
-            findings.append(finding)
-    if stats is not None:
-        stats.rule_seconds += time.perf_counter() - started - project.graph_seconds
-        stats.graph_builds = project.graph_builds
-        stats.graph_seconds = project.graph_seconds
-        if project._graph is not None:
-            stats.graph_functions = project._graph.n_functions
-            stats.graph_edges = project._graph.n_edges
-    return findings, project
-
-
 def lint_source(
     source: str, display_path: str, rules: Sequence[Rule]
 ) -> list[Finding]:
-    """Lint one already-read file; parse errors become E999 findings.
-
-    Project rules run too, over a single-file project — which is exactly
-    what the fixture suite wants.
-    """
+    """Lint one already-read file; parse errors become E999 findings."""
     try:
         tree = ast.parse(source, filename=display_path)
     except SyntaxError as exc:
         return [_parse_error(display_path, exc)]
     ctx = FileContext(display_path, source, tree)
-    findings, _ = _check_all([ctx], rules)
+    findings = [
+        finding
+        for rule in rules
+        for finding in rule.check(ctx)
+        if not ctx.is_suppressed(finding)
+    ]
     return sorted(findings, key=lambda f: f.sort_key)
 
 
@@ -465,47 +328,18 @@ def _display_path(path: pathlib.Path) -> str:
         return resolved.as_posix()
 
 
-def run_lint(
-    paths: Sequence[str | pathlib.Path],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> LintResult:
-    """Lint every .py file under ``paths``; returns findings + stats.
-
-    All files are parsed up front into one :class:`Project` so that
-    project rules see the whole codebase at once and share a single call
-    graph; per-file rules behave exactly as before.
-    """
-    rules = select_rules(select, ignore)
-    stats = LintStats()
-    contexts: list[FileContext] = []
-    findings: list[Finding] = []
-    for path in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
-        display = _display_path(path)
-        started = time.perf_counter()
-        try:
-            tree = ast.parse(source, filename=display)
-        except SyntaxError as exc:
-            findings.append(_parse_error(display, exc))
-            continue
-        finally:
-            stats.parse_seconds += time.perf_counter() - started
-        contexts.append(FileContext(display, source, tree))
-    stats.n_files = len(contexts)
-    checked, project = _check_all(contexts, rules, stats)
-    findings.extend(checked)
-    return LintResult(
-        findings=sorted(findings, key=lambda f: f.sort_key),
-        stats=stats,
-        project=project,
-    )
-
-
 def lint_paths(
     paths: Sequence[str | pathlib.Path],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
 ) -> list[Finding]:
     """Lint every .py file under ``paths`` with the chosen rules."""
-    return run_lint(paths, select, ignore).findings
+    rules = select_rules(select, ignore)
+    findings = [
+        finding
+        for path in iter_python_files(paths)
+        for finding in lint_source(
+            path.read_text(encoding="utf-8"), _display_path(path), rules
+        )
+    ]
+    return sorted(findings, key=lambda f: f.sort_key)

@@ -1,4 +1,4 @@
-"""Finding renderers: ruff-style text, JSON for CI, SARIF for annotation."""
+"""Finding renderers: ruff-style text and JSON for the CI gate."""
 
 from __future__ import annotations
 
@@ -49,80 +49,3 @@ def render_json(
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def render_sarif(
-    findings: Sequence[Finding],
-    stale: Sequence[BaselineEntry] = (),
-    n_baselined: int = 0,
-) -> str:
-    """SARIF 2.1.0 log so CI can annotate PR diffs with findings.
-
-    One run, one result per finding; rule metadata is collected from the
-    findings themselves so the ``rules`` array only lists what fired.
-    ``stale``/``n_baselined`` are accepted for renderer signature parity
-    but have no SARIF representation (stale entries are not source
-    locations).
-    """
-    del stale, n_baselined
-    rule_help: dict[str, str] = {}
-    for f in findings:
-        rule_help.setdefault(f.rule, f.hint)
-    rules = [
-        {
-            "id": rule_id,
-            "defaultConfiguration": {"level": "error"},
-            **(
-                {"help": {"text": rule_help[rule_id]}}
-                if rule_help[rule_id]
-                else {}
-            ),
-        }
-        for rule_id in sorted(rule_help)
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col,
-                            **(
-                                {"snippet": {"text": f.snippet}}
-                                if f.snippet
-                                else {}
-                            ),
-                        },
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    log = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)

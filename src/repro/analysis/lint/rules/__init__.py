@@ -1,11 +1,29 @@
 """The rule pack.
 
-Importing this package registers every rule with the engine's registry;
-:func:`repro.analysis.lint.engine.all_rules` does so lazily.  The
-``DET``/``PUR`` packs are per-file; ``CONC`` is a project pack backed by
-the shared call graph in :mod:`repro.analysis.lint.graph`.
+``RULES`` holds one instance of every rule; the engine's
+:func:`repro.analysis.lint.engine.all_rules` imports it lazily.  The
+``DET`` rules guard determinism and the ``PUR`` rules stage purity and
+shared state.  Every rule checks one file at a time.
 """
 
-from repro.analysis.lint.rules import concurrency, determinism, purity
+from repro.analysis.lint.rules.determinism import (
+    GlobalRandomness,
+    UnorderedIteration,
+    WallClock,
+)
+from repro.analysis.lint.rules.purity import (
+    SharedStateMutation,
+    StageMutableGlobal,
+    StageSideIO,
+)
 
-__all__ = ["concurrency", "determinism", "purity"]
+RULES = (
+    GlobalRandomness(),
+    WallClock(),
+    UnorderedIteration(),
+    StageSideIO(),
+    StageMutableGlobal(),
+    SharedStateMutation(),
+)
+
+__all__ = ["RULES"]

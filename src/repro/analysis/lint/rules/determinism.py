@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint.engine import FileContext, Finding, Rule, register
+from repro.analysis.lint.engine import FileContext, Finding, Rule
 
 #: Wall-clock / identity producers banned by DET002 (resolved via the
 #: file's import aliases, so ``from datetime import datetime`` +
@@ -53,7 +53,6 @@ def _is_keys_call(node: ast.expr) -> bool:
     )
 
 
-@register
 class GlobalRandomness(Rule):
     """DET001: randomness must flow through ``repro.util.rng``.
 
@@ -87,7 +86,6 @@ class GlobalRandomness(Rule):
                 )
 
 
-@register
 class WallClock(Rule):
     """DET002: no wall clock, uuid, or salted ``hash()`` in keyed code.
 
@@ -125,7 +123,6 @@ class WallClock(Rule):
                 )
 
 
-@register
 class UnorderedIteration(Rule):
     """DET003: unordered set/keys iteration must not reach outputs.
 

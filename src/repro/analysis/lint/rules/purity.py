@@ -1,4 +1,5 @@
-"""Stage-purity rules: PUR001 (no side I/O), PUR002 (no mutable globals).
+"""Purity rules: PUR001 (no side I/O in stages), PUR002 (no mutable
+globals read in stages), PUR003 (no function writes shared state).
 
 A *stage function* is any function this file hands to ``Engine.add`` —
 as a bare name, a ``self.method`` reference, or wrapped in
@@ -10,7 +11,8 @@ arguments, its named RNG streams, and the artifact store.
 Detection is per-file and syntactic: a function passed to an engine in
 *another* module, or reached only through helpers, is not traced.  The
 ``_stage_*`` naming convention exists precisely so the common case
-stays visible to this pass.
+stays visible to this pass.  PUR003 needs no such list: it checks every
+function in the file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint.engine import FileContext, Finding, Rule, register
+from repro.analysis.lint.engine import FileContext, Finding, Rule
 
 _STAGE_NAME_PREFIX = "_stage_"
 _SHARED_KEY = "purity.stage_functions"
@@ -39,6 +41,20 @@ _MODULE_MUTATORS = frozenset({
     "shutil.rmtree", "shutil.copy", "shutil.copy2", "shutil.copyfile",
     "shutil.copytree", "shutil.move",
 })
+
+#: Methods that change a list, dict, set, deque or Counter in place.
+_MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "remove", "pop", "popitem", "clear",
+    "update", "setdefault", "add", "discard", "sort", "reverse",
+    "difference_update", "intersection_update", "symmetric_difference_update",
+    "appendleft", "extendleft", "popleft", "rotate", "subtract",
+})
+
+#: Classes whose module-level instances are shared observability sinks:
+#: every method call on one from a function writes to it.
+_SHARED_SINKS = frozenset({"Tracer", "MetricsRegistry", "RunObserver"})
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _callable_name(node: ast.expr) -> str | None:
@@ -117,7 +133,6 @@ def _stage_defs(ctx: FileContext) -> Iterator[ast.FunctionDef | ast.AsyncFunctio
             yield node
 
 
-@register
 class StageSideIO(Rule):
     """PUR001: stage outputs flow through the artifact store, full stop.
 
@@ -167,7 +182,6 @@ class StageSideIO(Rule):
                     )
 
 
-@register
 class StageMutableGlobal(Rule):
     """PUR002: stage functions must not read module-level mutable state.
 
@@ -185,11 +199,14 @@ class StageMutableGlobal(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        mutable = self._mutable_globals(ctx)
+        mutable = {
+            name for name in _mutable_bindings(ctx, ctx.tree.body)
+            if not name.isupper()
+        }
         if not mutable:
             return
         for stage in _stage_defs(ctx):
-            local = self._local_bindings(stage)
+            local = _local_bindings(stage)
             seen: set[str] = set()
             for node in ast.walk(stage):
                 if (
@@ -206,39 +223,188 @@ class StageMutableGlobal(Rule):
                         f"`{node.id}`",
                     )
 
-    @staticmethod
-    def _mutable_globals(ctx: FileContext) -> set[str]:
-        mutable: set[str] = set()
-        for node in ctx.tree.body:
-            if isinstance(node, ast.Assign):
-                targets = [t for t in node.targets if isinstance(t, ast.Name)]
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            if value is None or not _is_mutable_literal(ctx, value):
-                continue
-            for target in targets:
-                if not target.id.isupper():
-                    mutable.add(target.id)
-        return mutable
 
-    @staticmethod
-    def _local_bindings(stage: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        args = stage.args
-        local = {
-            a.arg
-            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-        }
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                local.add(extra.arg)
-        for node in ast.walk(stage):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                local.add(node.id)
-        return local
+class SharedStateMutation(Rule):
+    """PUR003: no function mutates module- or class-level state.
+
+    The study engine runs stages on a thread pool and the serving
+    runtime scores shards on worker threads, and every stage, shard and
+    instance sees the same module globals and class bodies.  A function
+    that writes to them makes results depend on the thread schedule and
+    on what ran before.  Tables are built at import time and only read
+    from functions.
+
+    Inside any function or lambda this flags an item store or ``del``,
+    an augmented assignment, or a mutating method call (``append``,
+    ``update``, ``pop``, ...) on a module-level container, or on a
+    class-body container reached through ``self``, ``cls`` or the class
+    name; any method call on a module-level ``Tracer``,
+    ``MetricsRegistry`` or ``RunObserver``; and any ``global``
+    rebinding.  ALL_CAPS names are not exempt.  Like every rule here it
+    reads one file: a write to the instance state of an object that
+    threads share is not visible to it.
+    """
+
+    id = "PUR003"
+    summary = "function mutates module- or class-level state"
+    hint = (
+        "build shared tables at import time and only read them in "
+        "functions; keep per-run state on an instance owned by one stage "
+        "or shard, or pass it in and return it"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        module = _mutable_bindings(ctx, ctx.tree.body)
+        sinks = _sink_instances(ctx)
+        classes: dict[str, set[str]] = {}
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, set()).update(
+                    _mutable_bindings(ctx, node.body)
+                )
+        for function, owner, local in _functions(ctx.tree):
+            name = getattr(function, "name", "<lambda>")
+
+            def shared(expr: ast.expr) -> str | None:
+                """How ``expr``, past any item lookups, names shared state."""
+                while isinstance(expr, ast.Subscript):
+                    expr = expr.value
+                if isinstance(expr, ast.Name):
+                    if expr.id in module and expr.id not in local:
+                        return f"module-level `{expr.id}`"
+                elif (
+                    isinstance(expr, ast.Attribute)
+                    and isinstance(expr.value, ast.Name)
+                ):
+                    root = expr.value.id
+                    cls = owner if root in ("self", "cls") else (
+                        None if root in local else root
+                    )
+                    if expr.attr in classes.get(cls, ()):
+                        return f"class-level `{cls}.{expr.attr}`"
+                return None
+
+            for node in _own_nodes(function):
+                if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
+                ):
+                    receiver, method = node.func.value, node.func.attr
+                    if (
+                        isinstance(receiver, ast.Name)
+                        and receiver.id in sinks
+                        and receiver.id not in local
+                    ):
+                        yield ctx.finding(
+                            self, node,
+                            f"`{name}` calls `.{method}()` on module-level "
+                            f"{sinks[receiver.id]} `{receiver.id}`",
+                        )
+                    elif method in _MUTATING_METHODS and (
+                        where := shared(receiver)
+                    ):
+                        yield ctx.finding(
+                            self, node, f"`{name}` calls `.{method}()` on {where}"
+                        )
+                elif isinstance(node, ast.Subscript) and isinstance(
+                    node.ctx, (ast.Store, ast.Del)
+                ) and (where := shared(node.value)):
+                    verb = "stores" if isinstance(node.ctx, ast.Store) else "deletes"
+                    yield ctx.finding(
+                        self, node, f"`{name}` {verb} an item of {where}"
+                    )
+                elif isinstance(node, ast.AugAssign) and isinstance(
+                    node.target, ast.Attribute
+                ) and (where := shared(node.target)):
+                    yield ctx.finding(
+                        self, node, f"`{name}` updates {where} in place"
+                    )
+                elif isinstance(node, ast.Global):
+                    for global_name in node.names:
+                        if global_name in _local_bindings(function):
+                            yield ctx.finding(
+                                self, node,
+                                f"`{name}` rebinds module global `{global_name}`",
+                            )
+
+
+def _bound_values(body: list[ast.stmt]) -> Iterator[tuple[str, ast.expr]]:
+    """``(name, value)`` for each plain-name assignment in a body."""
+    for node in body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.value
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.value is not None
+        ):
+            yield node.target.id, node.value
+
+
+def _mutable_bindings(ctx: FileContext, body: list[ast.stmt]) -> set[str]:
+    """Names a module or class body binds to a mutable container."""
+    return {
+        name for name, value in _bound_values(body)
+        if _is_mutable_literal(ctx, value)
+    }
+
+
+def _sink_instances(ctx: FileContext) -> dict[str, str]:
+    """Module-level name -> class, for each shared observability sink."""
+    sinks: dict[str, str] = {}
+    for name, value in _bound_values(ctx.tree.body):
+        if isinstance(value, ast.Call):
+            func = value.func
+            cls = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if cls in _SHARED_SINKS:
+                sinks[name] = cls
+    return sinks
+
+
+def _functions(
+    node: ast.AST, owner: str | None = None, local: frozenset[str] = frozenset()
+) -> Iterator[tuple[ast.AST, str | None, frozenset[str]]]:
+    """Every function and lambda, with the class ``self``/``cls`` means
+    in it and the names that shadow module globals there: parameters and
+    assigned names of it and of the functions around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, child.name, local)
+        elif isinstance(child, _FUNCTIONS):
+            inner = local | _local_bindings(child)
+            yield child, owner, inner
+            yield from _functions(child, owner, inner)
+        else:
+            yield from _functions(child, owner, local)
+
+
+def _own_nodes(function: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``function``'s own scope (not of nested defs)."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_bindings(function: ast.AST) -> set[str]:
+    """Parameters and names assigned anywhere in ``function``."""
+    args = function.args
+    local = {
+        a.arg
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+    }
+    for extra in (args.vararg, args.kwarg):
+        if extra is not None:
+            local.add(extra.arg)
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            local.add(node.id)
+    return local
 
 
 def _is_mutable_literal(ctx: FileContext, node: ast.expr) -> bool:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.corpus.documents import Document
 from repro.corpus.perturb import PERTURBATIONS
 from repro.nlp.features import HashingVectorizer

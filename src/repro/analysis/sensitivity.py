@@ -19,7 +19,7 @@ from repro.analysis.attack_stats import attack_type_table
 from repro.pipeline.results import PipelineResult
 from repro.taxonomy.attack_types import AttackType
 from repro.taxonomy.coding import ExpertCoder
-from repro.types import Platform, Source
+from repro.types import Platform
 from repro.util.rng import make_rng
 
 

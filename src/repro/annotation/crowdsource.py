@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.annotation.annotator import AnnotatorProfile, SimulatedAnnotator
 from repro.nlp.metrics import cohens_kappa
-from repro.util.rng import child_rng
 
 QUALIFICATION_QUESTIONS = 10
 QUALIFICATION_PASS = 0.90

@@ -8,7 +8,7 @@ Subcommands::
                     [--jobs N] [--force] [--retries N] [--report-dir DIR]
     repro cache     ls|clear|verify --cache-dir DIR
     repro lint      [paths...] [--select/--ignore IDS] [--baseline FILE]
-                    [--update-baseline] [--format text|json|sarif] [--stats]
+                    [--update-baseline] [--format text|json]
     repro serve-bench [--tiny/--full] [--seed N] [--shards N]
                     [--batch-size N] [--max-delay-ms F] [--queue-capacity N]
                     [--policy block|drop-oldest|shed-newest] [--rate F]
@@ -31,9 +31,9 @@ study on the staged execution engine — per-stage checkpointing to
 inspects, integrity-verifies, or empties a stage cache;
 ``train``/``score`` cover the deployment loop the paper's §3 release
 intent describes; ``assess`` runs the rule-based analysis layers on a
-single text; ``lint`` runs the static analysis — per-file determinism &
-stage-purity rules (DET001–DET003, PUR001–PUR002) plus call-graph-backed
-shard-isolation rules (CONC001–CONC003) — and fails on findings not
+single text; ``lint`` runs the static analysis — the determinism,
+stage-purity and shared-state rules DET001–DET003 and PUR001–PUR003,
+each reading one file at a time — and fails on findings not
 grandfathered in the committed baseline; ``serve-bench`` trains filters
 on one synthetic corpus, replays a second through the sharded
 ``repro.serve`` runtime under a seeded open-loop load profile, prints an
@@ -215,14 +215,13 @@ def cmd_lint(args) -> int:
     from repro.analysis.lint import (
         Baseline,
         LintUsageError,
+        lint_paths,
         render_json,
-        render_sarif,
         render_text,
-        run_lint,
     )
 
     try:
-        result = run_lint(
+        findings = lint_paths(
             args.paths or ["src"],
             select=_parse_rule_list(args.select),
             ignore=_parse_rule_list(args.ignore),
@@ -230,10 +229,6 @@ def cmd_lint(args) -> int:
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    findings = result.findings
-    if args.stats:
-        # stderr so --format json/sarif stdout stays machine-parseable.
-        print(result.stats.render(), file=sys.stderr)
     baseline_path = pathlib.Path(args.baseline)
     baseline = Baseline.load(baseline_path)
     if args.update_baseline:
@@ -244,10 +239,7 @@ def cmd_lint(args) -> int:
         )
         return 0
     split = baseline.split(findings)
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-    }.get(args.format, render_text)
+    render = render_json if args.format == "json" else render_text
     print(render(split.new, stale=split.stale, n_baselined=len(split.baselined)))
     return 1 if split.new else 0
 
@@ -827,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.set_defaults(func=cmd_cache)
 
     p_lint = sub.add_parser(
-        "lint", help="determinism, stage-purity & shard-isolation static analysis"
+        "lint", help="determinism, stage-purity & shared-state static analysis"
     )
     p_lint.add_argument(
         "paths", nargs="*",
@@ -836,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--select", default=None,
         help="comma-separated rule ids or family prefixes to run "
-        "(e.g. DET001 or DET,CONC; default: all)",
+        "(e.g. DET001 or DET,PUR; default: all)",
     )
     p_lint.add_argument(
         "--ignore", default=None,
@@ -852,13 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(expires entries whose finding was fixed)",
     )
     p_lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (json for the CI gate, sarif for PR annotation)",
-    )
-    p_lint.add_argument(
-        "--stats", action="store_true",
-        help="print file/parse/rule timing and call-graph build counts "
-        "to stderr",
+        "--format", choices=("text", "json"), default="text",
+        help="report format (json for the CI gate)",
     )
     p_lint.set_defaults(func=cmd_lint)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus import vocab
 from repro.corpus.identity import Person
 from repro.util.rng import pick
 

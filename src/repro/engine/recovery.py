@@ -31,7 +31,7 @@ import json
 import os
 import pathlib
 import threading
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
     from repro.engine.store import ArtifactStore

@@ -90,9 +90,6 @@ class TokenCache:
         return {"hashes": hashes, "lengths": self.lengths()}
 
     def __setstate__(self, state: dict) -> None:
-        if "_arrays" in state:  # the per-array state of older pickles
-            self._arrays = state["_arrays"]
-            return
         ends = np.cumsum(state["lengths"]).tolist()
         hashes = state["hashes"]
         self._arrays = [

@@ -110,8 +110,6 @@ class VectorizedCorpus:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Artifacts written before the per-source cache existed lack it.
-        self.__dict__.setdefault("_by_source", None)
         self._view_lock = threading.Lock()
 
     def _source_positions(self) -> dict[Source, np.ndarray]:

@@ -9,19 +9,18 @@ scaling convention (DESIGN.md §4) where that aids comparison.
 from __future__ import annotations
 
 import datetime as dt
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro import paper
 from repro.analysis.attack_stats import AttackTypeTable
 from repro.analysis.blogs import BlogOutcome
 from repro.analysis.gender_stats import GenderSubtypeTable
-from repro.analysis.harm_risk_stats import HarmRiskOverlap
 from repro.analysis.pii_stats import PiiTable
 from repro.corpus.documents import Corpus
 from repro.pipeline.results import PipelineResult
 from repro.taxonomy.attack_types import AttackSubtype, AttackType
 from repro.taxonomy.harm_risk import HARM_RISK_PII, HarmRisk
-from repro.types import Gender, Platform, Source, Task
+from repro.types import Gender, Platform, Task
 from repro.util.tables import format_percent_count, format_table
 
 

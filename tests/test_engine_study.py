@@ -1,10 +1,14 @@
 """Integration tests: the study as a cached, parallelizable stage graph."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from repro.engine import PICKLE, ArtifactStore
+from repro.engine import PICKLE, STATUS_HIT, STATUS_RECOVERED, ArtifactStore
 from repro.lab import StudyConfig, run_study
+from repro.nlp.tokenize import TokenCache
+from repro.pipeline.vectorized import VectorizedCorpus
 from repro.types import Task
 
 
@@ -77,6 +81,42 @@ def test_result_artifacts_store_no_documents(cold_study, cache_dir):
         cached = store.load(name, cold_study.run_report.record(name).key, PICKLE)
         assert cached.documents == ()
         assert cached.scores.tobytes() == cold_study.results[task].scores.tobytes()
+
+
+def test_vectorized_artifact_in_the_old_pickle_state_is_recovered(
+    cold_study, cache_dir, tmp_path, monkeypatch
+):
+    """A vectorized artifact written before the token cache pickled flat
+    (and before the per-source positions existed) no longer loads: the
+    engine quarantines it and recomputes the stage, same results."""
+    old_cache = tmp_path / "cache"
+    shutil.copytree(cache_dir, old_cache)
+    store = ArtifactStore(old_cache)
+    key = cold_study.run_report.record("vectorized").key
+    vectorized = store.load("vectorized", key, PICKLE)
+    with monkeypatch.context() as old_state:
+        old_state.setattr(
+            TokenCache, "__getstate__", lambda self: {"_arrays": self.arrays}
+        )
+        old_state.setattr(
+            VectorizedCorpus, "__getstate__",
+            lambda self: {
+                name: value for name, value in self.__dict__.items()
+                if name not in ("_view_lock", "_by_source")
+            },
+        )
+        store.save("vectorized", key, PICKLE, vectorized)
+    with pytest.raises(KeyError):  # checksum intact: the state is stale
+        store.load("vectorized", key, PICKLE)
+
+    healed = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
+    statuses = {r.name: r.status for r in healed.run_report.records}
+    assert statuses["vectorized"] == STATUS_RECOVERED
+    assert statuses["corpus"] == STATUS_HIT
+    _assert_results_identical(cold_study, healed)
+    assert store.load("vectorized", key, PICKLE).cache.lengths().tobytes() == (
+        cold_study.vectorized.cache.lengths().tobytes()
+    )
 
 
 def test_uncached_run_matches_cached(cold_study):

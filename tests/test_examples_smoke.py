@@ -7,7 +7,6 @@ Only the quick examples run here (the transformer example trains for
 import runpy
 import sys
 
-import pytest
 
 EXAMPLES = "examples"
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.features import HashingVectorizer
-from repro.nlp.tokenize import TokenCache, hash_tokens, tokenize
+from repro.nlp.tokenize import TokenCache
 
 
 @pytest.fixture()

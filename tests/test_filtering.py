@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline.filtering import TASK_MAX_TOKENS, TASK_SOURCES, PipelineConfig
-from repro.types import Platform, Source, Task
+from repro.types import Source, Task
 
 
 def test_task_sources_match_paper():

@@ -1,6 +1,5 @@
 """Unit tests for the flat-platform builder and blog substrate pieces."""
 
-import numpy as np
 import pytest
 
 from repro.corpus.documents import GroundTruth

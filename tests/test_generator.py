@@ -1,11 +1,10 @@
 """Integration tests for corpus generation invariants."""
 
-import numpy as np
 import pytest
 
 from repro.corpus import CorpusBuilder, CorpusConfig
 from repro.corpus.platforms.blogs import BLOG_DOMAINS
-from repro.types import Gender, Platform, Source, Task
+from repro.types import Gender, Platform, Source
 
 
 def test_all_platforms_present(tiny_corpus):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.corpus.identity import (
     CARD_ISSUER_PREFIXES,
     PII_CATEGORIES,
-    Person,
     PersonFactory,
     luhn_check_digit,
 )

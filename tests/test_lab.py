@@ -1,7 +1,5 @@
 """Integration tests for the Study orchestration layer."""
 
-import pytest
-
 from repro.lab import Study, StudyConfig, run_study
 from repro.types import Platform, Task
 

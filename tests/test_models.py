@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.metrics import roc_auc

@@ -1,7 +1,6 @@
 """Tests for adversarial text normalization."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

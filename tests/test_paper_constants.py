@@ -7,7 +7,7 @@ total in the paper must match the sum of its parts as transcribed.
 import pytest
 
 from repro import paper
-from repro.taxonomy.attack_types import AttackSubtype, AttackType, PARENT_OF
+from repro.taxonomy.attack_types import AttackSubtype, PARENT_OF
 from repro.types import Gender, Platform, Source, Task
 
 

@@ -5,12 +5,11 @@ so the corpus is kept very small and example counts low.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
-from repro.types import Platform, Task
+from repro.types import Platform
 
 
 def _mini_config(seed: int) -> CorpusConfig:

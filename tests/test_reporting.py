@@ -8,7 +8,6 @@ from repro.analysis.gender_stats import gender_subtype_table
 from repro.analysis.harm_risk_stats import harm_risk_overlap
 from repro.analysis.pii_stats import pii_prevalence_table
 from repro.reporting import figures, tables
-from repro.types import Task
 
 
 def test_table1(tiny_study):

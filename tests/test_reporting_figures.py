@@ -1,8 +1,5 @@
 """Focused tests for the ASCII figure renderers."""
 
-import numpy as np
-import pytest
-
 from repro.reporting.figures import render_box_summary, render_cdf_plot
 
 

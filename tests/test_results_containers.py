@@ -11,7 +11,7 @@ from repro.pipeline.results import (
     PipelineResult,
     SourceOutcome,
 )
-from repro.types import Platform, Source, Task
+from repro.types import Source, Task
 
 
 def _doc(i, source=Source.GAB, is_cth=False):

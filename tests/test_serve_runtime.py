@@ -9,6 +9,7 @@ count.  Asserted for shards 1/2/4 over two corpus profiles.
 
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -157,7 +158,13 @@ def test_parallel_shard_simulation_identical(serve_models, stream_profiles):
     runtime = ServingRuntime(_factory(serve_models), ServeConfig(n_shards=4))
     profile = LoadProfile(rate_per_second=5000, seed=3)
     sequential = runtime.serve_stream(stream, profile, jobs=1)
+    # Every shard's monitor scores with these three objects.  No lint
+    # rule sees writes to an instance's state; their bytes do.
+    models, vectorizer = serve_models
+    shared = (models[Task.CTH], models[Task.DOX], vectorizer)
+    before = pickle.dumps(shared)
     threaded = runtime.serve_stream(stream, profile, jobs=4)
+    assert pickle.dumps(shared) == before
     assert sequential.alerts == threaded.alerts
     assert json.dumps(sequential.as_dict(), sort_keys=True) == json.dumps(
         threaded.as_dict(), sort_keys=True

@@ -7,14 +7,13 @@ from repro.corpus.documents import Document, GroundTruth
 from repro.nlp.features import HashingVectorizer
 from repro.nlp.models.logreg import LogisticRegressionClassifier
 from repro.service.monitor import (
-    Alert,
     AlertKind,
     HarassmentMonitor,
     MonitorConfig,
     MonitorStats,
 )
 from repro.service.stream import MessageStream, StreamMessage
-from repro.types import Platform, Source, Task
+from repro.types import Platform, Source
 
 
 # -- stream --------------------------------------------------------------------

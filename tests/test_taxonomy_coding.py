@@ -1,9 +1,7 @@
 """Unit and recovery tests for the expert taxonomy coder."""
 
-import numpy as np
 import pytest
 
-from repro.corpus import CorpusConfig, CorpusBuilder
 from repro.corpus.identity import PersonFactory
 from repro.corpus.templates import render_cth
 from repro.taxonomy.attack_types import AttackSubtype, AttackType

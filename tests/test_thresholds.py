@@ -1,7 +1,6 @@
 """Unit tests for §5.5 threshold selection."""
 
 import numpy as np
-import pytest
 
 from repro.pipeline.thresholds import THRESHOLD_GRID, select_threshold
 

@@ -1,7 +1,5 @@
 """Unit and property tests for tokenization and token caching."""
 
-import copyreg
-import io
 import pickle
 
 import numpy as np
@@ -85,25 +83,6 @@ def test_token_cache_pickles_as_one_flat_array(texts):
     assert state["hashes"].size == sum(a.size for a in cache.arrays)
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         _assert_same_arrays(pickle.loads(pickle.dumps(cache, protocol)), cache)
-
-
-class _PerArrayPickler(pickle.Pickler):
-    """Pickles a ``TokenCache`` as it pickled before it pickled flat:
-    the default object state, ``{"_arrays": [...]}``."""
-
-    def reducer_override(self, obj):
-        if type(obj) is TokenCache:
-            return copyreg.__newobj__, (TokenCache,), {"_arrays": obj.arrays}
-        return NotImplemented
-
-
-def test_token_cache_loads_the_per_array_state_of_older_pickles():
-    cache = TokenCache(["one two", "", "three"])
-    buffer = io.BytesIO()
-    _PerArrayPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(cache)
-    loaded = pickle.loads(buffer.getvalue())
-    assert type(loaded) is TokenCache
-    _assert_same_arrays(loaded, cache)
 
 
 @given(st.text(max_size=200))

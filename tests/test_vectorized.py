@@ -1,6 +1,7 @@
 """Unit tests for the shared vectorization layer (TaskView)."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -124,10 +125,7 @@ def test_source_positions_are_computed_once_per_corpus():
         expected = [i for i, s in enumerate(sources) if s is source]
         np.testing.assert_array_equal(by_source[source], expected)
         assert not by_source[source].flags.writeable
-    # A vectorized artifact pickled before the cache existed lacks it.
-    state = vc.__getstate__()
-    del state["_by_source"]
-    older = VectorizedCorpus.__new__(VectorizedCorpus)
-    older.__setstate__(state)
-    for source, positions in older._source_positions().items():
+    # The positions pickle with the corpus, so a cached artifact has them.
+    loaded = pickle.loads(pickle.dumps(vc))
+    for source, positions in loaded._source_positions().items():
         np.testing.assert_array_equal(positions, by_source[source])

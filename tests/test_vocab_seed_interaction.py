@@ -2,7 +2,6 @@
 Fig.-4 seed keyword query — the pipeline's bootstrap depends on it."""
 
 import numpy as np
-import pytest
 
 from repro.corpus import vocab
 from repro.corpus.identity import PersonFactory
