@@ -23,10 +23,12 @@ lint-repro:
 # and the trigger-gated taxonomy coder against their kept references
 # (tests/kernel_reference.py), over every distinct text and every
 # corpus/perturb.py variant of it, plus byte-identical JSONL from the
-# corpus built with pick and with Generator.choice, and byte-identical
+# corpus built with the integer/pick/weighted draws and with the
+# Generator.integers/choice calls they replaced, and byte-identical
 # filter fits (Adam on the touched columns against reference_fit); the
-# tiny-corpus half runs in tier-1.  About twelve minutes and 0.85 GB on
-# a 2-vCPU host.
+# tiny-corpus half runs in tier-1.  About ten and a half minutes and
+# 0.84 GB on a 2-vCPU host: build 19 s, fits about a minute, draws
+# 81 s, then 59-80 s per text set.
 check-kernels:
 	python scripts/check_kernels.py
 

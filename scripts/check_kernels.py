@@ -3,19 +3,20 @@
 
 ``tests/test_kernel_equivalence.py`` holds the one-pass CSR build, the
 gated PII bank (category triggers, card shape, URL domains), the
-trigger-gated taxonomy coder, the corpus generator's ``pick`` draws and
-the logistic-regression fit (Adam on the touched columns) to the
-implementations they replaced on the tiny corpora.  Building the
-full-scale ``CorpusConfig()`` takes about 24 s (just under a minute
-with every draw on ``Generator.choice``), the four full-corpus fits
-about a minute with their features, and the whole check about twelve
-minutes and 0.85 GB on a 2-vCPU host, so the full-profile check runs
-here instead, with the same references (``tests/kernel_reference.py``):
+trigger-gated taxonomy coder, the corpus generator's ``integer``,
+``pick`` and ``weighted`` draws and the logistic-regression fit (Adam
+on the touched columns) to the implementations they replaced on the
+tiny corpora.  Building the full-scale ``CorpusConfig()`` takes 12-19 s
+(about 55 s with every draw on ``Generator.integers`` and
+``Generator.choice``), the four full-corpus fits about a minute with
+their features, and the whole check about ten and a half minutes and
+0.84 GB on a 2-vCPU host, so the full-profile check runs here instead,
+with the same references (``tests/kernel_reference.py``):
 
     python scripts/check_kernels.py
 
-The full corpus built with ``pick`` and built with ``Generator.choice``
-in its place must write byte-identical JSONL.  Both tasks' filters,
+The full corpus built with the fast draws and built with the NumPy
+calls they replaced must write byte-identical JSONL.  Both tasks' filters,
 fitted for ``FIT_EPOCHS`` epochs on the hashed features of every
 non-blog document (one row each, stored as a study fit receives its
 rows) at each of ``FIT_BITS``, must have the weight and bias bytes of
@@ -49,6 +50,7 @@ from repro.nlp.tokenize import hash_text  # noqa: E402
 from repro.pipeline.vectorized import _compact  # noqa: E402
 from repro.types import Platform, Task  # noqa: E402
 from tests.kernel_reference import (  # noqa: E402
+    REFERENCE_DRAWS,
     csr_differences,
     fit_differences,
     perturbed_variants,
@@ -188,12 +190,14 @@ def main() -> int:
     del fit_texts
 
     start = time.perf_counter()
-    with reference_draws():
+    with reference_draws() as rebound:
         reference = jsonl_digest(CorpusBuilder(CorpusConfig(seed=SEED)).build())
-    draws_ok = digest == reference
+    draws = sorted({name.rsplit(".", 1)[1] for name in rebound})
+    draws_ok = digest == reference and draws == sorted(REFERENCE_DRAWS)
     print(
-        f"{'draws':<16} jsonl sha256 {digest[:16]} pick, {reference[:16]} "
-        f"Generator.choice: {'ok' if draws_ok else 'MISMATCH'}  "
+        f"{'draws':<16} jsonl sha256 {digest[:16]} {'/'.join(draws)}, "
+        f"{reference[:16]} Generator.integers/choice: "
+        f"{'ok' if draws_ok else 'MISMATCH'}  "
         f"{time.perf_counter() - start:6.1f}s",
         flush=True,
     )

@@ -31,7 +31,7 @@ from repro.corpus.platforms.flat import (
 )
 from repro.taxonomy.attack_types import PARENT_OF, AttackSubtype, AttackType
 from repro.types import Gender, Platform, Source, Task
-from repro.util.rng import child_rng
+from repro.util.rng import child_rng, integer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,10 +89,6 @@ class CorpusBuilder:
         self._repeat_pools: dict[Platform, list[tuple[Person, tuple[str, ...]]]] = {
             p: [] for p in Platform
         }
-        self._subtype_weights = {
-            p: profiles.subtype_weights(p)
-            for p in (Platform.BOARDS, Platform.CHAT, Platform.GAB)
-        }
 
     # -- public API ---------------------------------------------------------
 
@@ -131,7 +127,7 @@ class CorpusBuilder:
         self, rng: np.random.Generator, platform: Platform
     ) -> tuple[str, GroundTruth]:
         """Render one call to harassment and its ground truth."""
-        subtypes = profiles.sample_subtypes(rng, platform, self._subtype_weights[platform])
+        subtypes = profiles.sample_subtypes(rng, platform)
         gender = profiles.sample_gender(rng, subtypes[0])
         gender_visible = gender is not Gender.UNKNOWN
         person = self._people.make(gender if gender_visible else None)
@@ -163,11 +159,11 @@ class CorpusBuilder:
         if pool and rng.random() < profiles.REPEAT_TARGET_P[platform]:
             if rng.random() < profiles.CROSS_PLATFORM_REPEAT_P:
                 other_pools = [p for p in self._repeat_pools.values() if p]
-                pool = other_pools[int(rng.integers(0, len(other_pools)))]
-            person, prior_osn = pool[int(rng.integers(0, len(pool)))]
+                pool = other_pools[integer(rng, 0, len(other_pools))]
+            person, prior_osn = pool[integer(rng, 0, len(pool))]
             # Repeats must share an OSN handle with the prior dox so the
             # §7.3 linker can find them.
-            forced_osn = prior_osn[int(rng.integers(0, len(prior_osn)))] if prior_osn else "twitter"
+            forced_osn = prior_osn[integer(rng, 0, len(prior_osn))] if prior_osn else "twitter"
         if person is None:
             person = self._people.make()
         if source is Source.TELEGRAM and rng.random() < profiles.TELEGRAM_REPUTATION_ONLY_P:

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from repro.types import Gender
-from repro.util.rng import pick
+from repro.util.rng import integer, pick
 
 FIRST_NAMES_MALE = (
     "Alder", "Bram", "Caspian", "Dorian", "Edmund", "Fenwick", "Garrick",
@@ -182,7 +182,7 @@ class PersonFactory:
         last = pick(rng, LAST_NAMES)
         person_id = self._next_id
         self._next_id += 1
-        handle = f"{first.lower()}{last.lower()}{int(rng.integers(10, 9999))}"
+        handle = f"{first.lower()}{last.lower()}{integer(rng, 10, 9999)}"
         issuer = pick(rng, _CARD_ISSUERS)
         prefix_digits = CARD_ISSUER_PREFIXES[issuer].replace(" ", "")
         card_digits = prefix_digits + luhn_check_digit(prefix_digits)
@@ -200,23 +200,23 @@ class PersonFactory:
             last_name=last,
             gender=gender,
             street_address=(
-                f"{int(rng.integers(100, 9999))} "
+                f"{integer(rng, 100, 9999)} "
                 f"{pick(rng, STREET_NAMES)} {pick(rng, STREET_TYPES)}"
             ),
             city=pick(rng, CITIES),
             state=pick(rng, STATES),
-            zip_code=f"{int(rng.integers(10000, 99999)):05d}",
-            phone=f"({int(rng.integers(200, 989))}) 555-01{int(rng.integers(0, 99)):02d}",
-            ssn=f"987-65-43{int(rng.integers(0, 99)):02d}",
+            zip_code=f"{integer(rng, 10000, 99999):05d}",
+            phone=f"({integer(rng, 200, 989)}) 555-01{integer(rng, 0, 99):02d}",
+            ssn=f"987-65-43{integer(rng, 0, 99):02d}",
             email=f"{handle}@{pick(rng, EMAIL_DOMAINS)}",
             credit_card=card,
             card_issuer=issuer,
             # Handles carry digits so distinct synthetic people never share
             # one — §7.3 repeated-dox linking keys on exact handle matches.
-            facebook=f"{first.lower()}.{last.lower()}.{int(rng.integers(1, 9999))}",
-            instagram=f"{first.lower()}_{last.lower()}_{int(rng.integers(1, 9999))}",
-            twitter=(f"{first.lower()}{last.lower()}"[:10] + str(int(rng.integers(10, 99999)))),
-            youtube=f"{first}{last}Ch{int(rng.integers(1, 9999))}",
+            facebook=f"{first.lower()}.{last.lower()}.{integer(rng, 1, 9999)}",
+            instagram=f"{first.lower()}_{last.lower()}_{integer(rng, 1, 9999)}",
+            twitter=(f"{first.lower()}{last.lower()}"[:10] + str(integer(rng, 10, 99999))),
+            youtube=f"{first}{last}Ch{integer(rng, 1, 9999)}",
             employer=pick(rng, EMPLOYERS),
             family_member=f"{family_first} {last}",
         )

@@ -23,7 +23,7 @@ import numpy as np
 from repro.corpus import profiles
 from repro.corpus.documents import Document, GroundTruth
 from repro.types import Platform, Source
-from repro.util.rng import pick
+from repro.util.rng import integer, pick
 
 BOARD_DOMAIN_STEMS = (
     "fourleaf", "octagon", "kunboard", "greenpond", "wiredchan", "endhall",
@@ -125,9 +125,9 @@ class BoardsPlanner:
             elif roll < first_post_p + last_post_p:
                 pos = thread.size - 1
             elif thread.size > 2:
-                pos = int(rng.integers(1, thread.size - 1))
+                pos = integer(rng, 1, thread.size - 1)
             else:
-                pos = int(rng.integers(0, thread.size))
+                pos = integer(rng, 0, thread.size)
             if pos not in thread.planted:
                 thread.planted[pos] = ("", GroundTruth())  # reserve
                 return PlantedSlot(thread_index=ti, position=pos)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.corpus.documents import Document, GroundTruth
 from repro.types import Platform, Source
-from repro.util.rng import pick
+from repro.util.rng import integer, pick
 
 PASTE_DOMAIN_STEMS = (
     "pastehaven", "textdrop", "snipbin", "rawdump", "clipstash", "notebin",
@@ -82,7 +82,7 @@ class FlatPlatformBuilder:
         self._planted.append((text, truth))
 
     def _author(self) -> str:
-        return f"user{int(self._rng.integers(1, 200_000))}"
+        return f"user{integer(self._rng, 1, 200_000)}"
 
     def materialize(
         self,

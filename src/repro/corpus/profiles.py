@@ -23,6 +23,7 @@ import numpy as np
 from repro import paper
 from repro.taxonomy.attack_types import PARENT_OF, AttackSubtype, AttackType
 from repro.types import Gender, Platform, Source, Task
+from repro.util.rng import Weights, weighted
 
 NEGATIVE_SCALE = 1.0 / 1000.0
 POSITIVE_SCALE = 1.0 / 2.0
@@ -227,9 +228,37 @@ def sample_n_attack_types(rng: np.random.Generator) -> int:
     return 1
 
 
-def sample_subtypes(
-    rng: np.random.Generator, platform: Platform, weights: Mapping[AttackSubtype, float] | None = None
-) -> tuple[AttackSubtype, ...]:
+def _weights(probs: Mapping[object, float]) -> Weights:
+    return Weights(probs, list(probs.values()))
+
+
+#: The weighted draws below, built once: P(primary subtype | platform),
+#: P(target gender | subtype), and the single PII category of a dox that
+#: drew none, proportional to the platform's Table-6 marginals.
+_SUBTYPE_DRAWS = {
+    platform: _weights(subtype_weights(platform))
+    for platform in (Platform.BOARDS, Platform.CHAT, Platform.GAB)
+}
+_GENDER_DRAWS = {
+    subtype: _weights(gender_weights_for_subtype(subtype))
+    for subtype in paper.TABLE10_GENDER
+}
+
+
+def _pii_fallback(platform: Platform) -> Weights:
+    probs = pii_inclusion_probs(platform)
+    weights = np.array(list(probs.values()))
+    weights /= weights.sum()
+    return Weights(probs, weights)
+
+
+_PII_FALLBACK_DRAWS = {
+    platform: _pii_fallback(platform)
+    for platform in (Platform.BOARDS, Platform.CHAT, Platform.GAB, Platform.PASTES)
+}
+
+
+def sample_subtypes(rng: np.random.Generator, platform: Platform) -> tuple[AttackSubtype, ...]:
     """Sample a coherent set of attack subtypes for one CTH.
 
     The first subtype is drawn from the platform's marginal distribution;
@@ -237,12 +266,9 @@ def sample_subtypes(
     paper's documented conditional boosts (surveillance→content leakage,
     impersonation→public opinion manipulation).
     """
-    if weights is None:
-        weights = subtype_weights(platform)
-    subtypes_list = list(weights)
-    probs = np.array([weights[s] for s in subtypes_list])
+    draws = _SUBTYPE_DRAWS[platform]
     chosen: list[AttackSubtype] = []
-    primary = subtypes_list[int(rng.choice(len(subtypes_list), p=probs))]
+    primary = weighted(rng, draws)
     chosen.append(primary)
     n_types = sample_n_attack_types(rng)
     # Documented conditional co-occurrences override the generic count draw.
@@ -254,7 +280,7 @@ def sample_subtypes(
     attempts = 0
     while len(chosen) < n_types and attempts < 8:
         attempts += 1
-        extra = subtypes_list[int(rng.choice(len(subtypes_list), p=probs))]
+        extra = weighted(rng, draws)
         if extra not in chosen and PARENT_OF[extra] not in {PARENT_OF[c] for c in chosen}:
             chosen.append(extra)
     return tuple(dict.fromkeys(chosen))
@@ -262,10 +288,7 @@ def sample_subtypes(
 
 def sample_gender(rng: np.random.Generator, primary: AttackSubtype) -> Gender:
     """Sample target gender conditioned on the primary subtype (Table 10)."""
-    weights = gender_weights_for_subtype(primary)
-    genders = list(weights)
-    probs = np.array([weights[g] for g in genders])
-    return genders[int(rng.choice(len(genders), p=probs))]
+    return weighted(rng, _GENDER_DRAWS[primary])
 
 
 def sample_pii_types(
@@ -283,10 +306,7 @@ def sample_pii_types(
         # A dox with no PII at all defeats its purpose outside Discord;
         # draw one category proportionally to the platform's marginals so
         # the Table-6 shares stay calibrated.
-        categories = list(probs)
-        weights = np.array([probs[c] for c in categories])
-        weights /= weights.sum()
-        chosen = (categories[int(rng.choice(len(categories), p=weights))],)
+        chosen = (weighted(rng, _PII_FALLBACK_DRAWS[platform]),)
     return chosen
 
 

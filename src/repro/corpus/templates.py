@@ -17,7 +17,7 @@ from repro.corpus import vocab
 from repro.corpus.identity import Person
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.types import Gender, Platform
-from repro.util.rng import pick
+from repro.util.rng import integer, pick
 
 # ---------------------------------------------------------------------------
 # Tactic sentence banks, one per taxonomy subcategory.
@@ -231,7 +231,7 @@ def render_tactic_mirror(rng: np.random.Generator) -> str:
     them (the paper's §5.4 false-positive class, generalised).
     """
     roll = rng.random()
-    handle = f"{pick(rng, ('spam', 'bot', 'shill', 'scam'))}watch{int(rng.integers(10, 9999))}"
+    handle = f"{pick(rng, ('spam', 'bot', 'shill', 'scam'))}watch{integer(rng, 10, 9999)}"
     if roll < 0.4:
         mention = f"the account @{handle}"
         subj, obj, poss = "they", "them", "their"
@@ -246,7 +246,7 @@ def render_tactic_mirror(rng: np.random.Generator) -> str:
                              "stealing commissions", "running the fake raffle"))
         mention = f"this {who} {deed}"
         subj, obj, poss = ("she", "her", "her") if who in ("seller", "woman") else ("he", "him", "his")
-    subtype = _MIRRORABLE[int(rng.integers(0, len(_MIRRORABLE)))]
+    subtype = _MIRRORABLE[integer(rng, 0, len(_MIRRORABLE))]
     tactic = pick(rng, TACTIC_SENTENCES[subtype]).format(
         subj=subj, obj=obj, poss=poss,
         name=mention, handle=handle, employer="the hosting company",
@@ -262,14 +262,14 @@ def render_tactic_mirror(rng: np.random.Generator) -> str:
 
 def _render_self_disclosure(rng: np.random.Generator) -> str:
     """Voluntary contact sharing — PII-bearing but not a dox."""
-    handle = f"user{int(rng.integers(100, 99999))}"
+    handle = f"user{integer(rng, 100, 99999)}"
     variants = (
         f"dm me or mail {handle}@mailhaven.example if you want the files",
-        f"selling the spare ticket, text me at ({int(rng.integers(200, 989))}) "
-        f"555-01{int(rng.integers(0, 99)):02d}",
+        f"selling the spare ticket, text me at ({integer(rng, 200, 989)}) "
+        f"555-01{integer(rng, 0, 99):02d}",
         f"new here, my twitter is @{handle} if anyone wants to follow",
         f"commissions open! email {handle}@postbox.example for rates",
-        f"moving sale this weekend, {int(rng.integers(100, 9999))} "
+        f"moving sale this weekend, {integer(rng, 100, 9999)} "
         f"{pick(rng, ('Maple', 'Oakwood', 'Cedarbrook'))} St, everything must go",
     )
     return pick(rng, variants)
@@ -278,9 +278,9 @@ def _render_self_disclosure(rng: np.random.Generator) -> str:
 def _render_roster(rng: np.random.Generator) -> str:
     """A legitimate contact roster — long, email-bearing, not a dox."""
     lines = ["team roster and contacts for the spring league:"]
-    for _ in range(int(rng.integers(3, 8))):
-        handle = f"player{int(rng.integers(1, 999))}"
-        lines.append(f"{handle} - {handle}@webmail.example - division {int(rng.integers(1, 5))}")
+    for _ in range(integer(rng, 3, 8)):
+        handle = f"player{integer(rng, 1, 999)}"
+        lines.append(f"{handle} - {handle}@webmail.example - division {integer(rng, 1, 5)}")
     return "\n".join(lines)
 
 
@@ -310,9 +310,9 @@ def render_hard_negative(
         if roll < 0.4:
             header = pick(rng, vocab.PASTE_DB_DUMP_HEADER)
             rows = "\n".join(
-                f"({int(rng.integers(1, 99999))}, 'user{int(rng.integers(1, 9999))}"
-                f"@dumpsite.example', '{int(rng.integers(0, 2**32)):08x}'),"
-                for _ in range(int(rng.integers(3, 9)))
+                f"({integer(rng, 1, 99999)}, 'user{integer(rng, 1, 9999)}"
+                f"@dumpsite.example', '{integer(rng, 0, 2**32):08x}'),"
+                for _ in range(integer(rng, 3, 9))
             )
             return f"{header}\n{rows}"
         if roll < 0.6:

@@ -32,13 +32,11 @@ from repro.engine.recovery import (
     verify_cache,
 )
 from repro.engine.store import (
-    CORPUS,
     FILTER_MODEL,
     NUMPY,
     PICKLE,
     ArtifactEntry,
     ArtifactStore,
-    CorpusCodec,
     FilterModelCodec,
     NumpyCodec,
     PickleCodec,
@@ -62,11 +60,9 @@ __all__ = [
     "fingerprint",
     "ArtifactEntry",
     "ArtifactStore",
-    "CorpusCodec",
     "FilterModelCodec",
     "NumpyCodec",
     "PickleCodec",
-    "CORPUS",
     "FILTER_MODEL",
     "NUMPY",
     "PICKLE",

@@ -181,6 +181,7 @@ def run_gateway_bench(
             "load_skew": serve_telemetry.load_skew,
             "alerts_total": len(result.serve.alerts),
             "alert_latency": serve_telemetry.fleet().alert_latency.as_dict(),
+            "score_work": serve_telemetry.merged_score_work().as_dict(),
             "fairness_skew": fairness_skew,
         },
         "isolation": isolation,

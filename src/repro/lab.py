@@ -11,11 +11,13 @@ The study is an execution graph on :mod:`repro.engine`::
                            └── seed:cth ─ train:cth ─ al:cth:* ─ … ─ result:cth
 
 With ``cache_dir`` set, every stage artifact is checkpointed to disk
-(corpus as JSONL, final models as ``.npz``, scores as ``.npy``, states
-as pickles) and a re-run with the same config executes zero stages.
-The documents are pickled once, in the vectorized artifact: each
-``result:<task>`` artifact stores none, and :func:`run_study` binds the
-vectorized corpus's documents to the results it returns.
+(final models as ``.npz``, scores as ``.npy``, the corpus and every
+other artifact as pickles) and a re-run with the same config executes
+zero stages.  The documents are pickled twice: all of them in the
+corpus artifact, and the non-blog ones again in the vectorized
+artifact.  Each ``result:<task>`` artifact stores none, and
+:func:`run_study` binds the vectorized corpus's documents to the
+results it returns.
 With ``jobs > 1`` the two task pipelines — which share only the
 vectorized corpus — and the per-source threshold searches inside each
 task run concurrently on a thread pool, with byte-identical results.
@@ -29,7 +31,7 @@ from typing import Mapping, Sequence
 
 from repro.corpus.documents import Corpus, Document
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
-from repro.engine import CORPUS, ArtifactStore, Engine, RetryPolicy, RunReport
+from repro.engine import ArtifactStore, Engine, RetryPolicy, RunReport
 from repro.obs.recorder import RunObserver
 from repro.pipeline.filtering import FilteringPipeline, PipelineConfig
 from repro.pipeline.results import PipelineResult
@@ -105,7 +107,7 @@ def build_study_graph(engine: Engine, config: StudyConfig) -> dict[str, str]:
         non_blog = [d for d in corpus if d.platform is not Platform.BLOGS]
         return VectorizedCorpus(non_blog, seed=config.pipeline.seed)
 
-    corpus_s = engine.add("corpus", _build_corpus, key=(config.corpus,), codec=CORPUS)
+    corpus_s = engine.add("corpus", _build_corpus, key=(config.corpus,))
     vectorized_s = engine.add(
         "vectorized", _vectorize, inputs=(corpus_s,), key=(config.pipeline.seed,)
     )

@@ -119,6 +119,29 @@ class LogisticRegressionClassifier:
         self.bias = b
         return self
 
+    def __getstate__(self) -> dict:
+        # A fit touches few columns, so the weights pickle sparse: their
+        # size, the int32 positions whose bit pattern is not zero (so a
+        # -0.0 round-trips) and the float64 values there.
+        state = self.__dict__.copy()
+        weights = state.pop("weights")
+        if weights is not None:
+            positions = np.flatnonzero(weights.view(np.uint64)).astype(np.int32)
+            weights = (weights.size, positions, weights[positions])
+        state["sparse_weights"] = weights
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = state.copy()
+        # A dense state (written before the weights pickled sparse) has
+        # no such key and fails to load: the engine recomputes its stage.
+        weights = state.pop("sparse_weights")
+        if weights is not None:
+            size, positions, values = weights
+            weights = np.zeros(size)
+            weights[positions] = values
+        self.__dict__.update(state, weights=weights)
+
     def predict_proba(self, features: sparse.csr_matrix) -> np.ndarray:
         if self.weights is None:
             raise RuntimeError("classifier is not fitted")

@@ -5,16 +5,25 @@ derives independent child generators by name.  Deriving by name (rather
 than by call order) means adding a new consumer of randomness does not
 perturb existing experiments, which keeps benchmark output stable across
 library revisions.
+
+The corpus generator's hot draws (:func:`integer`, :func:`pick`,
+:func:`weighted`) return what ``Generator.integers`` and
+``Generator.choice`` return, and leave the generator in the same state,
+without their per-call overhead (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-from typing import Sequence, TypeVar
+from typing import Generic, Sequence, TypeVar
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+_SPAN32 = 1 << 32
 
 T = TypeVar("T")
 
@@ -48,6 +57,37 @@ def child_rng(seed: int, *name: object) -> np.random.Generator:
     return np.random.default_rng(stable_hash(seed, *name))  # repro: noqa[DET001]
 
 
+def integer(rng: np.random.Generator, low: int, high: int) -> int:
+    """One draw from ``[low, high)``: the value ``int(rng.integers(low, high))``.
+
+    This replicates NumPy's scalar bounded draw, so it returns the same
+    value and leaves ``rng`` in the same state, without the argument
+    handling of ``Generator.integers`` (about half its cost).  A span
+    ``high - low`` up to 2**32 takes Lemire's multiply-and-reject over
+    32-bit words, which for a span of exactly 2**32 is the one word
+    NumPy returns there.  Each word comes from ``next_uint32`` through
+    the bit generator's public ctypes interface, the function
+    ``Generator.integers`` calls (PCG64's, which hands out the upper
+    half of a 64-bit output on the next call).  Every other span, and
+    bounds outside int64, go to ``rng.integers`` itself: a span of 1
+    draws nothing, and an empty range raises NumPy's own error.
+    ``low`` and ``high`` are Python ints.  Unlike ``Generator.integers``
+    this takes no lock: every generator here has one owner (DESIGN.md
+    §6).
+    """
+    span = high - low
+    if 1 < span <= _SPAN32 and _INT64_MIN <= low and high - 1 <= _INT64_MAX:
+        bits = rng.bit_generator.ctypes
+        next32, state = bits.next_uint32, bits.state
+        scaled = next32(state) * span
+        if scaled & 0xFFFFFFFF < span:
+            threshold = (_SPAN32 - span) % span
+            while scaled & 0xFFFFFFFF < threshold:
+                scaled = next32(state) * span
+        return low + (scaled >> 32)
+    return int(rng.integers(low, high))
+
+
 def pick(rng: np.random.Generator, seq: Sequence[T]) -> T:
     """One uniform draw from ``seq``: the element ``rng.choice(seq)`` returns.
 
@@ -57,4 +97,38 @@ def pick(rng: np.random.Generator, seq: Sequence[T]) -> T:
     the conversion of ``seq`` to an array on every call, and returns
     the sequence's own object rather than a NumPy scalar.
     """
-    return seq[int(rng.integers(0, len(seq)))]
+    return seq[integer(rng, 0, len(seq))]
+
+
+class Weights(Generic[T]):
+    """Items with fixed probabilities, for :func:`weighted` draws.
+
+    Holds ``p`` as float64, as ``Generator.choice`` converts it, and the
+    CDF ``choice`` builds from it for a weighted draw (``cdf =
+    p.cumsum(); cdf /= cdf[-1]``).  Construction runs NumPy's own checks
+    on ``p``, through ``choice`` on a throwaway generator, so a ``p``
+    that is negative, not finite, of the wrong length or not summing to
+    1 within sqrt(eps) raises the ``ValueError`` ``choice`` raises.
+    """
+
+    __slots__ = ("items", "p", "cdf")
+
+    def __init__(self, items: Sequence[T], p: Sequence[float]) -> None:
+        self.items = tuple(items)
+        make_rng(0).choice(len(self.items), p=p)
+        self.p = np.array(p, dtype=np.float64)
+        cdf = self.p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf: list[float] = cdf.tolist()
+
+
+def weighted(rng: np.random.Generator, weights: Weights[T]) -> T:
+    """One draw from ``weights``: the item of index
+    ``rng.choice(len(weights.items), p=weights.p)``.
+
+    ``Generator.choice`` with ``p`` and no ``size`` draws one
+    ``random()`` and searches its CDF with ``side='right'``;
+    ``bisect_right`` over the same floats finds the same index, and
+    ``rng`` is left in the same state.
+    """
+    return weights.items[bisect.bisect_right(weights.cdf, rng.random())]

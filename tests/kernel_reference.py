@@ -6,15 +6,19 @@ CSR matrix in one pass over the batch;
 triggers a text lacks, and the card and profile-URL patterns whose shape
 or domain it lacks; :meth:`repro.taxonomy.coding.ExpertCoder.code_text`
 skips the subtypes whose signature triggers a text lacks;
-:func:`repro.util.rng.pick` draws a sequence element by index where the
-corpus generator called ``Generator.choice``;
+:func:`repro.util.rng.integer` replicates the scalar draw of
+``Generator.integers``, which :func:`repro.util.rng.pick` uses to draw a
+sequence element by index where the corpus generator called
+``Generator.choice``, and :func:`repro.util.rng.weighted` bisects the
+CDF ``Generator.choice`` builds from ``p``;
 :meth:`repro.nlp.models.logreg.LogisticRegressionClassifier.fit` runs
 Adam on the columns its training rows touch.  The per-row build, the
-ungated regex banks, ``Generator.choice`` and the full-width Adam loop
-live on here, outside the package, as the oracles the kernels must match
-byte for byte.  ``tests/test_kernel_equivalence.py`` checks them on the
-tiny corpora and adversarial inputs; ``scripts/check_kernels.py`` checks
-them on the full corpus.
+ungated regex banks, ``Generator.integers``, ``Generator.choice`` and
+the full-width Adam loop live on here, outside the package, as the
+oracles the kernels must match byte for byte.
+``tests/test_kernel_equivalence.py`` checks them on the tiny corpora and
+adversarial inputs; ``scripts/check_kernels.py`` checks them on the full
+corpus.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.nlp.models.base import validate_training_inputs
 from repro.nlp.models.logreg import LogisticRegressionClassifier, _sigmoid
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import _BANK, ExpertCoder
-from repro.util.rng import child_rng, pick
+from repro.util.rng import Weights, child_rng, integer, pick, weighted
 
 T = TypeVar("T")
 
@@ -229,7 +233,12 @@ def fit_differences(
     return problems
 
 
-# -- uniform sequence draw: Generator.choice ---------------------------------
+# -- corpus draws: Generator.integers and Generator.choice ---------------------
+
+
+def reference_integer(rng: np.random.Generator, low: int, high: int) -> int:
+    """One draw from ``[low, high)`` through ``Generator.integers``."""
+    return int(rng.integers(low, high))
 
 
 def reference_pick(rng: np.random.Generator, seq: Sequence[T]) -> T:
@@ -237,25 +246,42 @@ def reference_pick(rng: np.random.Generator, seq: Sequence[T]) -> T:
     return rng.choice(seq).item()
 
 
+def reference_weighted(rng: np.random.Generator, weights: Weights[T]) -> T:
+    """One weighted draw through ``Generator.choice`` with ``p``."""
+    return weights.items[int(rng.choice(len(weights.items), p=weights.p))]
+
+
+#: Each fast draw and the NumPy call it replaced.
+REFERENCE_DRAWS = {
+    "integer": (integer, reference_integer),
+    "pick": (pick, reference_pick),
+    "weighted": (weighted, reference_weighted),
+}
+
+
 @contextlib.contextmanager
 def reference_draws() -> Iterator[list[str]]:
-    """Rebind every imported ``pick`` in ``repro`` to :func:`reference_pick`.
+    """Rebind every imported ``integer``, ``pick`` and ``weighted`` in
+    ``repro`` to its reference in :data:`REFERENCE_DRAWS`.
 
-    Yields the names of the rebound modules; code run inside the block
-    draws through ``Generator.choice`` wherever it called ``pick``.
+    Yields the rebound names as ``module.draw``; code run inside the
+    block draws through ``Generator.integers`` and ``Generator.choice``
+    wherever it called the fast draws.
     """
     bound = [
-        module for name, module in list(sys.modules.items())
-        if (name == "repro" or name.startswith("repro."))
-        and getattr(module, "pick", None) is pick
+        (module, draw, fast)
+        for name, module in list(sys.modules.items())
+        if name == "repro" or name.startswith("repro.")
+        for draw, (fast, _reference) in REFERENCE_DRAWS.items()
+        if getattr(module, draw, None) is fast
     ]
-    for module in bound:
-        module.pick = reference_pick
+    for module, draw, _fast in bound:
+        setattr(module, draw, REFERENCE_DRAWS[draw][1])
     try:
-        yield [module.__name__ for module in bound]
+        yield [f"{module.__name__}.{draw}" for module, draw, _fast in bound]
     finally:
-        for module in bound:
-            module.pick = pick
+        for module, draw, fast in bound:
+            setattr(module, draw, fast)
 
 
 # -- adversarial inputs -------------------------------------------------------

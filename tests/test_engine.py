@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    CORPUS,
     NUMPY,
+    PICKLE,
     STATUS_HIT,
     STATUS_RECOVERED,
     STATUS_RUN,
@@ -99,13 +99,19 @@ def test_store_stage_filtered_clear_keeps_other_stages(tmp_path):
 
 
 def test_corpus_codec_roundtrip(tmp_path, tiny_corpus):
+    # The corpus stage pickles its Corpus: documents with their ground
+    # truth, the platform index and the board threads come back equal.
     store = ArtifactStore(tmp_path)
-    docs = list(tiny_corpus)[:25]
     key = "cd" * 16
-    store.save("corpus", key, CORPUS, docs)
-    loaded = list(store.load("corpus", key, CORPUS))
-    assert [d.doc_id for d in loaded] == [d.doc_id for d in docs]
-    assert [d.text for d in loaded] == [d.text for d in docs]
+    store.save("corpus", key, PICKLE, tiny_corpus)
+    loaded = store.load("corpus", key, PICKLE)
+    assert list(loaded) == list(tiny_corpus)
+    assert loaded.counts_by_platform() == tiny_corpus.counts_by_platform()
+    assert len(loaded.threads) == len(tiny_corpus.threads) > 0
+    for got, want in zip(loaded.threads, tiny_corpus.threads):
+        assert (got.thread_id, got.domain, got.posts) == (
+            want.thread_id, want.domain, want.posts
+        )
 
 
 # -- engine graph ------------------------------------------------------------

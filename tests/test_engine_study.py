@@ -5,10 +5,20 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.engine import PICKLE, STATUS_HIT, STATUS_RECOVERED, ArtifactStore
+from repro.corpus.io import write_jsonl
+from repro.engine import (
+    PICKLE,
+    STATUS_HIT,
+    STATUS_RECOVERED,
+    STATUS_RUN,
+    ArtifactStore,
+)
+from repro.engine.recovery import checksum_file
 from repro.lab import StudyConfig, run_study
+from repro.nlp.models.logreg import LogisticRegressionClassifier
 from repro.nlp.tokenize import TokenCache
 from repro.pipeline.vectorized import VectorizedCorpus
+from repro.reporting.tables import render_table3, render_table4
 from repro.types import Task
 
 
@@ -117,6 +127,78 @@ def test_vectorized_artifact_in_the_old_pickle_state_is_recovered(
     assert store.load("vectorized", key, PICKLE).cache.lengths().tobytes() == (
         cold_study.vectorized.cache.lengths().tobytes()
     )
+
+
+def test_cache_with_a_jsonl_corpus_recomputes_only_the_corpus(
+    cold_study, cache_dir, tmp_path
+):
+    """A cache written while the corpus artifact was JSONL: the corpus
+    key is unchanged, so only the corpus stage misses (its artifact is
+    now a pickle) and every other stage hits, with the same tables."""
+    old_cache = tmp_path / "cache"
+    shutil.copytree(cache_dir, old_cache)
+    store = ArtifactStore(old_cache)
+    key = cold_study.run_report.record("corpus").key
+    pickled = store.path_for("corpus", key, PICKLE.extension)
+    store.manifest.forget(pickled.name)
+    pickled.unlink()
+    jsonl = store.path_for("corpus", key, ".jsonl")
+    write_jsonl(cold_study.corpus, jsonl)
+    store.manifest.record(jsonl.name, checksum_file(jsonl))
+
+    warm = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
+    statuses = {r.name: r.status for r in warm.run_report.records}
+    assert statuses.pop("corpus") == STATUS_RUN
+    assert statuses and set(statuses.values()) == {STATUS_HIT}
+    assert pickled.exists()
+    assert list(warm.corpus) == list(cold_study.corpus)
+    _assert_results_identical(cold_study, warm)
+    for render in (render_table3, render_table4):
+        assert render(warm.results) == render(cold_study.results)
+
+
+def test_training_states_with_dense_weights_are_recovered(
+    cold_study, cache_dir, tmp_path, monkeypatch
+):
+    """``train:``/``al:`` artifacts written before the classifier pickled
+    its weights sparse no longer load: each is quarantined and its stage
+    recomputed, same results."""
+    old_cache = tmp_path / "cache"
+    shutil.copytree(cache_dir, old_cache)
+    store = ArtifactStore(old_cache)
+    states = [
+        record for record in cold_study.run_report.records
+        if record.name.startswith(("train:", "al:"))
+    ]
+    assert len(states) == 6
+    weights = {}
+    with monkeypatch.context() as old_state:
+        # Without __getstate__ a classifier pickles its __dict__.
+        old_state.setattr(
+            LogisticRegressionClassifier, "__getstate__", lambda self: self.__dict__
+        )
+        for record in states:
+            state = store.load(record.name, record.key, PICKLE)
+            weights[record.name] = state.classifier.weights.tobytes()
+            store.save(record.name, record.key, PICKLE, state)
+    with pytest.raises(KeyError):  # checksum intact: the state is stale
+        store.load(states[0].name, states[0].key, PICKLE)
+    # Drop the results, so the run must load the last round's state.
+    for task in Task:
+        name = f"result:{task.value}"
+        store.path_for(name, cold_study.run_report.record(name).key, ".pkl").unlink()
+
+    healed = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
+    statuses = {r.name: r.status for r in healed.run_report.records}
+    assert {statuses[record.name] for record in states} == {STATUS_RECOVERED}
+    quarantined = {path.name for path in (old_cache / "quarantine").iterdir()}
+    assert quarantined == {
+        store.path_for(record.name, record.key, ".pkl").name for record in states
+    }
+    _assert_results_identical(cold_study, healed)
+    for record in states:
+        state = store.load(record.name, record.key, PICKLE)
+        assert state.classifier.weights.tobytes() == weights[record.name]
 
 
 def test_uncached_run_matches_cached(cold_study):

@@ -9,14 +9,17 @@ built from the gates' triggers and the Unicode case-fold hazards, and
 the edge batches of the one-pass build.  Structural tests read off each
 parsed pattern that its matches hold its gates (category trigger, card
 shape, URL domain, signature trigger), so no gate can fall behind its
-bank.  On the corpus side, ``pick`` must draw what ``Generator.choice``
-draws and leave the generator where it leaves it, the tiny corpora must
-write the same JSONL under either draw, documents must pickle the
-generated dataclass state, and ``write_jsonl`` must write the lines
-``json.dumps`` gives.  The logistic-regression fit, which runs Adam on
-the columns its rows touch, must give the weight and bias bytes of the
-full-width loop (``reference_fit``) on the tiny study's task views and
-on adversarial CSR inputs.  ``scripts/check_kernels.py`` runs the
+bank.  On the corpus side, ``integer`` must draw what
+``Generator.integers`` draws, ``pick`` what ``Generator.choice`` draws
+and ``weighted`` what ``Generator.choice`` with ``p`` draws, each
+leaving the generator where NumPy leaves it and raising NumPy's errors;
+the tiny corpora must write the same JSONL under the fast and the NumPy
+draws, documents must pickle the generated dataclass state, and
+``write_jsonl`` must write the lines ``json.dumps`` gives.  The
+logistic-regression fit, which runs Adam on the columns its rows touch,
+must give the weight and bias bytes of the full-width loop
+(``reference_fit``) on the tiny study's task views and on adversarial
+CSR inputs.  ``scripts/check_kernels.py`` runs the
 corpus, text and fit checks on the full corpus.
 """
 
@@ -55,7 +58,7 @@ from repro.pipeline.filtering import TASK_MAX_TOKENS
 from repro.taxonomy.attack_types import AttackSubtype
 from repro.taxonomy.coding import _SIGNATURES, ExpertCoder
 from repro.types import Gender, Platform, Source, Task
-from repro.util.rng import child_rng, pick
+from repro.util.rng import Weights, child_rng, integer, pick, weighted
 from tests.kernel_reference import (
     csr_differences,
     fit_differences,
@@ -65,9 +68,11 @@ from tests.kernel_reference import (
     reference_draws,
     reference_extract_pii,
     reference_fit,
+    reference_integer,
     reference_pick,
     reference_pii_categories_present,
     reference_transform_hashes,
+    reference_weighted,
     taxonomy_mismatches,
 )
 
@@ -489,19 +494,133 @@ def test_pick_draws_what_generator_choice_draws(length):
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+_SPANS = (1, 2, 3, 26, 1000, 2**31 + 5, 2**32, 2**32 + 1)
+
+
+@pytest.mark.parametrize("span", _SPANS)
+@pytest.mark.parametrize("low", [0, -7_000_000_000])
+def test_integer_draws_what_generator_integers_draws(span, low):
+    # 2**32 is NumPy's one-word branch, 2**32 + 1 the 64-bit draw that
+    # integer hands to Generator.integers.
+    for seed in range(100):
+        ours = child_rng(seed, "integer", span)
+        theirs = child_rng(seed, "integer", span)
+        for step in range(30):
+            drawn = integer(ours, low, low + span)
+            expected = reference_integer(theirs, low, low + span)
+            assert drawn == expected and type(drawn) is type(expected) is int
+            # Interleave the generator's other draws, so a state that
+            # drifted apart (PCG64's buffered half word) shows in them.
+            if step % 3 == 0:
+                assert ours.random() == theirs.random()
+            if step % 4 == 1:
+                assert ours.integers(0, 1000) == theirs.integers(0, 1000)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", [
+    (0, 0), (5, 5), (5, 4), (-3, -9), (0, -1),
+    # short spans with a bound outside int64
+    (2**63, 2**63 + 5), (-2**63 - 1, -2**63 + 3), (2**63 - 3, 2**63 + 1),
+])
+def test_integer_raises_what_generator_integers_raises(low, high):
+    with pytest.raises(ValueError) as expected:
+        child_rng(0, "integer").integers(low, high)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        integer(child_rng(0, "integer"), low, high)
+
+
+def _weights_cases():
+    rng = child_rng(0, "weights")
+    lumpy = rng.random(30) ** 4
+    return {
+        "uniform": Weights("abcd", [0.25] * 4),
+        "lumpy": Weights(range(30), lumpy / lumpy.sum()),
+        "zeros": Weights("abcde", [0.0, 0.5, 0.0, 0.5, 0.0]),
+        "single": Weights(["only"], [1.0]),
+        # within sqrt(eps) of 1: choice divides its CDF by cdf[-1]
+        "off-by-eps": Weights("xyz", [0.2, 0.3, 0.5 + 1e-9]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_weights_cases()))
+def test_weighted_draws_what_generator_choice_draws(case):
+    weights = _weights_cases()[case]
+    for seed in range(100):
+        ours = child_rng(seed, "weighted", case)
+        theirs = child_rng(seed, "weighted", case)
+        for step in range(30):
+            drawn = weighted(ours, weights)
+            assert drawn == reference_weighted(theirs, weights)
+            assert type(drawn) is type(weights.items[0])
+            if step % 4 == 1:
+                assert integer(ours, 0, 26) == reference_integer(theirs, 0, 26)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _Uniform:
+    """A stand-in generator whose ``random()`` returns one fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("case", list(_weights_cases()))
+def test_weighted_index_at_the_cdf_boundaries(case):
+    # Generator.choice with p builds cdf = p.cumsum(); cdf /= cdf[-1] and
+    # takes cdf.searchsorted(random(), side="right"); random draws almost
+    # never land on a boundary, so try each boundary and its neighbours.
+    weights = _weights_cases()[case]
+    cdf = weights.p.cumsum()
+    cdf /= cdf[-1]
+    for bound in [0.0, *cdf]:
+        for value in (np.nextafter(bound, -1.0), bound, np.nextafter(bound, 2.0)):
+            if 0.0 <= value < 1.0:
+                index = int(cdf.searchsorted(value, side="right"))
+                assert weighted(_Uniform(float(value)), weights) == weights.items[index]
+
+
+@pytest.mark.parametrize("items, p", [
+    ("ab", [1.1, -0.1]),
+    ("ab", [0.5, float("nan")]),
+    ("ab", [float("inf"), 0.5]),
+    ("ab", [float("-inf"), float("inf")]),
+    ("abc", [0.5, 0.5]),
+    ("ab", [0.5, 0.4]),
+    ("ab", [[0.5, 0.5]]),
+    ("", []),
+])
+def test_weights_reject_what_generator_choice_rejects(items, p):
+    with pytest.raises(ValueError) as expected:
+        child_rng(0, "weights").choice(len(items), p=p)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        Weights(items, p)
+
+
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{seed}")
 def test_tiny_corpus_jsonl_is_identical_under_reference_draws(seed, tmp_path):
     config = CorpusConfig.tiny(seed)
     write_jsonl(CorpusBuilder(config).build(), tmp_path / "pick.jsonl")
     with reference_draws() as rebound:
         write_jsonl(CorpusBuilder(config).build(), tmp_path / "choice.jsonl")
-    # Persons, templates, blogs, board and flat platforms all draw.
+    # Persons, templates, profiles, blogs, board and flat platforms all
+    # draw, through each of the three fast draws.
     assert {
-        "repro.corpus.identity",
-        "repro.corpus.templates",
-        "repro.corpus.platforms.blogs",
-        "repro.corpus.platforms.boards",
-        "repro.corpus.platforms.flat",
+        "repro.corpus.identity.integer",
+        "repro.corpus.identity.pick",
+        "repro.corpus.templates.integer",
+        "repro.corpus.templates.pick",
+        "repro.corpus.generator.integer",
+        "repro.corpus.profiles.weighted",
+        "repro.corpus.platforms.blogs.pick",
+        "repro.corpus.platforms.boards.integer",
+        "repro.corpus.platforms.boards.pick",
+        "repro.corpus.platforms.flat.integer",
+        "repro.corpus.platforms.flat.pick",
+        "repro.util.rng.integer",
     } <= set(rebound)
     assert (tmp_path / "pick.jsonl").read_bytes() == (
         tmp_path / "choice.jsonl"

@@ -1,5 +1,7 @@
 """Unit tests for the trainable classifiers (logreg, NB)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,24 @@ def test_logreg_deterministic():
     p1 = LogisticRegressionClassifier(seed=3).fit(X, y).predict_proba(X)
     p2 = LogisticRegressionClassifier(seed=3).fit(X, y).predict_proba(X)
     np.testing.assert_array_equal(p1, p2)
+
+
+def test_logreg_pickles_its_weights_sparse_and_exact():
+    model = LogisticRegressionClassifier(epochs=2, seed=5).fit(*_toy_data())
+    model.weights[[1, 2, 3]] = [-0.0, 5e-324, -1e300]  # sign, subnormal, huge
+    size = model.weights.size
+    nonzero = np.flatnonzero(model.weights.view(np.uint64)).size
+    blob = pickle.dumps(model)
+    # Only the nonzero bit patterns travel: int32 position + float64.
+    assert nonzero < size and len(blob) < 1_000 + 12 * nonzero
+    loaded = pickle.loads(blob)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert float(loaded.bias).hex() == float(model.bias).hex()
+    assert {k: v for k, v in vars(loaded).items() if k != "weights"} == {
+        k: v for k, v in vars(model).items() if k != "weights"
+    }
+    unfitted = pickle.loads(pickle.dumps(LogisticRegressionClassifier(l2=0.5)))
+    assert unfitted.weights is None and unfitted.l2 == 0.5
 
 
 def test_logreg_class_balancing_helps_minority_recall():
