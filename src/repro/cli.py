@@ -5,7 +5,7 @@ Subcommands::
     repro generate  --out corpus.jsonl [--tiny/--full] [--seed N]
     repro run       [--tiny/--full] [--seed N] [--report-dir DIR]
     repro study     [--tiny/--full] [--seed N] [--cache-dir DIR]
-                    [--jobs N] [--force] [--retries N] [--report-dir DIR]
+                    [--jobs N] [--force] [--report-dir DIR]
     repro cache     ls|clear|verify --cache-dir DIR
     repro lint      [paths...] [--select/--ignore IDS] [--baseline FILE]
                     [--update-baseline] [--format text|json]
@@ -26,9 +26,9 @@ Subcommands::
 ``generate`` writes a synthetic corpus as JSONL; ``run`` executes the full
 study and prints the paper-vs-measured reports; ``study`` runs the same
 study on the staged execution engine — per-stage checkpointing to
-``--cache-dir``, a stage thread pool via ``--jobs``, stage retries via
-``--retries``, and a wall-time / cache-hit summary table; ``cache``
-inspects, integrity-verifies, or empties a stage cache;
+``--cache-dir``, a stage thread pool via ``--jobs``, and a wall-time /
+cache-hit summary table; ``cache`` inspects, integrity-verifies, or
+empties an existing stage cache;
 ``train``/``score`` cover the deployment loop the paper's §3 release
 intent describes; ``assess`` runs the rule-based analysis layers on a
 single text; ``lint`` runs the static analysis — the determinism,
@@ -135,7 +135,6 @@ def cmd_study(args) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         force=args.force,
-        retries=args.retries,
         trace_dir=args.trace_dir,
     )
     report = study.run_report
@@ -166,6 +165,9 @@ def cmd_cache(args) -> int:
     from repro.engine import ArtifactStore, verify_cache
     from repro.util.tables import format_table
 
+    if not pathlib.Path(args.cache_dir).is_dir():
+        print(f"error: no cache directory at {args.cache_dir}", file=sys.stderr)
+        return 2
     store = ArtifactStore(args.cache_dir)
     if args.action == "clear":
         removed = store.clear()
@@ -185,8 +187,9 @@ def cmd_cache(args) -> int:
         )
         if not report.ok:
             print(
-                "corrupt/missing artifacts will be quarantined and recomputed "
-                "on the next run that needs them"
+                "corrupt and unmanifested artifacts will be quarantined and "
+                "recomputed, and missing ones recomputed, on the next run "
+                "that needs them"
             )
             return 1
         return 0
@@ -672,13 +675,6 @@ def _parse_kill_at(value: str) -> float:
     return _checked(lambda v: KillSpec(at_fraction=float(v)).at_fraction, value)
 
 
-def _parse_retries(value: str) -> int:
-    retries = int(value)
-    if retries < 0:
-        raise argparse.ArgumentTypeError(f"--retries must be >= 0, got {retries}")
-    return retries
-
-
 def _parse_task(value: str):
     from repro.types import Task
 
@@ -799,10 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument(
         "--force", action="store_true",
         help="re-run every stage even when its artifact is cached",
-    )
-    p_study.add_argument(
-        "--retries", type=_parse_retries, default=0,
-        help="re-execute a transiently failing stage up to N extra times",
     )
     p_study.add_argument("--report-dir", default=None)
     p_study.add_argument(

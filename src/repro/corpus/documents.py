@@ -52,13 +52,17 @@ class GroundTruth:
         return tuple(labels)
 
     def __getstate__(self) -> list:
-        # The state the generated method returns (field values in field
-        # order), without its dataclasses.fields() call per object; the
-        # generated __setstate__ reads it back.
+        # The state the generated methods use (field values in field
+        # order), without their dataclasses.fields() call per object.
         return list(_TRUTH_STATE(self))
 
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(_TRUTH_FIELDS, state):
+            object.__setattr__(self, name, value)
 
-_TRUTH_STATE = operator.attrgetter(*(f.name for f in dataclasses.fields(GroundTruth)))
+
+_TRUTH_FIELDS = tuple(f.name for f in dataclasses.fields(GroundTruth))
+_TRUTH_STATE = operator.attrgetter(*_TRUTH_FIELDS)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -90,11 +94,16 @@ class Document:
         return self.truth.is_dox if task is Task.DOX else self.truth.is_cth
 
     def __getstate__(self) -> list:
-        # As GroundTruth.__getstate__: the generated state, read at once.
+        # As GroundTruth's: the generated state, read and set at once.
         return list(_DOCUMENT_STATE(self))
 
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(_DOCUMENT_FIELDS, state):
+            object.__setattr__(self, name, value)
 
-_DOCUMENT_STATE = operator.attrgetter(*(f.name for f in dataclasses.fields(Document)))
+
+_DOCUMENT_FIELDS = tuple(f.name for f in dataclasses.fields(Document))
+_DOCUMENT_STATE = operator.attrgetter(*_DOCUMENT_FIELDS)
 
 
 @dataclasses.dataclass(slots=True)

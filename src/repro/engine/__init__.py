@@ -8,9 +8,9 @@ content-hashed cache keys (:mod:`repro.engine.keys`), a disk-backed
 artifact store with per-type codecs and checksum manifests
 (:mod:`repro.engine.store`), a demand-driven scheduler with per-stage
 observability (:mod:`repro.engine.core`), and a self-healing layer —
-artifact integrity verification, quarantine-and-recompute, stage retry
-policies, and a deterministic fault-injection harness
-(:mod:`repro.engine.recovery`, :mod:`repro.engine.faults`).
+artifact integrity verification, quarantine-and-recompute, and a
+deterministic fault-injection harness (:mod:`repro.engine.recovery`,
+:mod:`repro.engine.faults`).
 """
 
 from repro.engine.core import (
@@ -27,7 +27,6 @@ from repro.engine.keys import canonicalize, fingerprint
 from repro.engine.recovery import (
     ArtifactIntegrityError,
     CacheManifest,
-    RetryPolicy,
     VerifyReport,
     verify_cache,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "STATUS_RECOVERED",
     "ArtifactIntegrityError",
     "CacheManifest",
-    "RetryPolicy",
     "VerifyReport",
     "verify_cache",
     "canonicalize",

@@ -7,9 +7,10 @@ a codec for its output artifact.  ``run(targets)`` then:
 1. plans demand-driven: walking down from the targets, a stage whose
    artifact is already cached becomes a leaf — its inputs are neither
    loaded nor computed (so a warm study re-run executes zero stages);
-2. executes the plan, on a thread pool when ``jobs > 1`` (the hot paths
-   are numpy and release the GIL; independent stages such as the DOX and
-   CTH pipelines, or per-source threshold searches, run concurrently);
+2. resolves every planned stage through one memoised resolver, on a
+   thread pool when ``jobs > 1`` (the hot paths are numpy and release
+   the GIL; independent stages such as the DOX and CTH pipelines, or
+   per-source threshold searches, run concurrently);
 3. records per-stage wall time and cache hit/miss status into a
    :class:`RunReport` whose summary table shows where pipeline time goes.
 
@@ -21,21 +22,19 @@ The engine is also self-healing: a cached artifact that fails checksum
 verification or whose codec raises on load is quarantined and the stage
 (plus only the upstream subgraph it actually needs) is transparently
 re-executed — the run completes with the stage marked
-``STATUS_RECOVERED`` instead of aborting.  A :class:`RetryPolicy` bounds
-re-execution of transiently failing stage functions; attempt counts are
-recorded per stage.  See :mod:`repro.engine.recovery`.
+``STATUS_RECOVERED`` instead of aborting.  A stage function that raises
+fails the run: it is pure, so running it again would raise again.  See
+:mod:`repro.engine.recovery`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Callable, Mapping, Sequence
 
 from repro.engine.keys import fingerprint
-from repro.engine.recovery import RetryPolicy
 from repro.engine.store import PICKLE, ArtifactStore, Codec
 from repro.obs.trace import Tracer
 from repro.util.tables import format_table
@@ -66,9 +65,10 @@ class StageRecord:
     status: str
     seconds: float
     key: str
-    #: Stage-function executions this resolution took (1 = first try;
-    #: >1 means the retry policy absorbed transient failures).
-    attempts: int = 1
+
+
+#: Each resolved stage's value and record, by stage name.
+_Memo = dict[str, tuple[object, StageRecord]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,34 +101,27 @@ class RunReport:
 
     def render(self) -> str:
         rows = [
-            (r.name, r.status, f"{r.seconds:.3f}", str(r.attempts), r.key[:12])
-            for r in self.records
+            (r.name, r.status, f"{r.seconds:.3f}", r.key[:12]) for r in self.records
         ]
         summary = f"total ({self.n_executed} run / {self.n_cache_hits} hit"
         if self.n_recovered:
             summary += f" / {self.n_recovered} recovered"
-        rows.append((summary + ")", "", f"{self.total_seconds:.3f}", "", ""))
-        return format_table(("stage", "status", "seconds", "tries", "key"), rows)
+        rows.append((summary + ")", "", f"{self.total_seconds:.3f}", ""))
+        return format_table(("stage", "status", "seconds", "key"), rows)
 
     def populate_metrics(self, registry) -> None:
         """Project the run into an observability registry.
 
         Deliberately excludes wall-clock ``seconds``: the registry
         snapshot (like the trace) must be byte-identical across runs, so
-        only the deterministic facts — stage statuses and retry counts —
-        are projected.  Timings stay in :meth:`render` where
-        non-determinism is expected.
+        only the deterministic facts — stage statuses — are projected.
+        Timings stay in :meth:`render` where non-determinism is expected.
         """
         statuses = registry.counter(
             "engine_stages", help="stage resolutions by cache status"
         )
-        retries = registry.counter(
-            "engine_retries", help="extra stage-function attempts absorbed"
-        )
         for record in self.records:
             statuses.labels(status=record.status).inc()
-            if record.attempts > 1:
-                retries.labels(stage=record.name).inc(record.attempts - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,7 +143,6 @@ class Engine:
         store: ArtifactStore | None = None,
         jobs: int = 1,
         force: bool = False,
-        retry: RetryPolicy | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if jobs < 1:
@@ -158,7 +150,6 @@ class Engine:
         self.store = store
         self.jobs = jobs
         self.force = force
-        self.retry = retry or RetryPolicy()
         #: observability sink; stage spans are flushed on a *logical*
         #: clock in plan order at the end of ``run()``, so the trace is
         #: byte-identical across runs and ``jobs`` settings (wall-clock
@@ -228,12 +219,7 @@ class Engine:
             if name in plan:
                 return
             stage = self._stages[name]  # KeyError on unknown target
-            if (
-                stage.cacheable
-                and self.store is not None
-                and not self.force
-                and self.store.has(name, self.key_of(name), stage.codec.extension)
-            ):
+            if self._cached(stage):
                 plan[name] = STATUS_HIT
                 order.append(name)
                 return
@@ -245,41 +231,29 @@ class Engine:
         for target in targets:
             visit(target)
 
-        values: dict[str, object] = {}
-        records: dict[str, StageRecord] = {}
-        # Stages resolved *outside* the plan — upstream recomputes forced
-        # by a quarantined artifact — are recorded here so recovery work
-        # is visible in the report.
-        extras: dict[str, StageRecord] = {}
-        extras_lock = threading.Lock()
+        memo: _Memo = {}
         # Per-stage trace-event buffers.  Each buffer is written only by
         # the one worker resolving that stage (recovery events land in
-        # the consumer stage's buffer), so no lock is needed; the flush
+        # the healed stage's buffer), so no lock is needed; the flush
         # below replays them in plan order on a logical clock.
         stage_events: dict[str, list[tuple[str, dict[str, object]]]] = (
             {name: [] for name in order} if self.tracer is not None else {}
         )
-
-        def record_extra(record: StageRecord) -> None:
-            with extras_lock:
-                extras.setdefault(record.name, record)
-
         if self.jobs == 1 or len(order) <= 1:
             for name in order:
-                values[name], records[name] = self._resolve(
-                    name, plan[name], values, record_extra,
-                    events=stage_events.get(name),
-                )
+                self._resolve(name, memo, stage_events.get(name))
         else:
-            self._run_parallel(
-                order, plan, values, records, record_extra, stage_events
-            )
-        ordered = [records[name] for name in order]
-        ordered.extend(extras[n] for n in sorted(extras) if n not in records)
-        report = RunReport(records=tuple(ordered))
+            self._run_parallel(order, plan, memo, stage_events)
+        # Planned stages in plan order, then the stages resolved only
+        # while healing another one, by name.
+        names = order + sorted(name for name in memo if name not in plan)
+        report = RunReport(records=tuple(memo[name][1] for name in names))
         if self.tracer is not None:
             self._flush_trace(targets, order, report, stage_events)
-        return RunOutcome(values=values, report=report)
+        return RunOutcome(
+            values={name: value for name, (value, _) in memo.items()},
+            report=report,
+        )
 
     def _flush_trace(
         self,
@@ -311,7 +285,6 @@ class Engine:
                 end=clock + 1.0,
                 stage=record.name,
                 status=record.status,
-                attempts=record.attempts,
                 key=record.key[:12],
                 planned=record.name in in_plan,
             )
@@ -320,181 +293,110 @@ class Engine:
             clock += 1.0
         run_span.close(0.0, clock)
 
-    def _execute(
-        self, stage: Stage, input_values: Sequence[object]
-    ) -> tuple[object, int]:
-        """Run a stage function under the retry policy; returns
-        (value, attempts taken)."""
-        attempt = 1
-        while True:
-            try:
-                return stage.fn(*input_values), attempt
-            except BaseException as exc:
-                if attempt >= self.retry.max_attempts or not self.retry.retryable(exc):
-                    raise
-                delay = self.retry.delay(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-
-    def _try_load(self, name: str, key: str, stage: Stage) -> tuple[object, bool]:
-        """Load a cached artifact; on integrity/codec failure, quarantine
-        the file and report failure instead of raising."""
-        try:
-            return self.store.load(name, key, stage.codec), True
-        except Exception:
-            self.store.quarantine(self.store.path_for(name, key, stage.codec.extension))
-            return None, False
-
-    def _compute_and_save(
-        self, name: str, key: str, stage: Stage, input_values: Sequence[object]
-    ) -> tuple[object, int]:
-        value, attempts = self._execute(stage, input_values)
-        if stage.cacheable and self.store is not None:
-            self.store.save(name, key, stage.codec, value)
-        return value, attempts
-
-    def _demand(
-        self,
-        name: str,
-        memo: dict[str, object],
-        record_extra: Callable[[StageRecord], None],
-        events: list[tuple[str, dict[str, object]]] | None = None,
-    ) -> object:
-        """Resolve one upstream stage on demand during recovery.
-
-        The planner pruned this stage (its consumer was a cache hit), so
-        resolve it now: load its artifact when intact, quarantine and
-        recompute otherwise, recursing only into the inputs that are
-        actually needed.  ``memo`` carries already-resolved values so a
-        diamond-shaped subgraph computes each stage once.  ``events``
-        is the *consumer* stage's trace buffer: demand-resolutions are
-        part of that stage's recovery story, and the buffer stays
-        single-writer because the whole recovery runs on its thread.
-        """
-        if name in memo:
-            return memo[name]
-        stage = self._stages[name]
-        key = self.key_of(name)
-        started = time.perf_counter()
-        status = STATUS_RUN
-        attempts = 1
-        value, loaded = None, False
-        if (
+    def _cached(self, stage: Stage) -> bool:
+        """Whether the run loads ``stage`` instead of computing it."""
+        return (
             stage.cacheable
             and self.store is not None
             and not self.force
-            and self.store.has(name, key, stage.codec.extension)
-        ):
-            value, loaded = self._try_load(name, key, stage)
-            status = STATUS_HIT if loaded else STATUS_RECOVERED
-            if not loaded and events is not None:
-                events.append(("quarantine", {"stage": name}))
-        if not loaded:
-            inputs = [
-                self._demand(dep, memo, record_extra, events)
-                for dep in stage.inputs
-            ]
-            value, attempts = self._compute_and_save(name, key, stage, inputs)
-        memo[name] = value
-        if events is not None:
-            events.append(("demand", {"stage": name, "status": status}))
-        record_extra(StageRecord(
-            name=name, status=status, seconds=time.perf_counter() - started,
-            key=key, attempts=attempts,
-        ))
-        return value
+            and self.store.has(
+                stage.name, self.key_of(stage.name), stage.codec.extension
+            )
+        )
 
     def _resolve(
         self,
         name: str,
-        status: str,
-        values: Mapping[str, object],
-        record_extra: Callable[[StageRecord], None],
+        memo: _Memo,
         events: list[tuple[str, dict[str, object]]] | None = None,
-    ) -> tuple[object, StageRecord]:
+        demanded: bool = False,
+    ) -> object:
+        """Resolve one stage: load its artifact, or compute it.
+
+        A stage already in ``memo`` is returned as is, so no stage is
+        loaded or computed twice in one ``memo``.  A cached artifact that
+        fails verification or its codec is quarantined and the stage
+        recomputed from its inputs, each resolved through this method:
+        the planner pruned them, so they are ``demanded`` and add a
+        ``demand`` event to the healed stage's trace buffer ``events``.
+        """
+        if name in memo:
+            return memo[name][0]
         stage = self._stages[name]
         key = self.key_of(name)
         started = time.perf_counter()
-        attempts = 1
-        if status == STATUS_HIT:
-            value, loaded = self._try_load(name, key, stage)
-            if not loaded:
-                # Quarantine-and-recompute: the artifact was moved aside;
-                # re-execute this stage plus only the upstream subgraph
-                # it needs (the planner pruned those as leaves).
+        status = STATUS_RUN
+        if self._cached(stage):
+            try:
+                value = self.store.load(name, key, stage.codec)
+                status = STATUS_HIT
+            except Exception:
+                self.store.quarantine(
+                    self.store.path_for(name, key, stage.codec.extension)
+                )
                 status = STATUS_RECOVERED
                 if events is not None:
                     events.append(("quarantine", {"stage": name}))
-                memo = dict(values)
-                inputs = [
-                    self._demand(dep, memo, record_extra, events)
-                    for dep in stage.inputs
-                ]
-                value, attempts = self._compute_and_save(name, key, stage, inputs)
-        else:
-            value, attempts = self._compute_and_save(
-                name, key, stage, [values[dep] for dep in stage.inputs]
-            )
-        elapsed = time.perf_counter() - started
-        return value, StageRecord(
-            name=name, status=status, seconds=elapsed, key=key, attempts=attempts
+        if status != STATUS_HIT:
+            value = stage.fn(*[
+                self._resolve(dep, memo, events, demanded=True)
+                for dep in stage.inputs
+            ])
+            if stage.cacheable and self.store is not None:
+                self.store.save(name, key, stage.codec, value)
+        if demanded and events is not None:
+            events.append(("demand", {"stage": name, "status": status}))
+        memo[name] = value, StageRecord(
+            name=name, status=status, seconds=time.perf_counter() - started, key=key
         )
+        return value
 
     def _run_parallel(
         self,
         order: Sequence[str],
         plan: Mapping[str, str],
-        values: dict[str, object],
-        records: dict[str, StageRecord],
-        record_extra: Callable[[StageRecord], None],
-        stage_events: Mapping[str, list[tuple[str, dict[str, object]]]] | None = None,
+        memo: _Memo,
+        stage_events: Mapping[str, list[tuple[str, dict[str, object]]]],
     ) -> None:
-        # Cache hits have no scheduling dependencies: their inputs are
-        # pruned from the plan entirely.
+        # A planned run starts once its inputs are done; a cache hit
+        # waits on nothing (its inputs are pruned from the plan).
         waiting_on = {
             name: (
-                {dep for dep in self._stages[name].inputs if dep in plan}
-                if plan[name] == STATUS_RUN
-                else set()
+                set(self._stages[name].inputs) if plan[name] == STATUS_RUN else set()
             )
             for name in order
         }
-        lock = threading.Lock()  # guards `values` across worker threads
         pending = list(order)
-        running: dict[Future, str] = {}
+        running: dict[Future, _Memo] = {}
         failure: BaseException | None = None
-
-        def resolve(name: str) -> tuple[object, StageRecord]:
-            with lock:
-                snapshot = dict(values)
-            return self._resolve(
-                name, plan[name], snapshot, record_extra,
-                events=(stage_events or {}).get(name),
-            )
-
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             while pending or running:
                 if failure is None:
-                    ready = [n for n in pending if not waiting_on[n]]
-                    for name in ready:
+                    for name in [n for n in pending if not waiting_on[n]]:
                         pending.remove(name)
-                        running[pool.submit(resolve, name)] = name
+                        # Only this thread touches `memo`; each stage
+                        # resolves into its own copy of what it needs.
+                        local = {
+                            dep: memo[dep]
+                            for dep in (*self._stages[name].inputs, name)
+                            if dep in memo
+                        }
+                        future = pool.submit(
+                            self._resolve, name, local, stage_events.get(name)
+                        )
+                        running[future] = local
                 if not running:
                     break
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
-                    name = running.pop(future)
-                    try:
-                        value, record = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - reraised below
-                        if failure is None:
-                            failure = exc
+                    local = running.pop(future)
+                    error = future.exception()
+                    if error is not None:
+                        failure = failure or error
                         continue
-                    with lock:
-                        values[name] = value
-                    records[name] = record
-                    for other in waiting_on.values():
-                        other.discard(name)
+                    for name, resolved in local.items():
+                        memo.setdefault(name, resolved)
+                        for other in waiting_on.values():
+                            other.discard(name)
         if failure is not None:
             raise failure

@@ -2,7 +2,7 @@
 
 The recovery tests need to *manufacture* the failures a long pipeline
 run eventually sees — bit rot in a cached artifact, a write truncated by
-a kill, a stage that fails transiently N times — and they need to do so
+a kill, a reader that cannot parse intact bytes — and they need to do so
 deterministically so a recovered run can be asserted byte-identical to a
 clean one.  Nothing here draws randomness: corruption sites are explicit
 byte offsets and failure counts are explicit integers.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pathlib
 import threading
-from typing import Callable
 
 from repro.engine.store import Codec
 
@@ -49,46 +48,6 @@ def truncate_file(
     path = pathlib.Path(path)
     data = path.read_bytes()
     path.write_bytes(data[: int(len(data) * keep_fraction)])
-
-
-class FlakyFunction:
-    """Wrap a stage function to fail its first ``failures`` calls.
-
-    Thread-safe (parallel engines call stage functions from a pool);
-    ``calls`` counts total invocations for assertions.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[..., object],
-        failures: int,
-        exc_type: type[BaseException] = RuntimeError,
-    ) -> None:
-        self._fn = fn
-        self._remaining = failures
-        self._exc_type = exc_type
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def __call__(self, *args: object) -> object:
-        with self._lock:
-            self.calls += 1
-            should_fail = self._remaining > 0
-            if should_fail:
-                self._remaining -= 1
-            n = self.calls
-        if should_fail:
-            raise self._exc_type(f"injected stage failure (call #{n})")
-        return self._fn(*args)
-
-
-def fail_n_times(
-    fn: Callable[..., object],
-    n: int,
-    exc_type: type[BaseException] = RuntimeError,
-) -> FlakyFunction:
-    """Convenience constructor for :class:`FlakyFunction`."""
-    return FlakyFunction(fn, failures=n, exc_type=exc_type)
 
 
 class FlakyCodec:

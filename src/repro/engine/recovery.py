@@ -1,23 +1,20 @@
-"""Artifact integrity and stage-retry policy: the engine's self-healing layer.
+"""Artifact integrity: the engine's self-healing layer.
 
-Three cooperating pieces make a cache trustworthy at the paper's scale
-(560M+ posts means days-long runs that *will* see truncated writes, bad
-disks, and flaky stages):
+Two cooperating pieces make a cache trustworthy at the paper's scale
+(560M+ posts means days-long runs that *will* see truncated writes and
+bad disks):
 
 * :class:`CacheManifest` — a per-cache JSON manifest recording a blake2b
   content checksum for every artifact the store writes.  The store
-  updates it atomically alongside each ``save`` and verifies artifacts
-  against it on ``load``, raising :class:`ArtifactIntegrityError` on a
-  mismatch so corruption is caught *before* a codec misparses the bytes.
+  records the entry before each ``save`` renames the artifact into place
+  and verifies artifacts against it on ``load``, raising
+  :class:`ArtifactIntegrityError` on a mismatch or a missing entry so
+  corruption is caught *before* a codec misparses the bytes.
 * Quarantine-and-recompute — when verification (or the codec itself)
   fails, the engine moves the bad file to ``<cache>/quarantine/``,
   re-executes the stage and only the upstream subgraph it actually
   needs, and records the stage as ``STATUS_RECOVERED`` instead of
   aborting the run (see :meth:`Engine._resolve`).
-* :class:`RetryPolicy` — bounded re-execution of transiently failing
-  stage functions with exponential backoff, applied uniformly to fresh
-  runs and recovery recomputes; attempt counts surface in the run
-  report.
 
 :func:`verify_cache` is the offline face of the same checks, driving
 ``repro cache verify``.
@@ -31,7 +28,7 @@ import json
 import os
 import pathlib
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports us)
     from repro.engine.store import ArtifactStore
@@ -58,12 +55,18 @@ def checksum_file(path: pathlib.Path) -> str:
 
 
 class ArtifactIntegrityError(RuntimeError):
-    """A cached artifact's bytes do not match its recorded checksum."""
+    """A cached artifact's bytes do not match its recorded checksum, or
+    the manifest records none (``expected`` is None)."""
 
-    def __init__(self, path: pathlib.Path, expected: str, actual: str) -> None:
+    def __init__(
+        self, path: pathlib.Path, expected: str | None, actual: str
+    ) -> None:
+        recorded = (
+            "no manifest entry" if expected is None else f"expected {expected[:12]}…"
+        )
         super().__init__(
             f"artifact {path.name} failed integrity verification "
-            f"(expected {expected[:12]}…, found {actual[:12]}…)"
+            f"({recorded}, found {actual[:12]}…)"
         )
         self.path = path
         self.expected = expected
@@ -76,9 +79,9 @@ class CacheManifest:
     Writers re-read the file under a lock before every update, so
     concurrent stage threads in one process never lose entries; the
     rewrite itself goes through a temp file + ``os.replace`` like every
-    artifact write.  Artifacts absent from the manifest (caches written
-    before the integrity layer existed) load unverified rather than
-    erroring — ``repro cache verify`` reports them as ``unmanifested``.
+    artifact write.  An artifact absent from the manifest fails
+    verification like a corrupt one — ``repro cache verify`` reports it
+    as ``unmanifested``.
     """
 
     def __init__(self, path: pathlib.Path) -> None:
@@ -137,40 +140,10 @@ class CacheManifest:
         return len(stale)
 
 
-def _retry_transient(exc: BaseException) -> bool:
-    """Default retry predicate: ordinary errors yes, interrupts/exits no."""
-    return isinstance(exc, Exception)
-
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded re-execution of failing stage functions.
-
-    ``max_attempts`` counts total executions (1 = no retries); between
-    attempt *n* and *n+1* the engine sleeps ``backoff_base * 2**(n-1)``
-    seconds; ``retryable`` filters which exceptions are worth retrying
-    (defaults to any ``Exception`` — never ``KeyboardInterrupt``).
-    """
-
-    max_attempts: int = 1
-    backoff_base: float = 0.0
-    retryable: Callable[[BaseException], bool] = _retry_transient
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to wait after the given (1-based) failed attempt."""
-        return self.backoff_base * (2 ** (attempt - 1))
-
-
 #: Verification statuses reported by :func:`verify_cache`.
 VERIFY_OK = "ok"  # checksum matches
 VERIFY_CORRUPT = "corrupt"  # checksum mismatch: bytes changed on disk
-VERIFY_UNMANIFESTED = "unmanifested"  # pre-integrity-layer artifact
+VERIFY_UNMANIFESTED = "unmanifested"  # no manifest entry: fails on load
 VERIFY_MISSING = "missing"  # manifested but the file is gone
 
 
@@ -193,17 +166,16 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        """True when no artifact is corrupt or missing."""
-        return not any(
-            f.status in (VERIFY_CORRUPT, VERIFY_MISSING) for f in self.findings
-        )
+        """True when every artifact matches its manifest entry."""
+        return all(f.status == VERIFY_OK for f in self.findings)
 
 
 def verify_cache(store: "ArtifactStore") -> VerifyReport:
     """Check every artifact in ``store`` against the cache manifest.
 
-    Read-only: corrupt artifacts are reported, not quarantined — the
-    engine quarantines lazily on the next load that needs them.
+    Read-only: corrupt and unmanifested artifacts are reported, not
+    quarantined — the engine quarantines lazily on the next load that
+    needs them.
     """
     manifest = store.manifest.entries()
     findings: list[VerifyFinding] = []

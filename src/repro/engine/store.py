@@ -14,10 +14,11 @@ and ``repro train``; the corpus artifact pickles, which writes and reads
 it in about half the time, in two fifths of the bytes.  Writes go
 through a temp file + ``os.replace`` so a crashed run never leaves a
 truncated artifact behind, and every write records a content checksum in
-the cache manifest (:mod:`repro.engine.recovery`); ``load`` verifies it
-so corruption surfaces as :class:`ArtifactIntegrityError` instead of a
-codec misparse, and :meth:`ArtifactStore.quarantine` moves bad files
-aside for the engine's recompute path.
+the cache manifest (:mod:`repro.engine.recovery`) before the artifact
+takes its name; ``load`` verifies it, so corruption, or an artifact the
+manifest does not list, surfaces as :class:`ArtifactIntegrityError`
+instead of a codec misparse, and :meth:`ArtifactStore.quarantine` moves
+bad files aside for the engine's recompute path.
 """
 
 from __future__ import annotations
@@ -139,28 +140,27 @@ class ArtifactStore:
         )
         try:
             codec.save(value, tmp)
-            digest = checksum_file(tmp)
+            # The entry goes first: a reader that finds the artifact finds
+            # its entry too, and a crash in between leaves an entry
+            # without a file, which ``has`` reads as absent.
+            self.manifest.record(final.name, checksum_file(tmp))
             os.replace(tmp, final)
         finally:
             tmp.unlink(missing_ok=True)
-        self.manifest.record(final.name, digest)
         return final
 
-    def load(self, stage: str, key: str, codec: Codec, verify: bool = True) -> object:
+    def load(self, stage: str, key: str, codec: Codec) -> object:
         """Load an artifact, verifying its checksum against the manifest.
 
-        Unmanifested artifacts (caches predating the integrity layer)
-        load unverified; a checksum mismatch raises
-        :class:`ArtifactIntegrityError` before the codec touches the
-        bytes.
+        A checksum mismatch, or an artifact the manifest does not list,
+        raises :class:`ArtifactIntegrityError` before the codec touches
+        the bytes.
         """
         path = self.path_for(stage, key, codec.extension)
-        if verify:
-            expected = self.manifest.expected(path.name)
-            if expected is not None:
-                actual = checksum_file(path)
-                if actual != expected:
-                    raise ArtifactIntegrityError(path, expected, actual)
+        expected = self.manifest.expected(path.name)
+        actual = checksum_file(path)
+        if actual != expected:
+            raise ArtifactIntegrityError(path, expected, actual)
         return codec.load(path)
 
     def quarantine(self, path: pathlib.Path) -> pathlib.Path | None:
@@ -169,8 +169,6 @@ class ArtifactStore:
         (None when the file already vanished)."""
         path = pathlib.Path(path)
         self.manifest.forget(path.name)
-        if not path.exists():
-            return None
         qdir = self.root / QUARANTINE_DIR
         qdir.mkdir(exist_ok=True)
         dest = qdir / path.name
@@ -178,7 +176,12 @@ class ArtifactStore:
         while dest.exists():
             suffix += 1
             dest = qdir / f"{path.name}.{suffix}"
-        os.replace(path, dest)
+        try:
+            os.replace(path, dest)
+        except FileNotFoundError:
+            # Two stage threads healing the same input both quarantine
+            # it, and the second finds it gone.
+            return None
         return dest
 
     def entries(self) -> list[ArtifactEntry]:

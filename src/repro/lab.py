@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from repro.corpus.documents import Corpus, Document
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
-from repro.engine import ArtifactStore, Engine, RetryPolicy, RunReport
+from repro.engine import ArtifactStore, Engine, RunReport
 from repro.obs.recorder import RunObserver
 from repro.pipeline.filtering import FilteringPipeline, PipelineConfig
 from repro.pipeline.results import PipelineResult
@@ -124,30 +124,25 @@ def run_study(
     cache_dir: str | None = None,
     jobs: int = 1,
     force: bool = False,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
     trace_dir: str | None = None,
 ) -> Study:
     """Build the corpus and run both pipelines end to end.
 
     ``cache_dir`` enables the disk-backed stage cache (a warm re-run
     executes zero stages); ``jobs`` sizes the stage thread pool;
-    ``force`` re-runs every stage even when cached.  Corrupt or
-    truncated cached artifacts are quarantined and recomputed
-    transparently (``STATUS_RECOVERED`` in the run report); ``retries``
-    additionally re-executes transiently failing stages up to that many
-    extra times, backing off ``retry_backoff * 2**n`` seconds between
-    attempts.  ``trace_dir`` opts into observability: the engine's
-    logical-clock stage trace plus the stage-status metrics are saved
-    there in ``repro obs`` format (deterministic — no wall-clock values
-    enter the artifacts).
+    ``force`` re-runs every stage even when cached.  Corrupt, truncated
+    or unmanifested cached artifacts are quarantined and recomputed
+    transparently (``STATUS_RECOVERED`` in the run report); a stage
+    that raises fails the run.  ``trace_dir`` opts into observability:
+    the engine's logical-clock stage trace plus the stage-status metrics
+    are saved there in ``repro obs`` format (deterministic — no
+    wall-clock values enter the artifacts).
     """
     config = config or StudyConfig()
     store = ArtifactStore(cache_dir) if cache_dir is not None else None
-    retry = RetryPolicy(max_attempts=retries + 1, backoff_base=retry_backoff)
     recorder = RunObserver("study") if trace_dir is not None else None
     engine = Engine(
-        store=store, jobs=jobs, force=force, retry=retry,
+        store=store, jobs=jobs, force=force,
         tracer=recorder.tracer if recorder is not None else None,
     )
     targets = build_study_graph(engine, config)

@@ -155,20 +155,24 @@ def test_cache_verify_reports_corruption(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 ok, 1 corrupt" in out and "quarantined and recomputed" in out
 
+    # An artifact the manifest does not list is quarantined on load too.
+    store.save("stage:b", "cd" * 16, NUMPY, np.arange(4))
+    store.manifest.forget(good.name)
+    assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
+    assert "1 ok, 0 corrupt, 0 missing, 1 unmanifested" in capsys.readouterr().out
+
     assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
     capsys.readouterr()
     assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
     assert "empty" in capsys.readouterr().out
 
 
-def test_study_retries_flag_validation():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["study", "--tiny", "--retries", "2"])
-    assert args.retries == 2
-    with pytest.raises(SystemExit):
-        parser.parse_args(["study", "--tiny", "--retries", "-1"])
+@pytest.mark.parametrize("action", ["ls", "verify", "clear"])
+def test_cache_commands_reject_a_missing_directory(tmp_path, capsys, action):
+    missing = tmp_path / "no-such-cache"
+    assert main(["cache", action, "--cache-dir", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize(

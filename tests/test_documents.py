@@ -1,5 +1,8 @@
 """Unit tests for Document / Thread / Corpus containers."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.corpus.documents import Corpus, Document, GroundTruth, Thread
@@ -87,3 +90,18 @@ def test_source_platform_mapping():
     assert Source.DISCORD.platform is Platform.CHAT
     assert Source.TELEGRAM.platform is Platform.CHAT
     assert Source.BOARDS.platform is Platform.BOARDS
+
+
+def test_corpus_unpickles_without_dataclasses_fields(tiny_corpus, monkeypatch):
+    # Document and GroundTruth set their state from a module-level field
+    # tuple: no dataclasses.fields() call per object on load.
+    data = pickle.dumps(tiny_corpus, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def no_fields(obj):
+        raise AssertionError("dataclasses.fields() called while unpickling")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(dataclasses, "fields", no_fields)
+        loaded = pickle.loads(data)
+    assert list(loaded) == list(tiny_corpus)
+    assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == data

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +245,83 @@ def test_engine_parallel_error_propagates():
     boom = engine.add("boom", lambda: (_ for _ in ()).throw(ValueError("nope")))
     with pytest.raises(ValueError, match="nope"):
         engine.run([a, boom])
+
+
+def _chains_engine(store, jobs):
+    """Six chains of depth four feeding one target: wider and deeper
+    than a pool of two."""
+    engine = Engine(store=store, jobs=jobs)
+    tails = []
+    for chain in range(6):
+        prev = engine.add(
+            f"s{chain}_0", lambda chain=chain: np.full(4, float(chain)),
+            codec=NUMPY,
+        )
+        for depth in range(1, 4):
+            prev = engine.add(
+                f"s{chain}_{depth}", lambda x, depth=depth: x * 2 + depth,
+                inputs=(prev,), codec=NUMPY,
+            )
+        tails.append(prev)
+    engine.add("total", lambda *xs: np.concatenate(xs), inputs=tuple(tails), codec=NUMPY)
+    return engine
+
+
+def _run_within(engine, targets, seconds=60.0):
+    """``engine.run`` on a daemon thread: a hung pool fails the test
+    instead of blocking the suite."""
+    result = {}
+
+    def target():
+        try:
+            result["outcome"] = engine.run(targets)
+        except BaseException as exc:  # noqa: BLE001 - reraised below
+            result["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"engine.run did not finish within {seconds:.0f} s")
+    if "error" in result:
+        raise result["error"]
+    return result["outcome"]
+
+
+def _chain_runs(tmp_path, jobs):
+    """Cold, warm and damaged runs of the chains graph at ``jobs``."""
+    store = ArtifactStore(tmp_path / f"jobs{jobs}")
+    outcomes = [_run_within(_chains_engine(store, jobs), ["total"]) for _ in range(2)]
+    engine = _chains_engine(store, jobs)
+    # Drop the target and every chain tail so the plan reaches depth
+    # two, then corrupt two of those mid-chain artifacts.
+    for name in ["total"] + [f"s{chain}_3" for chain in range(6)]:
+        store.path_for(name, engine.key_of(name), NUMPY.extension).unlink()
+    for name in ("s1_2", "s4_2"):
+        path = store.path_for(name, engine.key_of(name), NUMPY.extension)
+        path.write_bytes(path.read_bytes()[:-8])
+    outcomes.append(_run_within(engine, ["total"]))
+    return outcomes
+
+
+def test_engine_pool_narrower_than_the_graph_matches_sequential(tmp_path):
+    sequential = _chain_runs(tmp_path, jobs=1)
+    parallel = _chain_runs(tmp_path, jobs=2)
+    for seq, par in zip(sequential, parallel):
+        assert seq["total"].tobytes() == par["total"].tobytes()
+        assert [(r.name, r.status) for r in seq.report.records] == [
+            (r.name, r.status) for r in par.report.records
+        ]
+    cold, warm, healed = parallel
+    assert cold.report.n_executed == 25
+    assert [(r.name, r.status) for r in warm.report.records] == [
+        ("total", STATUS_HIT)
+    ]
+    statuses = {r.name: r.status for r in healed.report.records}
+    assert statuses["s1_2"] == statuses["s4_2"] == STATUS_RECOVERED
+    assert statuses["s1_1"] == statuses["s4_1"] == STATUS_HIT  # demanded
+    assert healed.report.n_recovered == 2
+    assert healed.report.n_executed == 7  # the target and the six tails
 
 
 def test_engine_source_stages_never_cached(tmp_path):

@@ -5,6 +5,8 @@ lets the engine heal, and asserts the healed run is byte-identical to a
 clean one — the acceptance bar for the recovery layer.
 """
 
+import os
+import pathlib
 import pickle
 
 import numpy as np
@@ -15,15 +17,13 @@ from repro.engine import (
     PICKLE,
     STATUS_HIT,
     STATUS_RECOVERED,
-    STATUS_RUN,
     ArtifactIntegrityError,
     ArtifactStore,
     CacheManifest,
     Engine,
-    RetryPolicy,
     verify_cache,
 )
-from repro.engine.faults import FlakyCodec, fail_n_times, flip_bytes, truncate_file
+from repro.engine.faults import FlakyCodec, flip_bytes, truncate_file
 from repro.engine.recovery import (
     VERIFY_CORRUPT,
     VERIFY_MISSING,
@@ -67,16 +67,6 @@ def test_truncate_file(tmp_path):
         truncate_file(path, keep_fraction=1.0)
 
 
-def test_fail_n_times_counts_calls():
-    flaky = fail_n_times(lambda: "ok", 2, exc_type=OSError)
-    with pytest.raises(OSError):
-        flaky()
-    with pytest.raises(OSError):
-        flaky()
-    assert flaky() == "ok"
-    assert flaky.calls == 3
-
-
 # -- manifest + integrity ------------------------------------------------------
 
 
@@ -99,18 +89,6 @@ def test_save_records_checksum_and_load_verifies(tmp_path):
     flip_bytes(path, offsets=(-1,))  # a data byte: parseable, but wrong
     with pytest.raises(ArtifactIntegrityError):
         store.load("stage", key, NUMPY)
-    # Unverified load goes straight to the codec (legacy behaviour).
-    np.asarray(store.load("stage", key, NUMPY, verify=False))
-
-
-def test_unmanifested_artifact_loads_without_verification(tmp_path):
-    # Caches written before the integrity layer existed have no manifest
-    # entries; they must keep loading.
-    store = ArtifactStore(tmp_path)
-    key = "ef" * 16
-    path = store.save("stage", key, PICKLE, {"x": 1})
-    store.manifest.forget(path.name)
-    assert store.load("stage", key, PICKLE) == {"x": 1}
 
 
 def test_quarantine_moves_file_and_forgets_manifest(tmp_path):
@@ -126,6 +104,25 @@ def test_quarantine_moves_file_and_forgets_manifest(tmp_path):
     dest2 = store.quarantine(path)
     assert dest2 != dest and dest2.exists() and dest.exists()
     assert store.quarantine(path) is None  # already gone
+
+
+def test_quarantine_of_a_file_another_thread_moved_returns_none(
+    tmp_path, monkeypatch
+):
+    # The file is there when quarantine starts and gone when it moves it:
+    # another stage thread healing the same input moved it first.
+    store = ArtifactStore(tmp_path)
+    path = store.save("stage", "aa" * 16, PICKLE, 1)
+    real_replace = os.replace
+
+    def raced(src, dst):
+        if pathlib.Path(src) == path:
+            real_replace(src, tmp_path / "moved-by-another-thread")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", raced)
+    assert store.quarantine(path) is None
+    assert store.manifest.expected(path.name) is None
 
 
 def test_verify_cache_statuses(tmp_path):
@@ -146,6 +143,14 @@ def test_verify_cache_statuses(tmp_path):
     assert by_name[missing.name] == VERIFY_MISSING
     assert not report.ok
     assert report.count(VERIFY_OK) == 1
+
+    # An unmanifested artifact alone fails the audit: the next load of
+    # it quarantines it.
+    store.clear()
+    store.save("good", "11" * 16, PICKLE, 1)
+    unmanifested = store.save("old", "33" * 16, PICKLE, 3)
+    store.manifest.forget(unmanifested.name)
+    assert not verify_cache(store).ok
 
     store.clear()
     assert verify_cache(ArtifactStore(tmp_path)).findings == ()
@@ -193,7 +198,6 @@ def test_corrupt_target_quarantined_and_recomputed(tmp_path, fault):
     np.testing.assert_array_equal(np.asarray(outcome.values[d2]), clean)
     record = outcome.report.record("d")
     assert record.status == STATUS_RECOVERED
-    assert record.attempts == 1
     assert outcome.report.n_recovered == 1
     assert calls2 == ["d"]  # inputs loaded from cache, not recomputed
     assert [p.name for p in (tmp_path / "quarantine").iterdir()] == [path.name]
@@ -264,104 +268,95 @@ def test_parallel_run_with_faults_matches_sequential_clean_run(tmp_path):
     assert verify_cache(store).ok
 
 
-# -- retry policy --------------------------------------------------------------
-
-
-def test_retry_policy_validation_and_backoff():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_base=-1)
-    policy = RetryPolicy(max_attempts=4, backoff_base=0.5)
-    assert [policy.delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
-
-def test_flaky_stage_succeeds_within_max_attempts():
-    engine = Engine(retry=RetryPolicy(max_attempts=3))
-    flaky = fail_n_times(lambda: 42, 2)
-    s = engine.add("s", flaky)
-    outcome = engine.run([s])
-    assert outcome.values[s] == 42
-    record = outcome.report.record("s")
-    assert record.status == STATUS_RUN and record.attempts == 3
-    assert flaky.calls == 3
-
-
-def test_flaky_stage_fails_cleanly_past_max_attempts():
-    engine = Engine(retry=RetryPolicy(max_attempts=3))
-    flaky = fail_n_times(lambda: 42, 3)
-    s = engine.add("s", flaky)
-    with pytest.raises(RuntimeError, match="injected stage failure"):
-        engine.run([s])
-    assert flaky.calls == 3  # exactly max_attempts, no runaway
-
-
-def test_default_policy_does_not_retry():
-    engine = Engine()
-    flaky = fail_n_times(lambda: 42, 1)
-    engine.add("s", flaky)
-    with pytest.raises(RuntimeError):
-        engine.run(["s"])
-    assert flaky.calls == 1
-
-
-def test_non_retryable_exceptions_raise_immediately():
-    engine = Engine(
-        retry=RetryPolicy(
-            max_attempts=5, retryable=lambda exc: not isinstance(exc, TypeError)
-        )
-    )
-    flaky = fail_n_times(lambda: 42, 3, exc_type=TypeError)
-    engine.add("s", flaky)
-    with pytest.raises(TypeError):
-        engine.run(["s"])
-    assert flaky.calls == 1
-
-
-def test_retry_applies_to_recovery_recompute(tmp_path):
-    # A quarantined artifact whose recompute is itself flaky: the retry
-    # policy covers the recovery path, and the attempt count lands in
-    # the recovered record.
+def test_unmanifested_artifact_is_quarantined_and_recomputed(tmp_path):
+    # An artifact the manifest does not list fails verification like a
+    # corrupt one; its recompute writes the same bytes back.
     store = ArtifactStore(tmp_path)
-    engine = Engine(store=store)
-    engine.add("s", lambda: 7)
-    engine.run(["s"])
-    flip_bytes(store.path_for("s", engine.key_of("s"), PICKLE.extension))
+    engine, _, d = _array_engine(store=store)
+    engine.run([d])
+    path = store.path_for("d", engine.key_of("d"), NUMPY.extension)
+    clean_bytes = path.read_bytes()
+    store.manifest.forget(path.name)
 
-    engine2 = Engine(store=store, retry=RetryPolicy(max_attempts=3))
-    flaky = fail_n_times(lambda: 7, 2)
-    engine2.add("s", flaky)
-    outcome = engine2.run(["s"])
-    assert outcome.values["s"] == 7
-    record = outcome.report.record("s")
-    assert record.status == STATUS_RECOVERED and record.attempts == 3
+    engine2, calls2, d2 = _array_engine(store=store)
+    outcome = engine2.run([d2])
+    assert outcome.report.record("d").status == STATUS_RECOVERED
+    assert calls2 == ["d"]
+    assert [p.name for p in (tmp_path / "quarantine").iterdir()] == [path.name]
+    assert path.read_bytes() == clean_bytes
+    assert verify_cache(store).ok
+    engine3, calls3, d3 = _array_engine(store=store)
+    assert engine3.run([d3]).report.record("d").status == STATUS_HIT
+    assert calls3 == []
 
 
-def test_parallel_flaky_stages_match_sequential():
-    def build(**kwargs):
-        engine = Engine(retry=RetryPolicy(max_attempts=4), **kwargs)
-        flakies = [
-            engine.add(f"s{i}", fail_n_times(lambda i=i: np.full(8, i), i % 3))
-            for i in range(6)
+def test_parallel_stages_healing_one_damaged_input(tmp_path):
+    # Four cached stages and the input they share are all damaged: the
+    # four heal at once on a pool of four, each quarantining the shared
+    # input.  Whichever thread moves it second must heal too.
+    from tests.test_engine import _run_within
+
+    def build(store):
+        engine = Engine(store=store, jobs=4)
+        engine.add("u", lambda: np.arange(64.0), codec=NUMPY)
+        xs = [
+            engine.add(f"x{i}", lambda a, i=i: a * i, inputs=("u",), codec=NUMPY)
+            for i in range(4)
         ]
-        total = engine.add(
-            "total", lambda *xs: np.concatenate(xs), inputs=tuple(flakies)
-        )
-        return engine, total
+        engine.add("t", lambda *xs: np.concatenate(xs), inputs=tuple(xs), codec=NUMPY)
+        return engine
 
-    seq_engine, seq_total = build(jobs=1)
-    par_engine, par_total = build(jobs=4)
-    seq = np.asarray(seq_engine.run([seq_total]).values[seq_total])
-    par = np.asarray(par_engine.run([par_total]).values[par_total])
-    np.testing.assert_array_equal(seq, par)
-    assert par_engine  # pool drained without deadlock
+    for trial in range(30):
+        store = ArtifactStore(tmp_path / str(trial))
+        engine = build(store)
+        clean = np.asarray(engine.run(["t"]).values["t"])
+        store.path_for("t", engine.key_of("t"), NUMPY.extension).unlink()
+        for name in ("u", "x0", "x1", "x2", "x3"):
+            flip_bytes(store.path_for(name, engine.key_of(name), NUMPY.extension))
+        outcome = _run_within(build(store), ["t"])
+        assert np.asarray(outcome.values["t"]).tobytes() == clean.tobytes()
+        assert verify_cache(store).ok
 
 
-def test_report_render_shows_tries_column():
-    engine = Engine(retry=RetryPolicy(max_attempts=2))
-    engine.add("s", fail_n_times(lambda: 1, 1))
-    text = engine.run(["s"]).report.render()
-    assert "tries" in text and "recovered" not in text
+# -- failing stages ------------------------------------------------------------
+
+
+def test_failing_stage_runs_exactly_once():
+    calls = []
+
+    def failing():
+        calls.append("s")
+        raise RuntimeError("stage failure")
+
+    engine = Engine()
+    engine.add("s", failing)
+    with pytest.raises(RuntimeError, match="stage failure"):
+        engine.run(["s"])
+    assert calls == ["s"]
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_failing_stage_stops_its_consumers(jobs):
+    calls = []
+
+    def tracked(name, fn):
+        def wrapped(*inputs):
+            calls.append(name)
+            return fn(*inputs)
+
+        return wrapped
+
+    def boom(x):
+        raise ValueError("boom")
+
+    engine = Engine(jobs=jobs)
+    a = engine.add("a", tracked("a", lambda: 1))
+    b = engine.add("b", tracked("b", boom), inputs=(a,))
+    c = engine.add("c", tracked("c", lambda x: x + 1), inputs=(b,))
+    d = engine.add("d", tracked("d", lambda x: x * 2), inputs=(c,))
+    with pytest.raises(ValueError, match="boom"):
+        engine.run([d])
+    assert calls == ["a", "b"]
 
 
 # -- end-to-end: the study heals over a damaged cache --------------------------
@@ -405,7 +400,6 @@ def test_study_recovers_over_damaged_cache(damaged_study_cache, jobs):
     report = healed.run_report
     recovered = {r.name for r in report.records if r.status == STATUS_RECOVERED}
     assert recovered  # the damaged result stage healed in place
-    assert all(r.attempts == 1 for r in report.records)
 
     quarantine = ArtifactStore(cache_dir).root / "quarantine"
     names = {p.name.removesuffix(".1") for p in quarantine.iterdir()}
