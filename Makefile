@@ -26,9 +26,9 @@ lint-repro:
 # corpus built with the integer/pick/weighted draws and with the
 # Generator.integers/choice calls they replaced, and byte-identical
 # filter fits (Adam on the touched columns against reference_fit); the
-# tiny-corpus half runs in tier-1.  About ten and a half minutes and
-# 0.84 GB on a 2-vCPU host: build 19 s, fits about a minute, draws
-# 81 s, then 59-80 s per text set.
+# tiny-corpus half runs in tier-1.  About nine minutes and 0.84 GB on
+# a 2-vCPU host: build 13-19 s, fits about a minute, draws 51-81 s,
+# then 56-84 s per text set.
 check-kernels:
 	python scripts/check_kernels.py
 

@@ -2,14 +2,15 @@
 """Check the optimised kernels against their references on the full corpus.
 
 ``tests/test_kernel_equivalence.py`` holds the one-pass CSR build, the
-gated PII bank (category triggers, card shape, URL domains), the
+gated PII bank (category triggers, card shape, URL domains; prefix-scanned
+digit-led and profile-URL patterns, against the bank as first written), the
 trigger-gated taxonomy coder, the corpus generator's ``integer``,
 ``pick`` and ``weighted`` draws and the logistic-regression fit (Adam
 on the touched columns) to the implementations they replaced on the
 tiny corpora.  Building the full-scale ``CorpusConfig()`` takes 12-19 s
 (about 55 s with every draw on ``Generator.integers`` and
 ``Generator.choice``), the four full-corpus fits about a minute with
-their features, and the whole check about ten and a half minutes and
+their features, and the whole check about nine minutes and
 0.84 GB on a 2-vCPU host, so the full-profile check runs here instead,
 with the same references (``tests/kernel_reference.py``):
 

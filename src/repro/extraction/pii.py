@@ -21,6 +21,15 @@ whose matches hold more than the category trigger: the card patterns
 without a ``\\d{4}[ -]?\\d{4}`` run, and each profile-URL pattern without
 its domain.  A lowercase copy, one digit search, one card-shape search
 and a few substring tests decide which patterns run at all.
+
+Each pattern that runs is written so that ``re`` can skip to where a
+match may start.  The digit-led address, phone and SSN patterns begin
+with a character class and check their left context (``\\b``, or no
+digit or hyphen before the number) right after that first character,
+so ``re`` tries a match only at a digit (or a phone's ``(``) instead of
+at every position.  A profile-URL pattern starts at its domain: an
+optional ``https://`` or ``www.`` before it would change neither the
+username it captures nor where its match ends.
 """
 
 from __future__ import annotations
@@ -41,10 +50,16 @@ _INSTAGRAM_STOPWORDS = ("explore", "accounts", "about", "developer", "directory"
 _TWITTER_STOPWORDS = ("home", "search", "explore", "settings", "i", "intent", "hashtag", "share")
 
 def _url_pattern(domain: str, username: str, stopwords: Sequence[str]) -> re.Pattern[str]:
+    """A profile URL: ``domain/username``, unless the path is a stopword.
+
+    A match starts at the domain, and the bank returns the username
+    group.  An optional ``https://`` or ``www.`` before the domain (no
+    domain starts inside one) would change neither the username nor
+    where the match ends, only make ``re`` try both at every position.
+    """
     stop = "|".join(stopwords)
     return re.compile(
-        rf"(?:https?://)?(?:www\.)?{domain}/(?!(?:{stop})\b)({username})",
-        re.IGNORECASE,
+        rf"{domain}/(?!(?:{stop})\b)({username})", re.IGNORECASE
     )
 
 def _label_pattern(names: str, username: str) -> re.Pattern[str]:
@@ -60,7 +75,7 @@ def _label_pattern(names: str, username: str) -> re.Pattern[str]:
 PII_EXTRACTORS: Mapping[str, tuple[re.Pattern[str], ...]] = {
     "address": (
         re.compile(
-            rf"\b\d{{1,5}}\s+[A-Z][A-Za-z]+\s+{_STREET_TYPES}\b"
+            rf"\d(?<!\w\d)\d{{0,4}}\s+[A-Z][A-Za-z]+\s+{_STREET_TYPES}\b"
             rf"(?:\s*,\s*[A-Z][A-Za-z ]+,?\s+[A-Z]{{2}}\s+\d{{5}}(?:-\d{{4}})?)?"
         ),
     ),
@@ -82,10 +97,16 @@ PII_EXTRACTORS: Mapping[str, tuple[re.Pattern[str], ...]] = {
         _label_pattern("instagram|ig|insta", r"[A-Za-z0-9_.]{2,30}"),
     ),
     "phone": (
-        re.compile(r"(?<![\d-])\(?\d{3}\)?[ .-]?\d{3}[ .-]\d{4}(?![\d-])"),
+        # ``(?<![\d-])\(?\d{3}`` with its first character, ``(`` or a
+        # digit, taken first: three digits after a ``(``, two more after
+        # a digit.
+        re.compile(
+            r"[(\d](?<![\d-][(\d])(?:(?<=\()\d{3}|(?<=\d)\d{2})"
+            r"\)?[ .-]?\d{3}[ .-]\d{4}(?![\d-])"
+        ),
     ),
     "ssn": (
-        re.compile(r"(?<![\d-])\d{3}-\d{2}-\d{4}(?![\d-])"),
+        re.compile(r"\d(?<![\d-]\d)\d{2}-\d{2}-\d{4}(?![\d-])"),
     ),
     "twitter": (
         _url_pattern(r"twitter\.com", r"[A-Za-z0-9_]{1,15}", _TWITTER_STOPWORDS),
@@ -93,7 +114,7 @@ PII_EXTRACTORS: Mapping[str, tuple[re.Pattern[str], ...]] = {
     ),
     "youtube": (
         re.compile(
-            r"(?:https?://)?(?:www\.)?youtube\.com/(?:c/|channel/|user/|@)([A-Za-z0-9_-]{2,60})",
+            r"youtube\.com/(?:c/|channel/|user/|@)([A-Za-z0-9_-]{2,60})",
             re.IGNORECASE,
         ),
         _label_pattern(r"youtube|yt channel|yt", r"[A-Za-z0-9_-]{2,60}"),
@@ -101,7 +122,7 @@ PII_EXTRACTORS: Mapping[str, tuple[re.Pattern[str], ...]] = {
 }
 
 #: What every match of a category contains: ``None`` for a decimal digit
-#: (each digit-led pattern starts its match with ``\d``), otherwise
+#: (every match of a digit-led pattern holds a decimal digit), otherwise
 #: lowercase literals of which every match holds at least one — the ``@``
 #: of an email, the platform names of the URL and label patterns.  A
 #: category whose trigger is absent from a text cannot match it, so

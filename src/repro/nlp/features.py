@@ -55,7 +55,10 @@ class HashingVectorizer:
         packed keys yields each row's sorted feature ids with their
         counts, exactly as a ``np.unique`` per row would.  Squared counts
         are small integers, so the row norms are exact in float64
-        whatever the summation order.
+        whatever the summation order.  ``indices`` and ``indptr`` are
+        int32 when every entry offset and dimension fits it, else int64:
+        the dtype ``csr_matrix`` would pick for them by SciPy's
+        ``get_index_dtype`` rule, so it neither scans nor copies them.
         """
         n_rows = len(hash_arrays)
         keys, counts = np.unique(self._feature_keys(hash_arrays), return_counts=True)
@@ -63,10 +66,12 @@ class HashingVectorizer:
         norms = np.sqrt(
             np.bincount(key_rows, weights=counts * counts, minlength=n_rows)
         )
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        fits = max(keys.size, n_rows, self.n_features) <= np.iinfo(np.int32).max
+        index_dtype = np.int32 if fits else np.int64
+        indptr = np.zeros(n_rows + 1, dtype=index_dtype)
         np.cumsum(np.bincount(key_rows, minlength=n_rows), out=indptr[1:])
         data = counts / norms[key_rows]
-        indices = keys & np.int64(self.n_features - 1)
+        indices = (keys & np.int64(self.n_features - 1)).astype(index_dtype)
         return sparse.csr_matrix(
             (data, indices, indptr), shape=(n_rows, self.n_features)
         )

@@ -23,11 +23,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-from typing import Deque
+from typing import Deque, Generic, TypeVar
 
 from repro.obs.ledger import MAX, Ledger, Series, field
 from repro.obs.metrics import COUNTER, GAUGE
-from repro.service.stream import StreamMessage
 
 
 class BackpressurePolicy(enum.Enum):
@@ -81,15 +80,21 @@ class QueueAccounting(Ledger):
         )
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueuedMessage:
+#: What a queue holds: a :class:`~repro.service.stream.StreamMessage`, or
+#: a record that carries one (the serving runtime queues its routed
+#: arrivals, stream position and all).
+M = TypeVar("M")
+
+
+@dataclasses.dataclass(slots=True)  # not frozen: one per message, built fast
+class QueuedMessage(Generic[M]):
     """A message plus the simulated time it entered the shard queue."""
 
     enqueue_time: float
-    message: StreamMessage
+    message: M
 
 
-class BoundedQueue:
+class BoundedQueue(Generic[M]):
     """FIFO shard queue enforcing one :class:`BackpressurePolicy`."""
 
     def __init__(self, capacity: int, policy: BackpressurePolicy) -> None:
@@ -98,12 +103,12 @@ class BoundedQueue:
         self.capacity = capacity
         self.policy = policy
         self.accounting = QueueAccounting()
-        self._items: Deque[QueuedMessage] = collections.deque()
+        self._items: Deque[QueuedMessage[M]] = collections.deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def offer(self, time: float, message: StreamMessage) -> bool:
+    def offer(self, time: float, message: M) -> bool:
         """Offer one message at simulated ``time``; returns admitted?"""
         acct = self.accounting
         acct.offered += 1
@@ -124,7 +129,7 @@ class BoundedQueue:
         """Enqueue time of the ``index``-th oldest queued message."""
         return self._items[index].enqueue_time
 
-    def take(self, count: int) -> list[QueuedMessage]:
+    def take(self, count: int) -> list[QueuedMessage[M]]:
         """Dequeue up to ``count`` oldest messages."""
         taken = [
             self._items.popleft() for _ in range(min(count, len(self._items)))
@@ -132,11 +137,11 @@ class BoundedQueue:
         self.accounting.taken += len(taken)
         return taken
 
-    def drain(self) -> list[QueuedMessage]:
+    def drain(self) -> list[QueuedMessage[M]]:
         """Dequeue everything (shutdown path)."""
         return self.take(len(self._items))
 
-    def requeue_drain(self) -> list[QueuedMessage]:
+    def requeue_drain(self) -> list[QueuedMessage[M]]:
         """Pull everything out for transfer to another queue (failover).
 
         Unlike :meth:`drain`, the messages are *not* counted as taken —

@@ -35,11 +35,15 @@ import dataclasses
 import math
 from typing import Iterable, Mapping
 
-from repro.util.rng import stable_hash
+from repro.util.rng import stable_hash, stable_hasher
 
 #: Virtual nodes per shard, on every ring.  128 points per shard keeps
 #: the expected keyspace imbalance of a 4-shard ring under a few percent.
 DEFAULT_VNODES = 128
+
+#: ``stable_hash("serve-route", key)`` with the ``"serve-route"`` part
+#: hashed once: every arrival's owner lookup finishes a copy of it.
+_route_hash = stable_hasher("serve-route")
 
 #: Sentinel accepted by :class:`KillSpec` — resolve the victim to the
 #: live shard with the most arrivals routed to it before the kill (ties
@@ -81,8 +85,7 @@ class HashRing:
 
     def owner(self, key: str) -> int:
         """Shard owning ``key``: first virtual node clockwise of its hash."""
-        key_hash = stable_hash("serve-route", key)
-        index = bisect.bisect_right(self._hashes, key_hash)
+        index = bisect.bisect_right(self._hashes, _route_hash(key))
         return self._points[index % len(self._points)][1]
 
     def remove_shard(self, shard: int) -> "HashRing":

@@ -232,9 +232,13 @@ class ServeResult:
             family.labels(kind=kind).inc(count)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)  # not frozen: one per message, built fast
 class _Routed:
-    """One arrival after the routing pass (internal)."""
+    """One arrival after the routing pass (internal).
+
+    A shard queues the record itself, so what it scores or leaves at a
+    kill carries its stream position.
+    """
 
     seq: int  # stream position: the state pass applies in this order
     arrival: Arrival
@@ -348,7 +352,9 @@ class ServingRuntime:
         coordinator to re-offer to the surviving owners.
         """
         config = self.config
-        queue = BoundedQueue(config.queue_capacity, config.policy)
+        queue: BoundedQueue[_Routed] = BoundedQueue(
+            config.queue_capacity, config.policy
+        )
         batcher = MicroBatcher(config.batch_size, config.max_delay_seconds)
         telemetry = ShardTelemetry(shard_id=shard_id, queue=queue.accounting)
         # Each shard records into its own tracer (single writer) so the
@@ -359,29 +365,29 @@ class ServingRuntime:
             tracer.span("shard", shard=shard_id, arrivals=len(routed))
             if tracer is not None else None
         )
-        by_id = {r.arrival.message.message_id: r for r in routed}
         thresholds = monitor.config
         scored_out: list[_Scored] = []
         server_free = 0.0
         index, total = 0, len(routed)
 
-        def offer(arrival: Arrival) -> None:
+        def offer(r: _Routed) -> None:
             """Enqueue one arrival, tracing a shed/drop if it causes one."""
             acct = queue.accounting
             shed_before, dropped_before = acct.shed, acct.dropped
-            queue.offer(arrival.time, arrival.message)
+            time = r.arrival.time
+            queue.offer(time, r)
             if tracer is None:
                 return
             if acct.shed > shed_before:
-                shard_span.event("shed", arrival.time, shard=shard_id)
+                shard_span.event("shed", time, shard=shard_id)
             elif acct.dropped > dropped_before:
-                shard_span.event("dropped", arrival.time, shard=shard_id)
+                shard_span.event("dropped", time, shard=shard_id)
 
         def score(
-            batch: Sequence[QueuedMessage], start: float, flush_reason: str
+            batch: Sequence[QueuedMessage[_Routed]], start: float, flush_reason: str
         ) -> float:
             """Score one batch at simulated ``start``; returns its end."""
-            messages = [q.message for q in batch]
+            messages = [q.message.arrival.message for q in batch]
             batch_span = (
                 shard_span.child(
                     "batch",
@@ -405,12 +411,12 @@ class ServingRuntime:
             ]
             breakdown = config.cost.breakdown(scored.work, n_detected)
             end = start + breakdown.total_seconds
-            for q, extraction, cth, dox in zip(
-                batch, extractions, scored.cth_scores.tolist(),
+            for q, message, extraction, cth, dox in zip(
+                batch, messages, extractions, scored.cth_scores.tolist(),
                 scored.dox_scores.tolist(),
             ):
                 scored_out.append(_Scored(
-                    by_id[q.message.message_id].seq, q.message, extraction,
+                    q.message.seq, message, extraction,
                     cth, dox, shard_id, q.enqueue_time, end,
                 ))
             telemetry.record_batch(
@@ -454,7 +460,7 @@ class ServingRuntime:
                     server_free = score(queue.take(size), start, FLUSH_DRAIN)
                 break
             if not len(queue):
-                offer(routed[index].arrival)
+                offer(routed[index])
                 index += 1
                 continue
             upcoming = [
@@ -468,7 +474,7 @@ class ServingRuntime:
             # Everything arriving before the batch starts enters the queue
             # first (and may be shed/dropped under overload).
             while index < total and routed[index].arrival.time <= start:
-                offer(routed[index].arrival)
+                offer(routed[index])
                 index += 1
             server_free = score(queue.take(config.batch_size), start, flush_reason)
         leftovers: list[_Routed] = []
@@ -478,10 +484,8 @@ class ServingRuntime:
             # through the queue (so overload policies account for them),
             # then everything transfers out through the requeued bucket.
             for r in routed[index:]:
-                offer(r.arrival)
-            leftovers = [
-                by_id[q.message.message_id] for q in queue.requeue_drain()
-            ]
+                offer(r)
+            leftovers = [q.message for q in queue.requeue_drain()]
             if shard_span is not None:
                 shard_span.event(
                     "killed", stop_at, shard=shard_id, requeued=len(leftovers)

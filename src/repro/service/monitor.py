@@ -342,9 +342,13 @@ class HarassmentMonitor:
         threshold, and mutates the sliding-window target tables.
         """
         alerts: list[Alert] = []
-        for index, message in enumerate(scored.messages):
-            cth_score = scored.cth_scores[index]
-            dox_score = scored.dox_scores[index]
+        # Python floats, read once per batch: the same comparisons and
+        # alert scores as the float64 scalars, without a NumPy scalar
+        # per message.
+        for index, (message, cth_score, dox_score) in enumerate(zip(
+            scored.messages, scored.cth_scores.tolist(),
+            scored.dox_scores.tolist(),
+        )):
             self.stats.messages_processed += 1
             self._watermark = max(self._watermark, message.timestamp)
             is_cth = cth_score > self.config.cth_threshold

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Generic, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,20 @@ _SPAN32 = 1 << 32
 T = TypeVar("T")
 
 
+#: The unkeyed 8-byte blake2b state every stable hash starts from; it is
+#: only ever copied.
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
+def _feed(state: hashlib.blake2b, parts: tuple[object, ...]) -> hashlib.blake2b:
+    """Feed ``parts`` to a blake2b ``state``: each part's repr in UTF-8,
+    then a unit separator.  The one encoding of :func:`stable_hash`."""
+    for part in parts:
+        state.update(repr(part).encode("utf-8"))
+        state.update(b"\x1f")
+    return state
+
+
 def stable_hash(*parts: object) -> int:
     """Return a 64-bit hash of ``parts`` that is stable across processes.
 
@@ -35,11 +49,22 @@ def stable_hash(*parts: object) -> int:
     cannot be used to derive reproducible seeds.  This uses blake2b over
     the repr of each part instead.
     """
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest(), "big") & _MASK64
+    return int.from_bytes(_feed(_BLAKE2B_8.copy(), parts).digest(), "big") & _MASK64
+
+
+def stable_hasher(*prefix: object) -> Callable[..., int]:
+    """:func:`stable_hash` with its leading ``prefix`` parts fixed.
+
+    ``stable_hasher("serve-route")(key) == stable_hash("serve-route",
+    key)``.  blake2b is a streaming hash, so the prefix is hashed once
+    and each call finishes its parts on a copy of that primed state.
+    """
+    primed = _feed(_BLAKE2B_8.copy(), prefix)
+
+    def finish(*parts: object) -> int:
+        return int.from_bytes(_feed(primed.copy(), parts).digest(), "big") & _MASK64
+
+    return finish
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -4,7 +4,8 @@
 CSR matrix in one pass over the batch;
 :func:`repro.extraction.pii.extract_pii` skips the categories whose
 triggers a text lacks, and the card and profile-URL patterns whose shape
-or domain it lacks; :meth:`repro.taxonomy.coding.ExpertCoder.code_text`
+or domain it lacks, and writes its digit-led and profile-URL patterns in
+forms ``re`` scans faster; :meth:`repro.taxonomy.coding.ExpertCoder.code_text`
 skips the subtypes whose signature triggers a text lacks;
 :func:`repro.util.rng.integer` replicates the scalar draw of
 ``Generator.integers``, which :func:`repro.util.rng.pick` uses to draw a
@@ -13,9 +14,11 @@ sequence element by index where the corpus generator called
 CDF ``Generator.choice`` builds from ``p``;
 :meth:`repro.nlp.models.logreg.LogisticRegressionClassifier.fit` runs
 Adam on the columns its training rows touch.  The per-row build, the
-ungated regex banks, ``Generator.integers``, ``Generator.choice`` and
-the full-width Adam loop live on here, outside the package, as the
-oracles the kernels must match byte for byte.
+ungated regex banks (the PII bank with its own copy of the 16 patterns
+as first written, so a rewritten pattern is never its own reference),
+``Generator.integers``, ``Generator.choice`` and the full-width Adam
+loop live on here, outside the package, as the oracles the kernels
+must match byte for byte.
 ``tests/test_kernel_equivalence.py`` checks them on the tiny corpora and
 adversarial inputs; ``scripts/check_kernels.py`` checks them on the full
 corpus.
@@ -24,6 +27,7 @@ corpus.
 from __future__ import annotations
 
 import contextlib
+import re
 import sys
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -31,11 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.corpus.perturb import PERTURBATIONS
-from repro.extraction.pii import (
-    PII_EXTRACTORS,
-    extract_pii,
-    pii_categories_present,
-)
+from repro.extraction.pii import extract_pii, pii_categories_present
 from repro.nlp.features import _MIX, HashingVectorizer
 from repro.nlp.models.base import validate_training_inputs
 from repro.nlp.models.logreg import LogisticRegressionClassifier, _sigmoid
@@ -109,11 +109,66 @@ def csr_differences(
 
 # -- PII bank: every pattern on every text ----------------------------------
 
+_STREET_TYPES = r"(?:St|Ave|Blvd|Dr|Ln|Rd|Ct|Way|Street|Avenue|Boulevard|Drive|Lane|Road|Court)"
+
+#: The bank as first written, one ``(pattern, flags)`` list per category in
+#: bank order: digit-led patterns that start with ``\b`` or a lookbehind,
+#: and profile-URL patterns that start with an optional scheme and ``www.``.
+#: The package's bank must extract exactly what these extract.
+_REFERENCE_PATTERNS: dict[str, list[tuple[str, int]]] = {
+    "address": [(
+        rf"\b\d{{1,5}}\s+[A-Z][A-Za-z]+\s+{_STREET_TYPES}\b"
+        rf"(?:\s*,\s*[A-Z][A-Za-z ]+,?\s+[A-Z]{{2}}\s+\d{{5}}(?:-\d{{4}})?)?",
+        0,
+    )],
+    "credit_card": [
+        (r"\b4\d{3}[ -]?\d{4}[ -]?\d{4}[ -]?\d{4}\b", 0),
+        (r"\b5[1-5]\d{2}[ -]?\d{4}[ -]?\d{4}[ -]?\d{4}\b", 0),
+        (r"\b3[47]\d{2}[ -]?\d{6}[ -]?\d{5}\b", 0),
+        (r"\b6(?:011|5\d{2})[ -]?\d{4}[ -]?\d{4}[ -]?\d{4}\b", 0),
+    ],
+    "email": [(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}\b", 0)],
+    "facebook": [
+        (r"(?:https?://)?(?:www\.)?facebook\.com/(?!(?:login|pages|groups|events"
+         r"|marketplace|watch|help|privacy|settings|friends|photos|sharer|share)\b)"
+         r"([A-Za-z0-9.]{5,50})", re.IGNORECASE),
+        (r"\b(?:facebook|fb)\s*[:\-]\s*(?!https?://)@?([A-Za-z0-9.]{5,50})",
+         re.IGNORECASE),
+    ],
+    "instagram": [
+        (r"(?:https?://)?(?:www\.)?instagram\.com/(?!(?:explore|accounts|about"
+         r"|developer|directory|legal)\b)([A-Za-z0-9_.]{2,30})", re.IGNORECASE),
+        (r"\b(?:instagram|ig|insta)\s*[:\-]\s*(?!https?://)@?([A-Za-z0-9_.]{2,30})",
+         re.IGNORECASE),
+    ],
+    "phone": [(r"(?<![\d-])\(?\d{3}\)?[ .-]?\d{3}[ .-]\d{4}(?![\d-])", 0)],
+    "ssn": [(r"(?<![\d-])\d{3}-\d{2}-\d{4}(?![\d-])", 0)],
+    "twitter": [
+        (r"(?:https?://)?(?:www\.)?twitter\.com/(?!(?:home|search|explore|settings"
+         r"|i|intent|hashtag|share)\b)([A-Za-z0-9_]{1,15})", re.IGNORECASE),
+        (r"\b(?:twitter|twtr)\s*[:\-]\s*(?!https?://)@?([A-Za-z0-9_]{1,15})",
+         re.IGNORECASE),
+    ],
+    "youtube": [
+        (r"(?:https?://)?(?:www\.)?youtube\.com/(?:c/|channel/|user/|@)"
+         r"([A-Za-z0-9_-]{2,60})", re.IGNORECASE),
+        (r"\b(?:youtube|yt channel|yt)\s*[:\-]\s*(?!https?://)@?([A-Za-z0-9_-]{2,60})",
+         re.IGNORECASE),
+    ],
+}
+
+#: The reference bank, compiled: an oracle independent of the package's
+#: patterns, so a rewritten pattern cannot be its own reference.
+REFERENCE_PII_BANK: dict[str, tuple[re.Pattern[str], ...]] = {
+    category: tuple(re.compile(pattern, flags) for pattern, flags in patterns)
+    for category, patterns in _REFERENCE_PATTERNS.items()
+}
+
 
 def reference_extract_pii(text: str) -> dict[str, list[str]]:
     """All PII matches per category (deduplicated, order preserved)."""
     found: dict[str, list[str]] = {}
-    for category, patterns in PII_EXTRACTORS.items():
+    for category, patterns in REFERENCE_PII_BANK.items():
         values = dict.fromkeys(
             match.group(1) if match.groups() else match.group(0)
             for pattern in patterns
@@ -128,7 +183,7 @@ def reference_pii_categories_present(text: str) -> frozenset[str]:
     """Which PII categories appear in ``text`` (presence only)."""
     return frozenset(
         category
-        for category, patterns in PII_EXTRACTORS.items()
+        for category, patterns in REFERENCE_PII_BANK.items()
         if any(pattern.search(text) for pattern in patterns)
     )
 

@@ -5,11 +5,12 @@ byte (``tests/kernel_reference.py``): CSR shape, ``indptr``, ``indices``,
 ``data`` and dtypes; extractions with their category order; taxonomy
 codes with their subtype order.  Inputs are the tiny corpora at four
 seeds under every :mod:`repro.corpus.perturb` transform, hypothesis text
-built from the gates' triggers and the Unicode case-fold hazards, and
-the edge batches of the one-pass build.  Structural tests read off each
-parsed pattern that its matches hold its gates (category trigger, card
-shape, URL domain, signature trigger), so no gate can fall behind its
-bank.  On the corpus side, ``integer`` must draw what
+built from the gates' triggers and the Unicode case-fold hazards, seeded
+adversarial text around the rewritten digit-led and profile-URL PII
+patterns, and the edge batches of the one-pass build.  Structural tests
+read off each parsed pattern that its matches hold its gates (category
+trigger, card shape, URL domain, signature trigger), so no gate can
+fall behind its bank.  On the corpus side, ``integer`` must draw what
 ``Generator.integers`` draws, ``pick`` what ``Generator.choice`` draws
 and ``weighted`` what ``Generator.choice`` with ``p`` draws, each
 leaving the generator where NumPy leaves it and raising NumPy's errors;
@@ -340,6 +341,51 @@ def test_case_fold_hazards_still_match(text, category, value):
     assert list(extract_pii(text).items()) == list(
         reference_extract_pii(text).items()
     )
+
+
+#: Pieces of the adversarial PII texts: decimal digits (ASCII, Arabic-Indic,
+#: extended Arabic-Indic, NKo, mathematical) and digit shapes around
+#: parentheses, hyphens and dots; the non-ASCII letters IGNORECASE folds
+#: onto ASCII (dotless i, dotted capital I, long s, Kelvin sign) and word
+#: characters that glue onto a number; street addresses; schemes,
+#: ``www.``, profile domains and their paths, stopwords, labels and
+#: usernames up to past every pattern's length limit.
+_PII_PIECES = (
+    "0", "1", "4", "5", "9", "\u0663", "\u06f5", "\u07c1", "\U0001d7d8",
+    "(", ")", "-", ".", " ", "555", "(555)", "555-", "-12", "555.", "12",
+    "123-45-6789", "(555) 123-4567", "555.123.4567", "5551234567",
+    "4111 1111 1111 1111", "x", "Z", "_", "\u0131", "\u0130", "\u017f",
+    "\u212a", "12 Main St", "Oak Road", " Ave", ", Springfield, IL 62704",
+    "12345 Elm Street", "https://", "http://", "www.", "HTTPS://WWW.",
+    "ttps://", "facebook.com/", "FaceBook.com/", "faceboo\u212a.com/",
+    "instagram.com/", "\u0131nstagram.com/", "twitter.com/", "twitter.com",
+    "youtube.com/", "youtube.com/c/", "youtube.com/@", "youtube.com/channel/",
+    "youtube.com/user/", "login", "share", "sharer", "pages", "explore",
+    "home", "i", "intent", "legal", "fb: ", "ig: ", "twitter: ", "yt: ",
+    "insta- ", "@", "a@b.org", "alice", "bob.smith", "x_1", "ab",
+    "a" * 55, "b" * 70, "c.d" * 20,
+)
+
+
+def _adversarial_pii_texts(count, seed):
+    """``count`` seeded texts of 1 to 12 pieces, glued or spaced."""
+    rng = child_rng(seed, "pii-adversarial")
+    return [
+        pick(rng, ("", "", " ", "/", ".")).join(
+            pick(rng, _PII_PIECES) for _ in range(integer(rng, 1, 13))
+        )
+        for _ in range(count)
+    ]
+
+
+def test_pii_bank_matches_reference_on_adversarial_text():
+    # The package's digit-led patterns start at a character class and its
+    # profile-URL patterns at the domain; the reference bank keeps the
+    # forms they replaced.  Item lists and presence must agree on every
+    # text, non-ASCII ones (which run the whole bank) included.
+    texts = _adversarial_pii_texts(12_000, seed=26)
+    assert sum(not t.isascii() for t in texts) > 1_000
+    assert pii_mismatches(texts) == []
 
 
 def test_gate_skips_categories_without_triggers():

@@ -10,6 +10,7 @@ queue-accounting conservation law ``offered == taken + shed + dropped +
 requeued + depth`` holds for every shard through all of it.
 """
 
+import bisect
 import collections
 import json
 
@@ -35,7 +36,7 @@ from repro.serve import (
     routing_key,
     salt_key,
 )
-from repro.serve.ring import HOTTEST
+from repro.serve.ring import DEFAULT_VNODES, HOTTEST
 from repro.service.monitor import (
     HarassmentMonitor,
     MonitorConfig,
@@ -43,6 +44,7 @@ from repro.service.monitor import (
 )
 from repro.service.stream import MessageStream, StreamMessage
 from repro.types import Platform, Source, Task
+from repro.util.rng import stable_hash
 
 CTH_TEXT = (
     "we should mass report her account until the platform bans her, "
@@ -141,6 +143,52 @@ def test_ring_remove_shard_moves_only_orphaned_keys():
     moved = [k for k in keys if before.owner(k) != after.owner(k)]
     assert all(before.owner(k) == 2 for k in moved)
     assert {after.owner(k) for k in moved} <= {0, 1, 3}
+
+
+def _route_keys():
+    """Routing keys of every shape: text digests, salted sub-keys, and keys
+    whose ``repr`` escapes quotes, backslashes and non-ASCII characters."""
+    texts = [f"message {i} for @target{i % 7}" for i in range(1200)]
+    digests = [routing_key(_msg(i, text)) for i, text in enumerate(texts)]
+    salted = [salt_key(key, i, 8) for i, key in enumerate(digests[:400])]
+    odd = [
+        f"{prefix}{i}"
+        for i in range(80)
+        for prefix in ("it's ", 'say "hi" ', "back\\slash ", "café ", "\u2603 ",
+                       "tab\t", "\U0001f600")
+    ]
+    return digests + salted + odd
+
+
+@pytest.mark.parametrize("n_shards", [1, 4, 12])
+def test_ring_owner_is_the_bisected_point_of_the_route_hash(n_shards):
+    # Placement, rebuilt from the public hash: every shard's 128 points
+    # stable_hash("serve-ring", shard, replica), sorted with the shard id
+    # as tie-break; a key belongs to the first point clockwise of
+    # stable_hash("serve-route", key).
+    points = sorted(
+        (stable_hash("serve-ring", shard, replica), shard)
+        for shard in range(n_shards)
+        for replica in range(DEFAULT_VNODES)
+    )
+    hashes = [point for point, _ in points]
+    ring = HashRing(range(n_shards))
+    keys = _route_keys()
+    assert len(keys) >= 2000
+    for key in keys:
+        index = bisect.bisect_right(hashes, stable_hash("serve-route", key))
+        assert ring.owner(key) == points[index % len(points)][1], key
+
+
+def test_stable_hash_values_are_pinned():
+    # Every seeded stream (corpus draws, ring points, routing) derives
+    # from these bytes: repr in UTF-8 and a unit separator per part.
+    assert stable_hash("serve-route", "text:0123456789abcdef") == 0xEA63CCC1CC1B973A
+    assert stable_hash("serve-ring", 0, 0) == 0x6258B9292DE62F53
+    assert stable_hash(7, "boards", 3) == 0x0795F354FEBF0D37
+    assert stable_hash("serve-hot", "k", 7) == 0x943F50C876CE0BD7
+    assert stable_hash('it\'s "q" \\ café \u2603') == 0xD31FA725051AFAFC
+    assert stable_hash() == 0xE4A6A0577479B2B4
 
 
 def test_ring_validation():
