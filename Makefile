@@ -14,8 +14,8 @@ lint:
 	ruff check src tests
 
 # Full static analysis (the per-file DET001-DET003 determinism and
-# PUR001-PUR003 stage-purity and shared-state rules); fails on findings
-# not in .repro-lint-baseline.json.
+# PUR001-PUR003 stage-purity and shared-state rules); fails on any
+# finding not suppressed by a "# repro: noqa[RULE]" comment.
 lint-repro:
 	PYTHONPATH=src python -m repro.cli lint src
 

@@ -11,14 +11,11 @@ package makes checkable on every diff:
   shared AST, honouring ``# repro: noqa[RULE]`` suppressions;
 - :mod:`rules` holds the rule pack (``DET001``–``DET003`` determinism,
   ``PUR001``–``PUR003`` stage purity and shared state), all per-file;
-- :mod:`baseline` grandfathers pre-existing findings in a committed
-  JSON file so the CI gate only fails on *new* violations;
 - :mod:`report` renders findings ruff-style or as JSON.
 
 Run it via ``repro lint [paths]`` or ``make lint-repro``.
 """
 
-from repro.analysis.lint.baseline import Baseline, BaselineEntry
 from repro.analysis.lint.engine import (
     FileContext,
     Finding,
@@ -30,8 +27,6 @@ from repro.analysis.lint.engine import (
 from repro.analysis.lint.report import render_json, render_text
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "FileContext",
     "Finding",
     "LintUsageError",

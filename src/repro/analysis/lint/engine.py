@@ -55,16 +55,6 @@ class Finding:
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching.
-
-        Keyed on the stripped source line rather than the line number so
-        unrelated edits above a grandfathered finding do not un-baseline
-        it.
-        """
-        return (self.path, self.rule, self.snippet)
-
 
 class Rule:
     """Base class for lint rules.

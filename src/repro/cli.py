@@ -7,8 +7,7 @@ Subcommands::
     repro study     [--tiny/--full] [--seed N] [--cache-dir DIR]
                     [--jobs N] [--force] [--report-dir DIR]
     repro cache     ls|clear|verify --cache-dir DIR
-    repro lint      [paths...] [--select/--ignore IDS] [--baseline FILE]
-                    [--update-baseline] [--format text|json]
+    repro lint      [paths...] [--select/--ignore IDS] [--format text|json]
     repro serve-bench [--tiny/--full] [--seed N] [--shards N]
                     [--batch-size N] [--max-delay-ms F] [--queue-capacity N]
                     [--policy block|drop-oldest|shed-newest] [--rate F]
@@ -33,8 +32,8 @@ empties an existing stage cache;
 intent describes; ``assess`` runs the rule-based analysis layers on a
 single text; ``lint`` runs the static analysis — the determinism,
 stage-purity and shared-state rules DET001–DET003 and PUR001–PUR003,
-each reading one file at a time — and fails on findings not
-grandfathered in the committed baseline; ``serve-bench`` trains filters
+each reading one file at a time — and fails on any finding not
+suppressed by a ``# repro: noqa`` comment; ``serve-bench`` trains filters
 on one synthetic corpus, replays a second through the sharded
 ``repro.serve`` runtime under a seeded open-loop load profile, prints an
 alert/latency/throughput summary, and writes a machine-readable JSON
@@ -216,7 +215,6 @@ def _parse_rule_list(value: str | None) -> tuple[str, ...] | None:
 
 def cmd_lint(args) -> int:
     from repro.analysis.lint import (
-        Baseline,
         LintUsageError,
         lint_paths,
         render_json,
@@ -232,19 +230,9 @@ def cmd_lint(args) -> int:
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    baseline_path = pathlib.Path(args.baseline)
-    baseline = Baseline.load(baseline_path)
-    if args.update_baseline:
-        baseline.updated(findings).save(baseline_path)
-        print(
-            f"baseline updated: {len(findings)} finding(s) recorded in "
-            f"{baseline_path}"
-        )
-        return 0
-    split = baseline.split(findings)
     render = render_json if args.format == "json" else render_text
-    print(render(split.new, stale=split.stale, n_baselined=len(split.baselined)))
-    return 1 if split.new else 0
+    print(render(findings))
+    return 1 if findings else 0
 
 
 def _serve_models(args):
@@ -825,15 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--ignore", default=None,
         help="comma-separated rule ids or family prefixes to skip",
-    )
-    p_lint.add_argument(
-        "--baseline", default=".repro-lint-baseline.json",
-        help="JSON baseline of grandfathered findings",
-    )
-    p_lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to cover current findings "
-        "(expires entries whose finding was fixed)",
     )
     p_lint.add_argument(
         "--format", choices=("text", "json"), default="text",

@@ -7,11 +7,13 @@ a codec for its output artifact.  ``run(targets)`` then:
 1. plans demand-driven: walking down from the targets, a stage whose
    artifact is already cached becomes a leaf — its inputs are neither
    loaded nor computed (so a warm study re-run executes zero stages);
-2. resolves every planned stage through one memoised resolver, on a
-   thread pool when ``jobs > 1`` (the hot paths are numpy and release
-   the GIL; independent stages such as the DOX and CTH pipelines, or
-   per-source threshold searches, run concurrently);
-3. records per-stage wall time and cache hit/miss status into a
+2. loads each planned stage's cached artifact on the calling thread, in
+   plan order, and queues the stages it cannot load after their inputs;
+3. computes the queued stages: in queue order when ``jobs == 1``, else
+   on a thread pool as their inputs become ready (the hot paths are
+   numpy and release the GIL; independent stages such as the DOX and
+   CTH pipelines, or per-source threshold searches, run concurrently);
+4. records per-stage wall time and cache hit/miss status into a
    :class:`RunReport` whose summary table shows where pipeline time goes.
 
 Because stage keys chain through their inputs' keys, results are
@@ -19,12 +21,13 @@ identical with caching on or off, and with ``jobs=1`` or ``jobs=N`` —
 every stage is a pure function of its inputs plus named RNG streams.
 
 The engine is also self-healing: a cached artifact that fails checksum
-verification or whose codec raises on load is quarantined and the stage
-(plus only the upstream subgraph it actually needs) is transparently
-re-executed — the run completes with the stage marked
-``STATUS_RECOVERED`` instead of aborting.  A stage function that raises
-fails the run: it is pure, so running it again would raise again.  See
-:mod:`repro.engine.recovery`.
+verification or whose codec raises on load is quarantined in step 2, and
+the stage (plus only the upstream subgraph it actually needs) is queued
+to re-execute — the run completes with the stage marked
+``STATUS_RECOVERED`` instead of aborting.  All loading and healing
+happens before any stage computes, so the healing trace does not depend
+on ``jobs``.  A stage function that raises fails the run: it is pure, so
+running it again would raise again.  See :mod:`repro.engine.recovery`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from repro.engine.keys import fingerprint
 from repro.engine.store import PICKLE, ArtifactStore, Codec
@@ -54,7 +57,6 @@ class Stage:
     inputs: tuple[str, ...] = ()
     key_parts: tuple[object, ...] = ()
     codec: Codec = PICKLE
-    cacheable: bool = True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,8 +69,8 @@ class StageRecord:
     key: str
 
 
-#: Each resolved stage's value and record, by stage name.
-_Memo = dict[str, tuple[object, StageRecord]]
+#: A stage's trace-event buffer: (event name, labels) in append order.
+_Events = list[tuple[str, dict[str, object]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,7 +169,6 @@ class Engine:
         inputs: Sequence[str] = (),
         key: Sequence[object] = (),
         codec: Codec | None = None,
-        cacheable: bool = True,
     ) -> str:
         """Register a stage; returns its name for wiring downstream stages.
 
@@ -186,13 +187,8 @@ class Engine:
             inputs=tuple(inputs),
             key_parts=tuple(key),
             codec=codec or PICKLE,
-            cacheable=cacheable,
         )
         return name
-
-    def add_source(self, name: str, value: object) -> str:
-        """Register a pre-computed value (never cached to disk)."""
-        return self.add(name, lambda: value, cacheable=False)
 
     def key_of(self, name: str) -> str:
         """The stage's deterministic cache key (chains through inputs)."""
@@ -211,56 +207,49 @@ class Engine:
     # -- execution -----------------------------------------------------------
 
     def run(self, targets: Sequence[str]) -> RunOutcome:
-        """Resolve ``targets``, loading cached stages and running the rest."""
-        plan: dict[str, str] = {}  # name -> STATUS_RUN | STATUS_HIT
-        order: list[str] = []  # topological (inputs before consumers)
+        """Resolve ``targets``: load what the cache holds, compute the rest."""
+        order: list[str] = []  # planned stages, inputs before consumers
+        planned: set[str] = set()
 
         def visit(name: str) -> None:
-            if name in plan:
+            if name in planned:
                 return
             stage = self._stages[name]  # KeyError on unknown target
-            if self._cached(stage):
-                plan[name] = STATUS_HIT
-                order.append(name)
-                return
-            plan[name] = STATUS_RUN
-            for dep in stage.inputs:
-                visit(dep)
+            planned.add(name)
+            if not self._cached(stage):
+                for dep in stage.inputs:
+                    visit(dep)
             order.append(name)
 
         for target in targets:
             visit(target)
 
-        memo: _Memo = {}
-        # Per-stage trace-event buffers.  Each buffer is written only by
-        # the one worker resolving that stage (recovery events land in
-        # the healed stage's buffer), so no lock is needed; the flush
-        # below replays them in plan order on a logical clock.
-        stage_events: dict[str, list[tuple[str, dict[str, object]]]] = (
+        values: dict[str, object] = {}
+        records: dict[str, StageRecord] = {}
+        queue: list[str] = []  # stages to compute, inputs before consumers
+        # Per-stage trace-event buffers, appended by this thread only
+        # (healing events land in the healed planned stage's buffer);
+        # the flush below replays them in plan order on a logical clock.
+        stage_events: dict[str, _Events] = (
             {name: [] for name in order} if self.tracer is not None else {}
         )
-        if self.jobs == 1 or len(order) <= 1:
-            for name in order:
-                self._resolve(name, memo, stage_events.get(name))
-        else:
-            self._run_parallel(order, plan, memo, stage_events)
+        for name in order:
+            self._load(name, values, records, queue, stage_events.get(name))
+        self._compute(queue, values, records)
         # Planned stages in plan order, then the stages resolved only
         # while healing another one, by name.
-        names = order + sorted(name for name in memo if name not in plan)
-        report = RunReport(records=tuple(memo[name][1] for name in names))
+        names = order + sorted(name for name in records if name not in planned)
+        report = RunReport(records=tuple(records[name] for name in names))
         if self.tracer is not None:
-            self._flush_trace(targets, order, report, stage_events)
-        return RunOutcome(
-            values={name: value for name, (value, _) in memo.items()},
-            report=report,
-        )
+            self._flush_trace(targets, planned, report, stage_events)
+        return RunOutcome(values=values, report=report)
 
     def _flush_trace(
         self,
         targets: Sequence[str],
-        order: Sequence[str],
+        planned: Collection[str],
         report: RunReport,
-        stage_events: Mapping[str, Sequence[tuple[str, dict[str, object]]]],
+        stage_events: Mapping[str, _Events],
     ) -> None:
         """Emit the run's spans on a logical clock, one tick per stage.
 
@@ -277,7 +266,6 @@ class Engine:
             recovered=report.n_recovered,
         )
         clock = 0.0
-        in_plan = set(order)
         for record in report.records:
             stage_span = run_span.child(
                 "stage",
@@ -286,7 +274,7 @@ class Engine:
                 stage=record.name,
                 status=record.status,
                 key=record.key[:12],
-                planned=record.name in in_plan,
+                planned=record.name in planned,
             )
             for event_name, labels in stage_events.get(record.name, ()):
                 stage_span.event(event_name, clock, **labels)
@@ -296,39 +284,40 @@ class Engine:
     def _cached(self, stage: Stage) -> bool:
         """Whether the run loads ``stage`` instead of computing it."""
         return (
-            stage.cacheable
-            and self.store is not None
+            self.store is not None
             and not self.force
             and self.store.has(
                 stage.name, self.key_of(stage.name), stage.codec.extension
             )
         )
 
-    def _resolve(
+    def _load(
         self,
         name: str,
-        memo: _Memo,
-        events: list[tuple[str, dict[str, object]]] | None = None,
+        values: dict[str, object],
+        records: dict[str, StageRecord],
+        queue: list[str],
+        events: _Events | None,
         demanded: bool = False,
-    ) -> object:
-        """Resolve one stage: load its artifact, or compute it.
+    ) -> None:
+        """Load one stage's artifact into ``values``, or queue the stage.
 
-        A stage already in ``memo`` is returned as is, so no stage is
-        loaded or computed twice in one ``memo``.  A cached artifact that
-        fails verification or its codec is quarantined and the stage
-        recomputed from its inputs, each resolved through this method:
-        the planner pruned them, so they are ``demanded`` and add a
-        ``demand`` event to the healed stage's trace buffer ``events``.
+        A stage already in ``records`` is left alone, so no stage is
+        loaded or queued twice in one run.  A cached artifact that fails
+        verification or its codec is quarantined and its stage queued
+        after its inputs, each handled by this method: the planner
+        pruned them, so they are ``demanded`` and add a ``demand`` event
+        to the healed stage's trace buffer ``events``.
         """
-        if name in memo:
-            return memo[name][0]
+        if name in records:
+            return
         stage = self._stages[name]
         key = self.key_of(name)
         started = time.perf_counter()
         status = STATUS_RUN
         if self._cached(stage):
             try:
-                value = self.store.load(name, key, stage.codec)
+                values[name] = self.store.load(name, key, stage.codec)
                 status = STATUS_HIT
             except Exception:
                 self.store.quarantine(
@@ -337,66 +326,76 @@ class Engine:
                 status = STATUS_RECOVERED
                 if events is not None:
                     events.append(("quarantine", {"stage": name}))
-        if status != STATUS_HIT:
-            value = stage.fn(*[
-                self._resolve(dep, memo, events, demanded=True)
-                for dep in stage.inputs
-            ])
-            if stage.cacheable and self.store is not None:
-                self.store.save(name, key, stage.codec, value)
-        if demanded and events is not None:
-            events.append(("demand", {"stage": name, "status": status}))
-        memo[name] = value, StageRecord(
+        records[name] = StageRecord(
             name=name, status=status, seconds=time.perf_counter() - started, key=key
         )
-        return value
+        if status != STATUS_HIT:
+            for dep in stage.inputs:
+                self._load(dep, values, records, queue, events, demanded=True)
+            queue.append(name)
+        if demanded and events is not None:
+            events.append(("demand", {"stage": name, "status": status}))
 
-    def _run_parallel(
+    def _compute(
         self,
-        order: Sequence[str],
-        plan: Mapping[str, str],
-        memo: _Memo,
-        stage_events: Mapping[str, list[tuple[str, dict[str, object]]]],
+        queue: Sequence[str],
+        values: dict[str, object],
+        records: dict[str, StageRecord],
     ) -> None:
-        # A planned run starts once its inputs are done; a cache hit
-        # waits on nothing (its inputs are pruned from the plan).
-        waiting_on = {
-            name: (
-                set(self._stages[name].inputs) if plan[name] == STATUS_RUN else set()
+        """Compute every queued stage into ``values``, adding its time to
+        its record.  Only this thread touches ``values`` and ``records``;
+        a pooled worker runs one stage function and saves its artifact.
+        """
+
+        def start(name: str) -> tuple[Stage, str, list[object]]:
+            stage = self._stages[name]
+            return stage, records[name].key, [values[dep] for dep in stage.inputs]
+
+        def finish(name: str, value: object, seconds: float) -> None:
+            values[name] = value
+            records[name] = dataclasses.replace(
+                records[name], seconds=records[name].seconds + seconds
             )
-            for name in order
-        }
-        pending = list(order)
-        running: dict[Future, _Memo] = {}
+
+        if self.jobs == 1 or len(queue) <= 1:
+            for name in queue:
+                finish(name, *self._execute(*start(name)))
+            return
+        # A queued stage starts once all its inputs have values; after
+        # the first failure no new stage starts and the run raises it.
+        pending = list(queue)
+        running: dict[Future, str] = {}
         failure: BaseException | None = None
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             while pending or running:
                 if failure is None:
-                    for name in [n for n in pending if not waiting_on[n]]:
+                    ready = [
+                        name for name in pending
+                        if all(dep in values for dep in self._stages[name].inputs)
+                    ]
+                    for name in ready:
                         pending.remove(name)
-                        # Only this thread touches `memo`; each stage
-                        # resolves into its own copy of what it needs.
-                        local = {
-                            dep: memo[dep]
-                            for dep in (*self._stages[name].inputs, name)
-                            if dep in memo
-                        }
-                        future = pool.submit(
-                            self._resolve, name, local, stage_events.get(name)
-                        )
-                        running[future] = local
+                        running[pool.submit(self._execute, *start(name))] = name
                 if not running:
                     break
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
-                    local = running.pop(future)
+                    name = running.pop(future)
                     error = future.exception()
                     if error is not None:
                         failure = failure or error
-                        continue
-                    for name, resolved in local.items():
-                        memo.setdefault(name, resolved)
-                        for other in waiting_on.values():
-                            other.discard(name)
+                    else:
+                        finish(name, *future.result())
         if failure is not None:
             raise failure
+
+    def _execute(
+        self, stage: Stage, key: str, args: Sequence[object]
+    ) -> tuple[object, float]:
+        """Run one stage function and save its artifact; returns the
+        value and the seconds this took."""
+        started = time.perf_counter()
+        value = stage.fn(*args)
+        if self.store is not None:
+            self.store.save(stage.name, key, stage.codec, value)
+        return value, time.perf_counter() - started

@@ -14,7 +14,7 @@ bad disks):
   fails, the engine moves the bad file to ``<cache>/quarantine/``,
   re-executes the stage and only the upstream subgraph it actually
   needs, and records the stage as ``STATUS_RECOVERED`` instead of
-  aborting the run (see :meth:`Engine._resolve`).
+  aborting the run (see :meth:`Engine._load`).
 
 :func:`verify_cache` is the offline face of the same checks, driving
 ``repro cache verify``.

@@ -179,8 +179,9 @@ class ArtifactStore:
         try:
             os.replace(path, dest)
         except FileNotFoundError:
-            # Two stage threads healing the same input both quarantine
-            # it, and the second finds it gone.
+            # Within one run only the calling thread quarantines, once
+            # per file; another process healing the same cache may have
+            # moved it first.
             return None
         return dest
 

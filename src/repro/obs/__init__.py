@@ -27,7 +27,6 @@ from repro.obs.metrics import (
     LatencyHistogram,
     MetricFamily,
     MetricsRegistry,
-    merge_histograms,
 )
 from repro.obs.recorder import (
     CHROME_FILE,
@@ -68,7 +67,6 @@ __all__ = [
     "diff_runs",
     "find_regressions",
     "load_run",
-    "merge_histograms",
     "metrics_json",
     "render_dashboard",
     "trace_jsonl",

@@ -25,7 +25,7 @@ snapshot.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 #: Histogram bucket upper bounds in seconds: four per decade from 10 µs
 #: to 1000 s, then a catch-all.  Fixed bounds (rather than data-derived
@@ -267,33 +267,6 @@ class MetricsRegistry:
         for name in sorted(self._families):
             yield self._families[name]
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Registry-wise sum (counters add, gauges take ``other``'s value,
-        histograms merge); neither operand is mutated."""
-        merged = MetricsRegistry()
-        for source in (self, other):
-            for family in source.families():
-                target = merged._family(family.name, family.kind, family.help)
-                for key, series in family.series():
-                    child = target.labels(**dict(key))
-                    if family.kind == COUNTER:
-                        child.inc(series.value)
-                    elif family.kind == GAUGE:
-                        child.set(series.value)
-                    else:
-                        child.merge_from(series.histogram)
-        return merged
-
     def as_dict(self) -> dict[str, object]:
         """Snapshot, sorted by family name then series labels."""
         return {family.name: family.as_dict() for family in self.families()}
-
-
-def merge_histograms(
-    histograms: Iterable[LatencyHistogram],
-) -> LatencyHistogram:
-    """Fold shard histograms into one (element-wise bucket addition)."""
-    merged = LatencyHistogram()
-    for histogram in histograms:
-        merged = merged.merge(histogram)
-    return merged

@@ -171,11 +171,10 @@ class FilteringPipeline:
 
     # -- public -------------------------------------------------------------
 
-    def run(self, vc: VectorizedCorpus, engine: Engine | None = None) -> PipelineResult:
-        """Execute the pipeline; identical with or without a shared engine."""
-        if engine is None:
-            engine = Engine()
-        source = engine.add_source(f"vectorized:{self.task.value}", vc)
+    def run(self, vc: VectorizedCorpus) -> PipelineResult:
+        """Execute the pipeline on an engine of its own, without a cache."""
+        engine = Engine()
+        source = engine.add(f"vectorized:{self.task.value}", lambda: vc)
         result = self.register(engine, source)
         return engine.run([result]).values[result].bind(vc.documents)
 

@@ -324,14 +324,6 @@ def test_engine_pool_narrower_than_the_graph_matches_sequential(tmp_path):
     assert healed.report.n_executed == 7  # the target and the six tails
 
 
-def test_engine_source_stages_never_cached(tmp_path):
-    store = ArtifactStore(tmp_path)
-    engine = Engine(store=store)
-    src = engine.add_source("given", [1, 2, 3])
-    engine.run([src])
-    assert store.entries() == []
-
-
 def test_run_report_render_mentions_stages():
     engine, _, d = _counting_engine()
     report = engine.run([d]).report

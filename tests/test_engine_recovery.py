@@ -8,6 +8,7 @@ clean one — the acceptance bar for the recovery layer.
 import os
 import pathlib
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.engine import (
     PICKLE,
     STATUS_HIT,
     STATUS_RECOVERED,
+    STATUS_RUN,
     ArtifactIntegrityError,
     ArtifactStore,
     CacheManifest,
@@ -31,6 +33,7 @@ from repro.engine.recovery import (
     VERIFY_UNMANIFESTED,
     checksum_file,
 )
+from repro.obs import Tracer, trace_jsonl
 
 
 # -- fault harness -------------------------------------------------------------
@@ -110,7 +113,7 @@ def test_quarantine_of_a_file_another_thread_moved_returns_none(
     tmp_path, monkeypatch
 ):
     # The file is there when quarantine starts and gone when it moves it:
-    # another stage thread healing the same input moved it first.
+    # another process healing the same cache moved it first.
     store = ArtifactStore(tmp_path)
     path = store.save("stage", "aa" * 16, PICKLE, 1)
     real_replace = os.replace
@@ -291,9 +294,9 @@ def test_unmanifested_artifact_is_quarantined_and_recomputed(tmp_path):
 
 
 def test_parallel_stages_healing_one_damaged_input(tmp_path):
-    # Four cached stages and the input they share are all damaged: the
-    # four heal at once on a pool of four, each quarantining the shared
-    # input.  Whichever thread moves it second must heal too.
+    # Four cached stages and the input they share are all damaged: each
+    # heal needs the shared input, which is quarantined once, and the
+    # four recompute at once on a pool of four.
     from tests.test_engine import _run_within
 
     def build(store):
@@ -316,6 +319,47 @@ def test_parallel_stages_healing_one_damaged_input(tmp_path):
         outcome = _run_within(build(store), ["t"])
         assert np.asarray(outcome.values["t"]).tobytes() == clean.tobytes()
         assert verify_cache(store).ok
+
+
+def test_pooled_healing_resolves_each_stage_once(tmp_path):
+    # x and y share the damaged input u; the plan prunes u, so healing
+    # x and healing y both need it.  At every `jobs` the heal must
+    # compute u once and trace the same records, events and statuses.
+    from tests.test_engine import _run_within
+
+    def build(store, jobs, calls, tracer=None):
+        def u():
+            calls.append("u")
+            return np.arange(64.0)
+
+        engine = Engine(store=store, jobs=jobs, tracer=tracer)
+        engine.add("u", u, codec=NUMPY)
+        engine.add("x", lambda a: a * 2, inputs=("u",), codec=NUMPY)
+        engine.add("y", lambda a: a + 1, inputs=("u",), codec=NUMPY)
+        engine.add("t", lambda a, b: a + b, inputs=("x", "y"), codec=NUMPY)
+        return engine
+
+    def heal(run, jobs):
+        store = ArtifactStore(tmp_path / str(run))
+        engine = build(store, 1, [])
+        engine.run(["t"])
+        store.path_for("t", engine.key_of("t"), NUMPY.extension).unlink()
+        for name in ("u", "x", "y"):
+            flip_bytes(store.path_for(name, engine.key_of(name), NUMPY.extension))
+        calls, tracer = [], Tracer()
+        outcome = _run_within(build(store, jobs, calls, tracer), ["t"])
+        assert calls == ["u"]
+        assert verify_cache(store).ok
+        statuses = [(r.name, r.status) for r in outcome.report.records]
+        return statuses, trace_jsonl(tracer)
+
+    statuses, trace = heal(0, jobs=1)
+    assert statuses == [
+        ("x", STATUS_RECOVERED), ("y", STATUS_RECOVERED), ("t", STATUS_RUN),
+        ("u", STATUS_RECOVERED),
+    ]
+    for run in range(1, 21):
+        assert heal(run, jobs=2) == (statuses, trace)
 
 
 # -- failing stages ------------------------------------------------------------
@@ -383,26 +427,39 @@ def _damage(cache_dir, stage_prefixes=("result_", "score_")):
     return flipped, truncated
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_study_recovers_over_damaged_cache(damaged_study_cache, jobs):
-    from tests.test_engine_study import _assert_results_identical
-
+def _heal(cache_dir, workdir, jobs):
+    """Damage a copy of ``cache_dir`` under ``workdir`` and heal it at
+    ``jobs``: the healed study, the damaged entries and the trace bytes."""
     from repro.lab import StudyConfig, run_study
+
+    copy = workdir / "cache"
+    shutil.copytree(cache_dir, copy)
+    damaged = _damage(copy)
+    trace_dir = workdir / "trace"
+    healed = run_study(
+        StudyConfig.tiny(), cache_dir=str(copy), jobs=jobs, trace_dir=str(trace_dir)
+    )
+    return healed, damaged, (trace_dir / "trace.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_study_recovers_over_damaged_cache(damaged_study_cache, tmp_path, jobs):
+    from tests.test_engine_study import _assert_results_identical
 
     cold, cache_dir = damaged_study_cache
     # Damage a result artifact (a warm target) and a score artifact (a
     # pruned upstream the recovery walk must discover on its own).
-    flipped, truncated = _damage(cache_dir)
-
-    healed = run_study(StudyConfig.tiny(), cache_dir=cache_dir, jobs=jobs)
+    healed, (flipped, truncated), trace = _heal(cache_dir, tmp_path / "a", jobs)
     _assert_results_identical(cold, healed)
 
     report = healed.run_report
     recovered = {r.name for r in report.records if r.status == STATUS_RECOVERED}
     assert recovered  # the damaged result stage healed in place
 
-    quarantine = ArtifactStore(cache_dir).root / "quarantine"
-    names = {p.name.removesuffix(".1") for p in quarantine.iterdir()}
-    assert flipped.path.name in names
-    assert truncated.path.name in names
-    assert verify_cache(ArtifactStore(cache_dir)).ok
+    store = ArtifactStore(tmp_path / "a" / "cache")
+    assert sorted(p.name for p in (store.root / "quarantine").iterdir()) == sorted(
+        [flipped.path.name, truncated.path.name]
+    )
+    assert verify_cache(store).ok
+    # A second copy of the same damage heals at jobs=1 to the same trace.
+    assert _heal(cache_dir, tmp_path / "b", 1)[2] == trace

@@ -69,10 +69,6 @@ def test_findings_are_sorted_and_stable():
 
 
 def test_repo_source_is_lint_clean():
-    """Acceptance: `repro lint src/` holds at zero un-baselined findings."""
-    from repro.analysis.lint import Baseline
-
+    """Acceptance: `repro lint src/` holds at zero findings."""
     repo_root = pathlib.Path(__file__).parent.parent
-    findings = lint_paths([repo_root / "src"])
-    split = Baseline.load(repo_root / ".repro-lint-baseline.json").split(findings)
-    assert split.new == ()
+    assert lint_paths([repo_root / "src"]) == []
