@@ -75,24 +75,25 @@ test-gateway:
 	PYTHONPATH=src python -m pytest tests/test_gateway.py tests/test_gateway_feeds.py -q
 
 # Multi-tenant gateway benchmark (per-tenant throughput, throttle rates,
-# feed latency, fairness/isolation); gated against the committed
-# baseline.  After an intentional change, refresh with:
+# feed latency, fairness/isolation); exits 1 on a lost message or an
+# isolation failure, and its deterministic report must be byte-identical
+# to the committed one.  After an intentional change, refresh with:
 # PYTHONPATH=src python -m repro.cli gateway-bench --tiny (default
-# --report is the baseline path) and commit the result.
+# --report is the committed path) and commit the result.
 gateway-bench:
 	PYTHONPATH=src python -m repro.cli gateway-bench --tiny \
-		--report gateway-bench-report.json \
-		--baseline benchmarks/reports/BENCH_gateway.json $(ARGS)
+		--report gateway-bench-report.json $(ARGS)
+	cmp gateway-bench-report.json benchmarks/reports/BENCH_gateway.json
 
 # Observability suite: tracer/registry/exporter units plus the
-# cross-runtime byte-identical-trace and diff-gate integration tests.
+# cross-runtime byte-identical-trace and metric-diff integration tests.
 test-obs:
 	PYTHONPATH=src python -m pytest tests/test_obs.py tests/test_obs_integration.py -q
 
 # The CI observability check, runnable locally: trace two identical
 # serve-bench runs, byte-compare their traces and metric snapshots,
-# then read them back through the repro obs CLI (diff gates throughput
-# regressions >2%).  An elastic run (2,4,3 schedule plus a kill of the
+# then read them back through the repro obs CLI (diff exits 1 if any
+# metric series differs).  An elastic run (2,4,3 schedule plus a kill of the
 # hottest shard) at --jobs 1 and 2 must match byte for byte too:
 # report, trace and metrics.
 obs-smoke:

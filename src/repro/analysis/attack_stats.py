@@ -7,7 +7,6 @@ from typing import Mapping, Sequence
 
 from repro.analysis.stats import TestResult, benjamini_hochberg, chi_square_two_way
 from repro.taxonomy.attack_types import (
-    PARENT_OF,
     SUBTYPES_OF,
     AttackSubtype,
     AttackType,
@@ -89,7 +88,3 @@ def reporting_subtype_tests(
             chi_square_two_way([row, rest], name=subtype.value)
         )
     return benjamini_hochberg(results, error_rate=error_rate)
-
-
-def parents_of_coded(doc: CodedDocument) -> frozenset[AttackType]:
-    return frozenset(PARENT_OF[s] for s in doc.subtypes)

@@ -14,10 +14,8 @@ Subcommands::
                     [--burst-every N --burst-size N] [--jobs N]
                     [--check-equivalence] [--report FILE] [--trace-dir DIR]
     repro gateway-bench [--tiny/--full] [--seed N] [--shards N] [--rate F]
-                    [--jobs N] [--report FILE] [--baseline FILE]
-                    [--max-regression F] [--trace-dir DIR]
-    repro obs       report|trace DIR | diff BEFORE AFTER
-                    [--max-regression F] [--limit N]
+                    [--jobs N] [--report FILE] [--trace-dir DIR]
+    repro obs       report|trace DIR | diff BEFORE AFTER [--limit N]
     repro train     --corpus corpus.jsonl --task dox|cth --out model.npz
     repro score     --model model.npz [--text "..."] [--file posts.txt]
     repro assess    --text "..."      (taxonomy coding + PII + harm risks)
@@ -39,14 +37,15 @@ on one synthetic corpus, replays a second through the sharded
 alert/latency/throughput summary, and writes a machine-readable JSON
 report (deterministic — the simulation never reads a wall clock);
 ``gateway-bench`` drives the multi-tenant gateway (``repro.gateway``)
-through its canonical auth/quota/throttle overload mix, verifies
-per-tenant conservation and the tenant-isolation invariant, and gates
-against a committed baseline; ``--trace-dir`` on
+through its canonical auth/quota/throttle overload mix and exits 1
+unless every message is accounted for and each tenant's alerts match
+its solo replay; both bench reports are deterministic, so a rerun is
+checked by byte-comparing it with the committed one.  ``--trace-dir`` on
 ``study``/``serve-bench``/``gateway-bench`` additionally saves the run's
 deterministic observability bundle (structured trace, Chrome trace-event
 export, labeled metrics snapshot, text dashboard), which ``obs``
-inspects (``report``/``trace``) and regression-gates run over run
-(``diff``).
+inspects (``report``/``trace``) and compares run over run (``diff``
+exits 1 when any metric series differs).
 """
 
 from __future__ import annotations
@@ -280,34 +279,39 @@ def cmd_serve_bench(args) -> int:
     from repro.types import Task
     from repro.util.tables import format_table
 
+    # Every config validates before any filter is trained.
+    try:
+        monitor_config = MonitorConfig(
+            campaign_min_messages=args.campaign_min_messages
+        )
+        config = ServeConfig(
+            n_shards=args.shards,
+            batch_size=args.batch_size,
+            max_delay_seconds=args.max_delay_ms / 1000.0,
+            queue_capacity=args.queue_capacity,
+            policy=BackpressurePolicy(args.policy),
+            hot_key_share=args.hot_key_share,
+        )
+        kill = (
+            KillSpec(shard=args.kill_shard, at_fraction=args.kill_at)
+            if args.kill_shard is not None else None
+        )
+        profile = LoadProfile(
+            rate_per_second=args.rate,
+            burst_every=args.burst_every,
+            burst_size=args.burst_size,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     models, vectorizer, stream = _serve_models(args)
-    monitor_config = MonitorConfig(
-        campaign_min_messages=args.campaign_min_messages
-    )
 
     def monitor_factory():
         return HarassmentMonitor(
             models[Task.CTH], models[Task.DOX], vectorizer, monitor_config
         )
 
-    config = ServeConfig(
-        n_shards=args.shards,
-        batch_size=args.batch_size,
-        max_delay_seconds=args.max_delay_ms / 1000.0,
-        queue_capacity=args.queue_capacity,
-        policy=BackpressurePolicy(args.policy),
-        hot_key_share=args.hot_key_share,
-    )
-    kill = (
-        KillSpec(shard=args.kill_shard, at_fraction=args.kill_at)
-        if args.kill_shard is not None else None
-    )
-    profile = LoadProfile(
-        rate_per_second=args.rate,
-        burst_every=args.burst_every,
-        burst_size=args.burst_size,
-        seed=args.seed,
-    )
     recorder = None
     if args.trace_dir:
         from repro.obs import RunObserver
@@ -416,15 +420,22 @@ def cmd_serve_bench(args) -> int:
 def cmd_gateway_bench(args) -> int:
     import json
 
-    from repro.gateway import compare_gateway_reports, run_gateway_bench
+    from repro.gateway import bench_profile, run_gateway_bench
     from repro.service.monitor import HarassmentMonitor, MonitorConfig
     from repro.types import Task
     from repro.util.tables import format_table
 
+    # The monitor config and the bench's load profile validate before
+    # any filter is trained.
+    try:
+        monitor_config = MonitorConfig(
+            campaign_min_messages=args.campaign_min_messages
+        )
+        bench_profile(args.seed, args.rate)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     models, vectorizer, stream = _serve_models(args)
-    monitor_config = MonitorConfig(
-        campaign_min_messages=args.campaign_min_messages
-    )
 
     def monitor_factory():
         return HarassmentMonitor(
@@ -480,6 +491,7 @@ def cmd_gateway_bench(args) -> int:
         f"{fleet['load_skew']:.3f}x; fairness skew "
         f"{fleet['fairness_skew']:.3f}; conservation "
         f"{'ok' if fleet['conservation_ok'] else 'VIOLATED'}; "
+        f"unaccounted messages: {fleet['serve_unaccounted']}; "
         f"isolation vs solo monitors: {report['isolation']}"
     )
 
@@ -490,26 +502,12 @@ def cmd_gateway_bench(args) -> int:
     if recorder is not None:
         recorder.save(args.trace_dir)
         print(f"trace dir written to {args.trace_dir}")
-
-    if not fleet["conservation_ok"] or report["isolation"] == "FAILED":
+    if (
+        not fleet["conservation_ok"]
+        or fleet["serve_unaccounted"]
+        or report["isolation"] != "ok"
+    ):
         return 1
-    if args.baseline:
-        baseline_path = pathlib.Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text())
-        failures = compare_gateway_reports(
-            report, baseline, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"GATE FAILED [{failure.check}]: {failure.detail}")
-            return 1
-        print(
-            f"gate ok vs {baseline_path} "
-            f"(tolerance {args.max_regression:.0%})"
-        )
     return 0
 
 
@@ -590,15 +588,16 @@ def cmd_obs(args) -> int:
         print(f"\nchrome trace: {artifacts.chrome_trace_path()}")
         return 0
 
-    # diff
-    report = diff_runs(before, after, max_regression=args.max_regression)
-    changed = [d for d in report.deltas if d.changed]
-    if not changed:
+    # diff: exits as diff(1) does, 1 when any series changed, appeared
+    # or vanished
+    report = diff_runs(before, after)
+    if report.ok:
         print(
             f"no metric changes between {before.path} and {after.path} "
             f"({len(report.deltas)} series compared)"
         )
         return 0
+    changed = [d for d in report.deltas if d.changed]
     rows = []
     for delta in changed[: args.limit] if args.limit else changed:
         pct = f"{delta.pct:+.1%}" if delta.pct is not None else "-"
@@ -616,23 +615,14 @@ def cmd_obs(args) -> int:
     ))
     if args.limit and len(changed) > args.limit:
         print(f"... {len(changed) - args.limit:,} more changed series")
-    print()
-    if report.regressions:
-        for regression in report.regressions:
-            print(f"GATE FAILED: {regression.describe()}")
-        return 1
-    print(
-        f"gate ok: no tracked throughput dropped more than "
-        f"{args.max_regression:.0%}"
-    )
-    return 0
+    return 1
 
 
-def _parse_jobs(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _checked(parse, value: str):
@@ -777,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint stage artifacts here; a warm re-run executes zero stages",
     )
     p_study.add_argument(
-        "--jobs", type=_parse_jobs, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="stage thread pool size (independent stages run concurrently)",
     )
     p_study.add_argument(
@@ -826,11 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_args(p_serve)
     p_serve.add_argument(
-        "--shards", type=_parse_jobs, default=4, dest="shards",
+        "--shards", type=_positive_int, default=4, dest="shards",
         help="number of worker shards (consistent-hash ring routing)",
     )
     p_serve.add_argument(
-        "--batch-size", type=_parse_jobs, default=64,
+        "--batch-size", type=_positive_int, default=64,
         help="micro-batch flush size",
     )
     p_serve.add_argument(
@@ -838,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch flush deadline (simulated milliseconds)",
     )
     p_serve.add_argument(
-        "--queue-capacity", type=_parse_jobs, default=512,
+        "--queue-capacity", type=_positive_int, default=512,
         help="bounded per-shard queue capacity (>= batch size)",
     )
     p_serve.add_argument(
@@ -859,11 +849,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="messages per injected burst (arrive simultaneously)",
     )
     p_serve.add_argument(
-        "--jobs", type=_parse_jobs, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="simulate shards on a thread pool (identical results)",
     )
     p_serve.add_argument(
-        "--epochs", type=int, default=5,
+        "--epochs", type=_positive_int, default=5,
         help="training epochs for the benchmark filter models",
     )
     p_serve.add_argument(
@@ -914,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_args(p_gateway)
     p_gateway.add_argument(
-        "--shards", type=_parse_jobs, default=4,
+        "--shards", type=_positive_int, default=4,
         help="number of worker shards behind the gateway",
     )
     p_gateway.add_argument(
@@ -922,11 +912,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop arrival rate (messages per simulated second)",
     )
     p_gateway.add_argument(
-        "--jobs", type=_parse_jobs, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="simulate shards on a thread pool (identical results)",
     )
     p_gateway.add_argument(
-        "--epochs", type=int, default=5,
+        "--epochs", type=_positive_int, default=5,
         help="training epochs for the benchmark filter models",
     )
     p_gateway.add_argument(
@@ -936,14 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gateway.add_argument(
         "--report", default="benchmarks/reports/BENCH_gateway.json",
         help="write the deterministic JSON report here",
-    )
-    p_gateway.add_argument(
-        "--baseline", default=None,
-        help="compare against this committed report and fail on regression",
-    )
-    p_gateway.add_argument(
-        "--max-regression", type=float, default=0.02,
-        help="allowed fractional throughput drop vs the baseline",
     )
     p_gateway.add_argument(
         "--trace-dir", default=None,
@@ -974,10 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_obs_diff.add_argument("before")
     p_obs_diff.add_argument("after")
-    p_obs_diff.add_argument(
-        "--max-regression", type=float, default=0.02,
-        help="allowed fractional drop in tracked throughput gauges",
-    )
     p_obs_diff.add_argument(
         "--limit", type=int, default=40,
         help="changed series to list (0 = all)",

@@ -145,9 +145,6 @@ class BoardsPlanner:
     def fill_slot(self, slot: PlantedSlot, text: str, truth: GroundTruth) -> None:
         self._threads[slot.thread_index].planted[slot.position] = (text, truth)
 
-    def thread_size(self, slot: PlantedSlot) -> int:
-        return self._threads[slot.thread_index].size
-
     def materialize(
         self,
         render_benign: Callable[[], str],

@@ -13,10 +13,8 @@ for the architecture and the tenant-isolation invariant.
 from repro.gateway.admission import AdmissionAccounting, TokenBucket
 from repro.gateway.bench import (
     BENCH_TENANT_WEIGHTS,
-    GateFailure,
     bench_profile,
     bench_registry,
-    compare_gateway_reports,
     run_gateway_bench,
 )
 from repro.gateway.feeds import AlertFeed, FeedPage
@@ -34,7 +32,6 @@ __all__ = [
     "AlertFeed",
     "BENCH_TENANT_WEIGHTS",
     "FeedPage",
-    "GateFailure",
     "Gateway",
     "GatewayConfig",
     "GatewayResult",
@@ -45,7 +42,6 @@ __all__ = [
     "TokenBucket",
     "bench_profile",
     "bench_registry",
-    "compare_gateway_reports",
     "default_credentials",
     "derive_api_key",
     "run_gateway_bench",

@@ -4,16 +4,14 @@ The unified signal layer both runtimes emit into.  Everything is
 simulated-time or logical-clock arithmetic — zero wall-clock or uuid
 reads — so traces and metric snapshots are byte-identical across runs
 of the same configuration, and ``repro obs diff`` compares two runs
-with no noise floor.  See ``DESIGN.md`` §12.
+exactly: any changed series is a finding.  See ``DESIGN.md`` §12.
 """
 
 from repro.obs.diff import (
     DiffReport,
     MetricDelta,
-    Regression,
     diff_metrics,
     diff_runs,
-    find_regressions,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -54,7 +52,6 @@ __all__ = [
     "MetricDelta",
     "MetricFamily",
     "MetricsRegistry",
-    "Regression",
     "RunArtifacts",
     "RunObserver",
     "Span",
@@ -65,7 +62,6 @@ __all__ = [
     "chrome_trace_json",
     "diff_metrics",
     "diff_runs",
-    "find_regressions",
     "load_run",
     "metrics_json",
     "render_dashboard",

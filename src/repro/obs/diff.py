@@ -1,11 +1,11 @@
-"""Run-over-run metric diffing for regression triage.
+"""Run-over-run metric diffing.
 
 ``repro obs diff A B`` compares two trace dirs' metric snapshots series
-by series.  Because both snapshots are deterministic, *any* delta is a
-real behaviour change — there is no machine noise to absorb — so the
-throughput gate here can be as tight as 2% without flaking.  The gated
-throughput is simulated: it can catch a queueing regression, never a
-slower scoring path, whose gate is the wall-clock ``perfbench``.
+by series.  Both snapshots are deterministic, so *any* delta is a real
+behaviour change — there is no machine noise to absorb — and the diff
+has no tolerance: like ``diff(1)`` it exits 1 when any series changed,
+appeared or vanished.  Throughput here is simulated, an oracle for
+queueing behaviour; speed is measured by the wall-clock ``perfbench``.
 
 Counters and gauges diff by value; histograms diff by count and mean.
 Series present on only one side are reported as added/removed (a new
@@ -18,11 +18,6 @@ import dataclasses
 from typing import Iterator
 
 from repro.obs.recorder import RunArtifacts
-
-#: Gauges where lower-than-baseline means a performance regression.
-#: The serving runtime's telemetry publishes its simulated fleet rate
-#: under this name, in serve-bench and gateway-bench trace dirs alike.
-THROUGHPUT_METRICS = ("throughput_msgs_per_second",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,28 +44,6 @@ class MetricDelta:
         if not self.before:
             return None
         return self.delta / self.before
-
-
-@dataclasses.dataclass(frozen=True)
-class Regression:
-    """A gated finding: throughput below tolerance, or gone entirely."""
-
-    metric: str
-    labels: str
-    before: float
-    after: float | None  # None = the series is missing from the after run
-    drop: float  # fractional
-
-    def describe(self) -> str:
-        if self.after is None:
-            return (
-                f"{self.metric}{{{self.labels}}} is missing "
-                f"(was {self.before:,.1f})"
-            )
-        return (
-            f"{self.metric}{{{self.labels}}} dropped {self.drop:.1%}: "
-            f"{self.before:,.1f} -> {self.after:,.1f}"
-        )
 
 
 def _scalar_series(metrics: dict) -> Iterator[tuple[str, str, str, float]]:
@@ -120,30 +93,6 @@ def diff_metrics(before: dict, after: dict) -> list[MetricDelta]:
     return deltas
 
 
-def find_regressions(
-    deltas: list[MetricDelta], max_regression: float = 0.02
-) -> list[Regression]:
-    """Throughput gate: flag any tracked rate that dropped more than
-    ``max_regression`` (fractional) vs the before run, or that the after
-    run no longer reports at all (counted as a 100% drop)."""
-    regressions = []
-    for delta in deltas:
-        if delta.metric not in THROUGHPUT_METRICS:
-            continue
-        if delta.before is None or delta.before <= 0:
-            continue
-        drop = (delta.before - (delta.after or 0.0)) / delta.before
-        if delta.after is None or drop > max_regression:
-            regressions.append(Regression(
-                metric=delta.metric,
-                labels=delta.labels,
-                before=delta.before,
-                after=delta.after,
-                drop=drop,
-            ))
-    return regressions
-
-
 @dataclasses.dataclass(frozen=True)
 class DiffReport:
     """Outcome of comparing two trace dirs."""
@@ -151,7 +100,6 @@ class DiffReport:
     before: RunArtifacts
     after: RunArtifacts
     deltas: list[MetricDelta]
-    regressions: list[Regression]
 
     @property
     def n_changed(self) -> int:
@@ -159,18 +107,12 @@ class DiffReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return self.n_changed == 0
 
 
-def diff_runs(
-    before: RunArtifacts,
-    after: RunArtifacts,
-    max_regression: float = 0.02,
-) -> DiffReport:
-    deltas = diff_metrics(before.metrics, after.metrics)
+def diff_runs(before: RunArtifacts, after: RunArtifacts) -> DiffReport:
     return DiffReport(
         before=before,
         after=after,
-        deltas=deltas,
-        regressions=find_regressions(deltas, max_regression=max_regression),
+        deltas=diff_metrics(before.metrics, after.metrics),
     )

@@ -202,8 +202,8 @@ class ServeTelemetry:
         registry reader can sum them); the state pass's ledgers carry no
         shard label, and only the ratios that cannot be recovered from
         sums — throughput and makespan — get their own unlabeled
-        gauges.  ``throughput_msgs_per_second`` is the gauge ``repro obs
-        diff`` gates on.
+        gauges.  Both are simulated time: an oracle for queueing
+        behaviour, never a speed.
         """
         for shard in self.shards:
             shard.populate_metrics(registry)
@@ -220,5 +220,5 @@ class ServeTelemetry:
         ).labels().set(self.makespan_seconds)
         registry.gauge(
             "throughput_msgs_per_second",
-            help="fleet simulated throughput (the obs-diff gate metric)",
+            help="fleet simulated throughput (a queueing oracle, not a speed)",
         ).labels().set(self.throughput_per_second)

@@ -142,9 +142,6 @@ class MonitorConfig:
     dox_threshold: float = 0.5
     campaign_window_seconds: float = 7 * 24 * 3600.0
     campaign_min_messages: int = 3
-    #: Re-alerting the same target campaign more than once per window is
-    #: noise; the monitor deduplicates.
-    dedupe_campaign_alerts: bool = True
 
     def __post_init__(self) -> None:
         if self.campaign_min_messages < 2:
@@ -240,10 +237,11 @@ class HarassmentMonitor:
         count = len(activity)
         if count < self.config.campaign_min_messages:
             return False, count
-        if self.config.dedupe_campaign_alerts:
-            last = self._campaign_alerted_at.get(handle)
-            if last is not None and message.timestamp - last < window:
-                return False, count
+        # Re-alerting the same target campaign more than once per window
+        # is noise: one campaign alert per target per window.
+        last = self._campaign_alerted_at.get(handle)
+        if last is not None and message.timestamp - last < window:
+            return False, count
         self._campaign_alerted_at[handle] = message.timestamp
         return True, count
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface (via main(argv))."""
 
 import argparse
+import json
+import pathlib
 
 import pytest
 
@@ -186,25 +188,101 @@ def test_cache_commands_reject_a_missing_directory(tmp_path, capsys, action):
          "argument --rebalance-schedule: cannot parse"),
         (["--rebalance-schedule", "auto:4"],
          "argument --rebalance-schedule: cannot parse"),
+        (["--shards", "0"], "argument --shards: must be >= 1, got 0"),
+        (["--batch-size", "0"], "argument --batch-size: must be >= 1, got 0"),
+        (["--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
+        (["--rate", "-3"], "error: rate_per_second must be positive"),
+        (["--max-delay-ms", "0"],
+         "error: ServeConfig.max_delay_seconds must be positive"),
+        (["--burst-every", "-1"],
+         "error: burst_every/burst_size must be >= 0"),
+        (["--campaign-min-messages", "1"],
+         "error: a campaign needs at least two messages"),
+        (["--hot-key-share", "1.5"],
+         "error: ServeConfig.hot_key_share must be in [0, 1)"),
+        (["--queue-capacity", "32"],
+         "error: ServeConfig.queue_capacity must be >= ServeConfig.batch_size"),
+        (["gateway-bench", "--rate", "-3"],
+         "error: rate_per_second must be positive"),
+        (["gateway-bench", "--campaign-min-messages", "1"],
+         "error: a campaign needs at least two messages"),
+        (["gateway-bench", "--shards", "0"],
+         "argument --shards: must be >= 1, got 0"),
     ],
-    ids=["kill-shard-name", "kill-at-range", "schedule-count", "schedule-auto"],
+    ids=[
+        "kill-shard-name", "kill-at-range", "schedule-count", "schedule-auto",
+        "shards", "batch-size", "epochs", "rate", "max-delay", "burst-every",
+        "campaign-min", "hot-key-share", "queue-capacity", "gateway-rate",
+        "gateway-campaign-min", "gateway-shards",
+    ],
 )
 def test_serve_bench_rejects_malformed_elastic_flags_before_training(
     monkeypatch, capsys, tmp_path, flags, message
 ):
-    # Regression: these values were parsed only after the filters had
-    # been trained, and died with a traceback.
+    # Regression: these values were checked only after the filters had
+    # been trained, and died with a traceback.  Flags argparse checks
+    # exit 2 while parsing; configs validate before training and the
+    # command returns 2.
     def no_training(args):
         raise AssertionError("filters trained before the flags were checked")
 
     monkeypatch.setattr("repro.cli._serve_models", no_training)
-    with pytest.raises(SystemExit) as exit_info:
-        main([
-            "serve-bench", "--tiny", *flags,
-            "--report", str(tmp_path / "serve.json"),
+    command = "serve-bench"
+    if flags[0] == "gateway-bench":
+        command, *flags = flags
+    try:
+        code = main([
+            command, "--tiny", *flags,
+            "--report", str(tmp_path / "bench.json"),
         ])
-    assert exit_info.value.code == 2
+    except SystemExit as exit_info:
+        code = exit_info.code
+    assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
+BENCH_GATEWAY = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "benchmarks" / "reports" / "BENCH_gateway.json"
+)
+
+
+@pytest.mark.parametrize(
+    "fleet, isolation, code",
+    [
+        ({}, "ok", 0),
+        ({"conservation_ok": False}, "ok", 1),
+        ({"serve_unaccounted": 3}, "ok", 1),
+        ({}, "FAILED", 1),
+    ],
+    ids=["clean", "admission-conservation", "serve-unaccounted", "isolation"],
+)
+def test_gateway_bench_exit_status(
+    monkeypatch, capsys, tmp_path, fleet, isolation, code
+):
+    # The committed report stands in for a run; each broken copy of it
+    # must fail the command.  Regression: serve_unaccounted was checked
+    # only against a --baseline, so a run that lost messages exited 0.
+    committed = json.loads(BENCH_GATEWAY.read_text())
+    report = dict(
+        committed, fleet=dict(committed["fleet"], **fleet), isolation=isolation
+    )
+    monkeypatch.setattr("repro.cli._serve_models", lambda args: ({}, None, []))
+    monkeypatch.setattr(
+        "repro.gateway.run_gateway_bench",
+        lambda *args, **kwargs: (report, None, None),
+    )
+    path = tmp_path / "gateway.json"
+    assert main(["gateway-bench", "--tiny", "--report", str(path)]) == code
+    out = capsys.readouterr().out
+    assert (
+        f"unaccounted messages: {report['fleet']['serve_unaccounted']}; "
+        f"isolation vs solo monitors: {isolation}"
+    ) in out
+    if code == 0:
+        # The writer puts the committed report back byte for byte.
+        assert path.read_bytes() == BENCH_GATEWAY.read_bytes()
 
 
 def test_serve_bench_writes_json_report(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Multi-tenant gateway tests: auth, admission, isolation, bench gate.
+"""Multi-tenant gateway tests: auth, admission, isolation, the bench.
 
 The headline invariant: each tenant's merged alert stream out of the
 gateway is byte-identical to running that tenant's admitted traffic
@@ -7,7 +7,8 @@ alone through a single monitor — across shard counts {1, 2, 4}, a
 ``jobs=1`` vs ``jobs=N``.  Around it: the admission conservation law
 (``offered == admitted + throttled + rejected_auth + rejected_quota``
 per tenant, always), token-bucket edge cases, the preference layer,
-and the gateway-bench report + regression gate.
+and the gateway-bench report.  The CLI's exit status on a broken report
+is pinned in ``tests/test_cli.py``.
 """
 
 import dataclasses
@@ -25,7 +26,6 @@ from repro.gateway import (
     TenantConfig,
     TenantRegistry,
     TokenBucket,
-    compare_gateway_reports,
     derive_api_key,
     run_gateway_bench,
 )
@@ -748,7 +748,7 @@ def test_tenant_mix_tracks_weights():
     assert 0.85 < share < 0.95
 
 
-# -- bench & gate --------------------------------------------------------------
+# -- bench ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def bench_outcome(serve_models, corpus_stream):
@@ -761,6 +761,7 @@ def test_bench_exercises_every_admission_outcome(bench_outcome):
     report, gateway, result = bench_outcome
     fleet = report["fleet"]
     assert fleet["conservation_ok"]
+    assert fleet["serve_unaccounted"] == 0
     assert report["isolation"] == "ok"
     tenants = report["tenants"]
     assert tenants["intruder-x"]["admission"]["rejected_auth"] > 0
@@ -769,46 +770,3 @@ def test_bench_exercises_every_admission_outcome(bench_outcome):
     assert tenants["research-c"]["admission"]["rejected_quota"] > 0
     for tenant in sorted(tenants):
         assert tenants[tenant]["admission"]["unaccounted"] == 0
-
-
-def test_bench_gate_passes_against_itself_and_catches_regressions(
-    bench_outcome,
-):
-    report, _, _ = bench_outcome
-    assert compare_gateway_reports(report, report) == []
-    # Throughput floor.
-    inflated = {
-        "fleet": dict(
-            report["fleet"],
-            throughput_per_second=(
-                report["fleet"]["throughput_per_second"] * 2
-            ),
-        ),
-        "tenants": report["tenants"],
-    }
-    failures = compare_gateway_reports(report, inflated)
-    assert any(f.check == "throughput" for f in failures)
-    # Conservation and isolation are hard gates.
-    broken = dict(report)
-    broken["fleet"] = dict(report["fleet"], conservation_ok=False)
-    broken["isolation"] = "FAILED"
-    failures = compare_gateway_reports(broken, report)
-    assert {f.check for f in failures} >= {"conservation", "isolation"}
-    # A tenant vanishing from the report is a gate failure too.
-    thinned = dict(report)
-    thinned["tenants"] = {
-        tenant: entry
-        for tenant, entry in report["tenants"].items()
-        if tenant != "research-c"
-    }
-    failures = compare_gateway_reports(thinned, report)
-    assert any(f.check == "tenants" for f in failures)
-
-
-def test_bench_gate_fails_a_report_missing_serve_unaccounted(bench_outcome):
-    """A report that drops the serve conservation count must not pass."""
-    report, _, _ = bench_outcome
-    fleet = dict(report["fleet"])
-    del fleet["serve_unaccounted"]
-    failures = compare_gateway_reports(dict(report, fleet=fleet), report)
-    assert [f.check for f in failures] == ["conservation"]

@@ -7,8 +7,8 @@ The load-bearing properties:
 * schema safety — ``as_dict()`` projections the bench baselines commit
   to are untouched by the registry projection;
 * the Chrome trace-event export matches the JSON shape Perfetto loads;
-* ``repro obs diff`` flags an injected >=2% throughput drop and stays
-  quiet below tolerance;
+* ``repro obs diff`` flags every changed, added or removed series, with
+  no tolerance, and stays quiet on identical snapshots;
 * ``src/repro/obs`` itself is clean under the determinism linter with
   zero suppressions.
 """
@@ -29,7 +29,6 @@ from repro.obs import (
     chrome_trace,
     diff_metrics,
     diff_runs,
-    find_regressions,
     load_run,
     metrics_json,
     render_dashboard,
@@ -336,7 +335,7 @@ def test_load_run_rejects_non_trace_dirs(tmp_path):
         load_run(tmp_path)
 
 
-# -- diffing and the regression gate -------------------------------------------
+# -- diffing -------------------------------------------------------------------
 
 def _registry_with_throughput(value):
     registry = MetricsRegistry()
@@ -349,34 +348,17 @@ def test_diff_identical_snapshots_is_quiet():
     snapshot = _registry_with_throughput(1000.0).as_dict()
     deltas = diff_metrics(snapshot, snapshot)
     assert deltas and not any(d.changed for d in deltas)
-    assert not find_regressions(deltas)
 
 
 def test_diff_flags_injected_throughput_regression():
-    """A 3% drop must trip the 2% gate; a 1% drop must not."""
+    """The diff has no tolerance: a 3% drop, a 1% drop and a rise are
+    each exactly one changed series."""
     before = _registry_with_throughput(1000.0).as_dict()
-    regressed = _registry_with_throughput(970.0).as_dict()
-    tolerated = _registry_with_throughput(990.0).as_dict()
-    hits = find_regressions(diff_metrics(before, regressed), max_regression=0.02)
-    assert len(hits) == 1
-    assert hits[0].metric == "throughput_msgs_per_second"
-    assert hits[0].drop == pytest.approx(0.03)
-    assert "dropped" in hits[0].describe()
-    assert not find_regressions(diff_metrics(before, tolerated), 0.02)
-    # Throughput going *up* is never a regression.
-    assert not find_regressions(diff_metrics(regressed, before), 0.02)
-
-
-def test_diff_flags_a_gated_gauge_missing_after():
-    """A throughput gauge the after run no longer reports fails the gate,
-    just as a drop to zero does."""
-    before = _registry_with_throughput(1000.0).as_dict()
-    after = dict(before)
-    del after["throughput_msgs_per_second"]
-    hits = find_regressions(diff_metrics(before, after), max_regression=0.02)
-    assert [hit.metric for hit in hits] == ["throughput_msgs_per_second"]
-    assert hits[0].after is None and hits[0].drop == 1.0
-    assert "missing" in hits[0].describe()
+    for value, pct in ((970.0, -0.03), (990.0, -0.01), (1010.0, 0.01)):
+        after = _registry_with_throughput(value).as_dict()
+        changed = [d for d in diff_metrics(before, after) if d.changed]
+        assert [d.metric for d in changed] == ["throughput_msgs_per_second"]
+        assert changed[0].pct == pytest.approx(pct)
 
 
 def test_diff_reports_added_and_removed_series():
@@ -399,7 +381,8 @@ def test_diff_runs_end_to_end(tmp_path):
     report = diff_runs(load_run(tmp_path / "a"), load_run(tmp_path / "b"))
     assert not report.ok
     assert report.n_changed == 1
-    assert report.regressions[0].drop == pytest.approx(0.1)
+    changed = [d for d in report.deltas if d.changed]
+    assert changed[0].pct == pytest.approx(-0.1)
     # Same dir against itself: clean.
     same = diff_runs(load_run(tmp_path / "a"), load_run(tmp_path / "a"))
     assert same.ok and same.n_changed == 0

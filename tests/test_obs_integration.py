@@ -1,4 +1,4 @@
-"""Observability across the runtimes: byte-identical traces, CLI, gating.
+"""Observability across the runtimes: byte-identical traces, CLI, diffs.
 
 The acceptance-level properties for the unified obs layer:
 
@@ -7,8 +7,9 @@ The acceptance-level properties for the unified obs layer:
   kill — save byte-identical ``trace.jsonl`` and ``metrics.json``;
 * the engine's stage trace is a logical-clock replay, invariant to the
   stage thread pool and free of wall-clock values;
-* ``repro obs diff`` exits non-zero on an injected >=2% throughput
-  regression between two trace dirs;
+* ``repro obs diff`` exits as ``diff(1)`` does: 0 on identical trace
+  dirs, 1 on any changed, added or removed series, however small, and
+  2 on a dir that is not a trace dir;
 * recording is strictly opt-in: a run without a recorder emits the same
   result objects as before the obs layer existed.
 """
@@ -254,21 +255,19 @@ def test_cli_serve_bench_trace_dirs_byte_identical_and_diffable(
     assert main(["obs", "diff", str(dirs[0]), str(dirs[1])]) == 0
     assert "no metric changes" in capsys.readouterr().out
 
-    # Inject a 3% throughput drop into run_b's snapshot: gate trips.
+    # Inject a 3% and then a 1% throughput drop into run_b's snapshot:
+    # the diff has no tolerance, so each exits 1 and lists the series.
     metrics_path = dirs[1] / "metrics.json"
     snapshot = json.loads(metrics_path.read_text())
     series = snapshot["throughput_msgs_per_second"]["series"][0]
-    series["value"] *= 0.97
-    metrics_path.write_text(json.dumps(snapshot, sort_keys=True, indent=2))
-    assert main(["obs", "diff", str(dirs[0]), str(dirs[1])]) == 1
-    out = capsys.readouterr().out
-    assert "GATE FAILED" in out and "throughput_msgs_per_second" in out
-    # A 1% drop stays inside the default 2% tolerance.
-    series["value"] = json.loads(
-        (dirs[0] / "metrics.json").read_text()
-    )["throughput_msgs_per_second"]["series"][0]["value"] * 0.99
-    metrics_path.write_text(json.dumps(snapshot, sort_keys=True, indent=2))
-    assert main(["obs", "diff", str(dirs[0]), str(dirs[1])]) == 0
+    before = series["value"]
+    for factor, pct in ((0.97, "-3.0%"), (0.99, "-1.0%")):
+        series["value"] = before * factor
+        metrics_path.write_text(json.dumps(snapshot, sort_keys=True, indent=2))
+        assert main(["obs", "diff", str(dirs[0]), str(dirs[1])]) == 1
+        out = capsys.readouterr().out
+        assert "Changed series (1 of" in out
+        assert "throughput_msgs_per_second" in out and pct in out
 
 
 def test_cli_study_trace_dir(tmp_path, capsys):
@@ -287,3 +286,39 @@ def test_cli_study_trace_dir(tmp_path, capsys):
 def test_cli_obs_rejects_non_trace_dir(tmp_path, capsys):
     assert main(["obs", "report", str(tmp_path)]) == 2
     assert "not a trace dir" in capsys.readouterr().err
+    RunObserver("unit").save(tmp_path / "run")
+    for pair in ((tmp_path, tmp_path / "run"), (tmp_path / "run", tmp_path)):
+        assert main(["obs", "diff", *map(str, pair)]) == 2
+        assert "not a trace dir" in capsys.readouterr().err
+
+
+def _save_gauges(path, gauges):
+    observer = RunObserver("unit")
+    for name, value in gauges.items():
+        observer.metrics.gauge(name).labels().set(value)
+    observer.save(path)
+
+
+BEFORE_GAUGES = {"serve_shards": 4.0, "throughput_msgs_per_second": 1000.0}
+
+
+@pytest.mark.parametrize(
+    "after, code, listed",
+    [
+        (BEFORE_GAUGES, 0, "no metric changes"),
+        (dict(BEFORE_GAUGES, serve_shards=5.0), 1, "serve_shards"),
+        (dict(BEFORE_GAUGES, makespan_seconds=6.25), 1, "makespan_seconds"),
+        ({"throughput_msgs_per_second": 1000.0}, 1, "serve_shards"),
+    ],
+    ids=["identical", "changed", "added", "removed"],
+)
+def test_cli_obs_diff_exit_status(tmp_path, capsys, after, code, listed):
+    _save_gauges(tmp_path / "a", BEFORE_GAUGES)
+    _save_gauges(tmp_path / "b", after)
+    assert main(["obs", "diff", str(tmp_path / "a"), str(tmp_path / "b")]) == code
+    out = capsys.readouterr().out
+    assert listed in out
+    if code:
+        # Only the one differing series is listed.
+        assert "Changed series (1 of" in out
+        assert "throughput_msgs_per_second" not in out
