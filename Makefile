@@ -45,9 +45,9 @@ cache-clean:
 verify-cache:
 	PYTHONPATH=src python -m repro.cli cache verify --cache-dir $(CACHE_DIR)
 
-# Fault-injection suite: corrupts and truncates cached artifacts, fails
-# their codecs, and asserts recovered results are byte-identical to
-# clean ones.
+# Fault-injection suite: corrupts and truncates cached artifacts, writes
+# checksummed bytes that do not unpickle, and asserts recovered results
+# are byte-identical to clean ones.
 test-recovery:
 	PYTHONPATH=src python -m pytest tests/test_engine_recovery.py -q
 

@@ -138,15 +138,15 @@ class StageSideIO(Rule):
 
     A stage that opens files or mutates the filesystem behind the
     engine's back breaks cache equivalence twice over: a warm run skips
-    the side effect entirely, and a parallel run reorders it.  The
-    ``ArtifactStore`` codecs are the one sanctioned write path.
+    the side effect entirely, and a parallel run reorders it.
+    ``ArtifactStore.save`` is the one sanctioned write path.
     """
 
     id = "PUR001"
     summary = "stage function performs side I/O"
     hint = (
-        "return the value and let the stage's ArtifactStore codec persist "
-        "it (engine.store is the only sanctioned write path)"
+        "return the value and let ArtifactStore.save pickle it "
+        "(engine.store is the only sanctioned write path)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -625,6 +625,12 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _existing_file(value: str) -> str:
+    if not pathlib.Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {value}")
+    return value
+
+
 def _checked(parse, value: str):
     """Run ``parse(value)`` as an argparse ``type``: its ValueError
     becomes argparse's usage error, which names the flag and exits 2
@@ -963,17 +969,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_diff.set_defaults(func=cmd_obs)
 
     p_train = sub.add_parser("train", help="train a filter model from a JSONL corpus")
-    p_train.add_argument("--corpus", required=True)
+    p_train.add_argument("--corpus", type=_existing_file, required=True)
     p_train.add_argument("--task", type=_parse_task, required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--epochs", type=int, default=6)
+    p_train.add_argument("--epochs", type=_positive_int, default=6)
     p_train.add_argument("--seed", type=int, default=7)
     p_train.set_defaults(func=cmd_train)
 
     p_score = sub.add_parser("score", help="score texts with a saved model")
-    p_score.add_argument("--model", required=True)
+    p_score.add_argument("--model", type=_existing_file, required=True)
     p_score.add_argument("--text", default=None)
-    p_score.add_argument("--file", default=None)
+    p_score.add_argument("--file", type=_existing_file, default=None)
     p_score.set_defaults(func=cmd_score)
 
     p_assess = sub.add_parser("assess", help="taxonomy + PII + harm-risk for one text")

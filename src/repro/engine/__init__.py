@@ -5,11 +5,11 @@ active-learning → threshold → expert-annotation stages; at that scale
 every stage is a separately checkpointed, re-runnable job.  This package
 provides the execution substrate for the reproduction's equivalent:
 content-hashed cache keys (:mod:`repro.engine.keys`), a disk-backed
-artifact store with per-type codecs and checksum manifests
-(:mod:`repro.engine.store`), a demand-driven scheduler with per-stage
-observability (:mod:`repro.engine.core`), and a self-healing layer —
-artifact integrity verification, quarantine-and-recompute, and a
-deterministic fault-injection harness (:mod:`repro.engine.recovery`,
+artifact store that pickles every stage artifact under a checksum
+manifest (:mod:`repro.engine.store`), a demand-driven scheduler with
+per-stage observability (:mod:`repro.engine.core`), and a self-healing
+layer — artifact integrity verification, quarantine-and-recompute, and
+a deterministic fault-injection harness (:mod:`repro.engine.recovery`,
 :mod:`repro.engine.faults`).
 """
 
@@ -30,16 +30,7 @@ from repro.engine.recovery import (
     VerifyReport,
     verify_cache,
 )
-from repro.engine.store import (
-    FILTER_MODEL,
-    NUMPY,
-    PICKLE,
-    ArtifactEntry,
-    ArtifactStore,
-    FilterModelCodec,
-    NumpyCodec,
-    PickleCodec,
-)
+from repro.engine.store import ArtifactEntry, ArtifactStore
 
 __all__ = [
     "Engine",
@@ -58,10 +49,4 @@ __all__ = [
     "fingerprint",
     "ArtifactEntry",
     "ArtifactStore",
-    "FilterModelCodec",
-    "NumpyCodec",
-    "PickleCodec",
-    "FILTER_MODEL",
-    "NUMPY",
-    "PICKLE",
 ]

@@ -1,8 +1,8 @@
 """The staged execution engine.
 
 An :class:`Engine` holds a DAG of named stages.  Each stage declares its
-input stages, its cache-key material (configs, seeds, loop indices), and
-a codec for its output artifact.  ``run(targets)`` then:
+input stages and its cache-key material (configs, seeds, loop indices);
+its output artifact is one pickle in the store.  ``run(targets)`` then:
 
 1. plans demand-driven: walking down from the targets, a stage whose
    artifact is already cached becomes a leaf — its inputs are neither
@@ -21,7 +21,7 @@ identical with caching on or off, and with ``jobs=1`` or ``jobs=N`` —
 every stage is a pure function of its inputs plus named RNG streams.
 
 The engine is also self-healing: a cached artifact that fails checksum
-verification or whose codec raises on load is quarantined in step 2, and
+verification or does not unpickle is quarantined in step 2, and
 the stage (plus only the upstream subgraph it actually needs) is queued
 to re-execute — the run completes with the stage marked
 ``STATUS_RECOVERED`` instead of aborting.  All loading and healing
@@ -38,7 +38,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Callable, Collection, Mapping, Sequence
 
 from repro.engine.keys import fingerprint
-from repro.engine.store import PICKLE, ArtifactStore, Codec
+from repro.engine.store import ArtifactStore
 from repro.obs.trace import Tracer
 from repro.util.tables import format_table
 
@@ -56,7 +56,6 @@ class Stage:
     fn: Callable[..., object]
     inputs: tuple[str, ...] = ()
     key_parts: tuple[object, ...] = ()
-    codec: Codec = PICKLE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,7 +167,6 @@ class Engine:
         fn: Callable[..., object],
         inputs: Sequence[str] = (),
         key: Sequence[object] = (),
-        codec: Codec | None = None,
     ) -> str:
         """Register a stage; returns its name for wiring downstream stages.
 
@@ -186,7 +184,6 @@ class Engine:
             fn=fn,
             inputs=tuple(inputs),
             key_parts=tuple(key),
-            codec=codec or PICKLE,
         )
         return name
 
@@ -216,7 +213,7 @@ class Engine:
                 return
             stage = self._stages[name]  # KeyError on unknown target
             planned.add(name)
-            if not self._cached(stage):
+            if not self._cached(name):
                 for dep in stage.inputs:
                     visit(dep)
             order.append(name)
@@ -281,14 +278,12 @@ class Engine:
             clock += 1.0
         run_span.close(0.0, clock)
 
-    def _cached(self, stage: Stage) -> bool:
-        """Whether the run loads ``stage`` instead of computing it."""
+    def _cached(self, name: str) -> bool:
+        """Whether the run loads stage ``name`` instead of computing it."""
         return (
             self.store is not None
             and not self.force
-            and self.store.has(
-                stage.name, self.key_of(stage.name), stage.codec.extension
-            )
+            and self.store.has(name, self.key_of(name))
         )
 
     def _load(
@@ -304,7 +299,7 @@ class Engine:
 
         A stage already in ``records`` is left alone, so no stage is
         loaded or queued twice in one run.  A cached artifact that fails
-        verification or its codec is quarantined and its stage queued
+        verification or unpickling is quarantined and its stage queued
         after its inputs, each handled by this method: the planner
         pruned them, so they are ``demanded`` and add a ``demand`` event
         to the healed stage's trace buffer ``events``.
@@ -315,14 +310,12 @@ class Engine:
         key = self.key_of(name)
         started = time.perf_counter()
         status = STATUS_RUN
-        if self._cached(stage):
+        if self._cached(name):
             try:
-                values[name] = self.store.load(name, key, stage.codec)
+                values[name] = self.store.load(name, key)
                 status = STATUS_HIT
             except Exception:
-                self.store.quarantine(
-                    self.store.path_for(name, key, stage.codec.extension)
-                )
+                self.store.quarantine(self.store.path_for(name, key))
                 status = STATUS_RECOVERED
                 if events is not None:
                     events.append(("quarantine", {"stage": name}))
@@ -397,5 +390,5 @@ class Engine:
         started = time.perf_counter()
         value = stage.fn(*args)
         if self.store is not None:
-            self.store.save(stage.name, key, stage.codec, value)
+            self.store.save(stage.name, key, value)
         return value, time.perf_counter() - started

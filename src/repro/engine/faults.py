@@ -2,10 +2,9 @@
 
 The recovery tests need to *manufacture* the failures a long pipeline
 run eventually sees — bit rot in a cached artifact, a write truncated by
-a kill, a reader that cannot parse intact bytes — and they need to do so
-deterministically so a recovered run can be asserted byte-identical to a
-clean one.  Nothing here draws randomness: corruption sites are explicit
-byte offsets and failure counts are explicit integers.
+a kill — and they need to do so deterministically so a recovered run can
+be asserted byte-identical to a clean one.  Nothing here draws
+randomness: corruption sites are explicit byte offsets.
 
 These helpers are test infrastructure shipped in the package (like the
 paper-constant tables) so downstream users can fault-test their own
@@ -15,9 +14,6 @@ stage graphs.
 from __future__ import annotations
 
 import pathlib
-import threading
-
-from repro.engine.store import Codec
 
 
 def flip_bytes(
@@ -48,30 +44,3 @@ def truncate_file(
     path = pathlib.Path(path)
     data = path.read_bytes()
     path.write_bytes(data[: int(len(data) * keep_fraction)])
-
-
-class FlakyCodec:
-    """Wrap a codec so its first ``load_failures`` loads raise.
-
-    Models a codec-level parse failure that checksum verification cannot
-    see (the bytes are intact, the reader is not) — the quarantine path
-    must catch both.
-    """
-
-    def __init__(self, inner: Codec, load_failures: int = 1) -> None:
-        self._inner = inner
-        self._remaining = load_failures
-        self._lock = threading.Lock()
-        self.extension = inner.extension
-
-    def save(self, value: object, path: pathlib.Path) -> None:
-        self._inner.save(value, path)
-
-    def load(self, path: pathlib.Path) -> object:
-        with self._lock:
-            should_fail = self._remaining > 0
-            if should_fail:
-                self._remaining -= 1
-        if should_fail:
-            raise OSError(f"injected codec load failure for {path.name}")
-        return self._inner.load(path)

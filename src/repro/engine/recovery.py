@@ -9,8 +9,8 @@ bad disks):
   records the entry before each ``save`` renames the artifact into place
   and verifies artifacts against it on ``load``, raising
   :class:`ArtifactIntegrityError` on a mismatch or a missing entry so
-  corruption is caught *before* a codec misparses the bytes.
-* Quarantine-and-recompute — when verification (or the codec itself)
+  corruption is caught *before* the bytes are unpickled.
+* Quarantine-and-recompute — when verification (or unpickling itself)
   fails, the engine moves the bad file to ``<cache>/quarantine/``,
   re-executes the stage and only the upstream subgraph it actually
   needs, and records the stage as ``STATUS_RECOVERED`` instead of

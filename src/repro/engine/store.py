@@ -1,24 +1,24 @@
 """Disk-backed artifact store for stage outputs.
 
 Artifacts live flat under one cache directory, named
-``<stage>-<key>.<ext>`` where ``<key>`` is the stage's 32-hex content
+``<stage>-<key>.pkl`` where ``<key>`` is the stage's 32-hex content
 key — so a config change produces new files rather than overwriting old
 ones, and ``repro cache ls`` can attribute every file to its stage.
 
-Each stage picks a codec matching its payload: trained filter models
-as ``.npz`` through :mod:`repro.nlp.serialize`, numpy score vectors as
-``.npy``, and everything else (the corpus, the vectorized corpus, label
-states, result containers) as pickles.  JSONL through
-:mod:`repro.corpus.io` stays the exchange format of ``repro generate``
-and ``repro train``; the corpus artifact pickles, which writes and reads
-it in about half the time, in two fifths of the bytes.  Writes go
+Every stage artifact is one pickle, and only the store knows it:
+:meth:`ArtifactStore.save` is the one write path, :meth:`ArtifactStore.load`
+the one read path.  (JSONL through :mod:`repro.corpus.io` and ``.npz``
+filter models through :mod:`repro.nlp.serialize` stay the exchange
+formats of ``repro generate``, ``train`` and ``score``.)  Writes go
 through a temp file + ``os.replace`` so a crashed run never leaves a
 truncated artifact behind, and every write records a content checksum in
 the cache manifest (:mod:`repro.engine.recovery`) before the artifact
 takes its name; ``load`` verifies it, so corruption, or an artifact the
 manifest does not list, surfaces as :class:`ArtifactIntegrityError`
-instead of a codec misparse, and :meth:`ArtifactStore.quarantine` moves
-bad files aside for the engine's recompute path.
+before anything is unpickled, and :meth:`ArtifactStore.quarantine` moves
+bad files aside for the engine's recompute path.  Files an older store
+wrote in other formats are still listed, verified and cleared, but never
+loaded.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import pathlib
 import pickle
 import re
 import threading
-from typing import Iterable, Protocol
-
-import numpy as np
+from typing import Iterable
 
 from repro.engine.recovery import (
     MANIFEST_NAME,
@@ -41,63 +39,6 @@ from repro.engine.recovery import (
     checksum_file,
 )
 
-
-class Codec(Protocol):
-    """Serialization strategy for one artifact type."""
-
-    extension: str
-
-    def save(self, value: object, path: pathlib.Path) -> None: ...
-
-    def load(self, path: pathlib.Path) -> object: ...
-
-
-class PickleCodec:
-    extension = ".pkl"
-
-    def save(self, value: object, path: pathlib.Path) -> None:
-        with path.open("wb") as handle:
-            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def load(self, path: pathlib.Path) -> object:
-        with path.open("rb") as handle:
-            return pickle.load(handle)
-
-
-class NumpyCodec:
-    extension = ".npy"
-
-    def save(self, value: object, path: pathlib.Path) -> None:
-        with path.open("wb") as handle:
-            np.save(handle, np.asarray(value), allow_pickle=False)
-
-    def load(self, path: pathlib.Path) -> object:
-        with path.open("rb") as handle:
-            return np.load(handle, allow_pickle=False)
-
-
-class FilterModelCodec:
-    """A ``(classifier, vectorizer)`` pair via :mod:`repro.nlp.serialize`."""
-
-    extension = ".npz"
-
-    def save(self, value: object, path: pathlib.Path) -> None:
-        from repro.nlp.serialize import save_filter_model
-
-        model, vectorizer = value
-        save_filter_model(path, model, vectorizer)
-
-    def load(self, path: pathlib.Path) -> object:
-        from repro.nlp.serialize import load_filter_model
-
-        model, vectorizer, _metadata = load_filter_model(path)
-        return model, vectorizer
-
-
-#: Shared codec instances (all are stateless).
-PICKLE = PickleCodec()
-NUMPY = NumpyCodec()
-FILTER_MODEL = FilterModelCodec()
 
 _FILENAME_RE = re.compile(r"^(?P<stage>.+)-(?P<key>[0-9a-f]{32})(?P<ext>\.[a-z]+)$")
 
@@ -114,7 +55,6 @@ class ArtifactEntry:
     key: str
     path: pathlib.Path
     n_bytes: int
-    modified: float
 
 
 class ArtifactStore:
@@ -125,21 +65,20 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.manifest = CacheManifest(self.root / MANIFEST_NAME)
 
-    def path_for(self, stage: str, key: str, extension: str) -> pathlib.Path:
-        return self.root / f"{_sanitize(stage)}-{key}{extension}"
+    def path_for(self, stage: str, key: str) -> pathlib.Path:
+        return self.root / f"{_sanitize(stage)}-{key}.pkl"
 
-    def has(self, stage: str, key: str, extension: str) -> bool:
-        return self.path_for(stage, key, extension).exists()
+    def has(self, stage: str, key: str) -> bool:
+        return self.path_for(stage, key).exists()
 
-    def save(self, stage: str, key: str, codec: Codec, value: object) -> pathlib.Path:
-        final = self.path_for(stage, key, codec.extension)
-        # The temp name keeps the real extension as suffix: numpy's savers
-        # append their extension when the target lacks it.
+    def save(self, stage: str, key: str, value: object) -> pathlib.Path:
+        final = self.path_for(stage, key)
         tmp = final.with_name(
             f".tmp-{os.getpid()}-{threading.get_ident()}-{final.name}"
         )
         try:
-            codec.save(value, tmp)
+            with tmp.open("wb") as handle:
+                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
             # The entry goes first: a reader that finds the artifact finds
             # its entry too, and a crash in between leaves an entry
             # without a file, which ``has`` reads as absent.
@@ -149,19 +88,20 @@ class ArtifactStore:
             tmp.unlink(missing_ok=True)
         return final
 
-    def load(self, stage: str, key: str, codec: Codec) -> object:
+    def load(self, stage: str, key: str) -> object:
         """Load an artifact, verifying its checksum against the manifest.
 
         A checksum mismatch, or an artifact the manifest does not list,
-        raises :class:`ArtifactIntegrityError` before the codec touches
-        the bytes.
+        raises :class:`ArtifactIntegrityError` before the bytes are
+        unpickled.
         """
-        path = self.path_for(stage, key, codec.extension)
+        path = self.path_for(stage, key)
         expected = self.manifest.expected(path.name)
         actual = checksum_file(path)
         if actual != expected:
             raise ArtifactIntegrityError(path, expected, actual)
-        return codec.load(path)
+        with path.open("rb") as handle:
+            return pickle.load(handle)
 
     def quarantine(self, path: pathlib.Path) -> pathlib.Path | None:
         """Move a failed artifact into ``<root>/quarantine/`` for
@@ -198,14 +138,12 @@ class ArtifactStore:
             match = _FILENAME_RE.match(path.name)
             if match is None or not path.is_file():
                 continue
-            stat = path.stat()
             found.append(
                 ArtifactEntry(
                     stage=match.group("stage"),
                     key=match.group("key"),
                     path=path,
-                    n_bytes=stat.st_size,
-                    modified=stat.st_mtime,
+                    n_bytes=path.stat().st_size,
                 )
             )
         return sorted(found, key=lambda e: (e.stage, e.key))

@@ -39,7 +39,7 @@ import dataclasses
 from typing import Iterable, Mapping, Sequence
 
 from repro.gateway.admission import AdmissionAccounting, TokenBucket
-from repro.gateway.feeds import AlertFeed, FeedPage
+from repro.gateway.feeds import AlertFeed
 from repro.gateway.telemetry import GatewayTelemetry, TenantTelemetry
 from repro.gateway.tenants import TenantRegistry
 from repro.obs.metrics import MetricsRegistry
@@ -339,12 +339,6 @@ class Gateway:
     def feed(self, tenant: str) -> AlertFeed:
         """The tenant's live feed (KeyError for unregistered tenants)."""
         return self._feeds[tenant]
-
-    def read_feed(
-        self, tenant: str, cursor: int, limit: int | None = None
-    ) -> FeedPage:
-        """Cursor-resumable read from ``tenant``'s feed."""
-        return self._feeds[tenant].read(cursor, limit)
 
     # -- snapshot routes ---------------------------------------------------
 

@@ -11,13 +11,11 @@ The study is an execution graph on :mod:`repro.engine`::
                            └── seed:cth ─ train:cth ─ al:cth:* ─ … ─ result:cth
 
 With ``cache_dir`` set, every stage artifact is checkpointed to disk
-(final models as ``.npz``, scores as ``.npy``, the corpus and every
-other artifact as pickles) and a re-run with the same config executes
-zero stages.  The documents are pickled twice: all of them in the
-corpus artifact, and the non-blog ones again in the vectorized
-artifact.  Each ``result:<task>`` artifact stores none, and
-:func:`run_study` binds the vectorized corpus's documents to the
-results it returns.
+as one pickle, and a re-run with the same config executes zero stages.
+The documents are pickled twice: all of them in the corpus artifact,
+and the non-blog ones again in the vectorized artifact.  Each
+``result:<task>`` artifact stores none, and :func:`run_study` binds the
+vectorized corpus's documents to the results it returns.
 With ``jobs > 1`` the two task pipelines — which share only the
 vectorized corpus — and the per-source threshold searches inside each
 task run concurrently on a thread pool, with byte-identical results.

@@ -37,8 +37,7 @@ from repro import paper
 from repro.annotation.active_learning import decile_sample
 from repro.annotation.annotator import CROWD_PROFILES, EXPERT_PROFILE, SimulatedAnnotator
 from repro.annotation.crowdsource import CrowdsourceResult, CrowdsourcingService
-from repro.engine import FILTER_MODEL, NUMPY, Engine
-from repro.nlp.features import HashingVectorizer
+from repro.engine import Engine
 from repro.nlp.metrics import binary_classification_report, roc_auc
 from repro.nlp.models.logreg import LogisticRegressionClassifier
 from repro.nlp.spans import SpanStrategy
@@ -207,14 +206,12 @@ class FilteringPipeline:
             self._stage_final_train,
             inputs=(vectorized, prev),
             key=(cfg,),
-            codec=FILTER_MODEL,
         )
         score_s = engine.add(
             f"score:{t}",
             self._stage_score,
             inputs=(vectorized, model_s),
             key=(cfg,),
-            codec=NUMPY,
         )
         annotate_stages = [
             engine.add(
@@ -339,17 +336,14 @@ class FilteringPipeline:
 
     def _stage_final_train(
         self, vc: VectorizedCorpus, state: TrainingState
-    ) -> tuple[LogisticRegressionClassifier, HashingVectorizer]:
+    ) -> LogisticRegressionClassifier:
         """Final model on all annotations (the §3 releasable classifier)."""
-        return self._fit(self._view(vc), state.labels), vc.vectorizer
+        return self._fit(self._view(vc), state.labels)
 
     def _stage_score(
-        self,
-        vc: VectorizedCorpus,
-        final: tuple[LogisticRegressionClassifier, HashingVectorizer],
+        self, vc: VectorizedCorpus, classifier: LogisticRegressionClassifier
     ) -> np.ndarray:
         """Score the whole corpus with the final model."""
-        classifier, _vectorizer = final
         return FilterModel(self._view(vc), classifier=classifier).predict_all()
 
     def _stage_threshold_and_annotate(

@@ -94,6 +94,47 @@ def test_unknown_task_rejected(corpus_path, tmp_path):
               "--out", str(tmp_path / "m.npz")])
 
 
+@pytest.fixture(scope="module")
+def model_path(corpus_path):
+    path = corpus_path.parent / "dox.npz"
+    assert main([
+        "train", "--corpus", str(corpus_path), "--task", "dox",
+        "--out", str(path), "--epochs", "1",
+    ]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--corpus", "{corpus}", "--task", "dox", "--out", "{out}",
+          "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
+        (["train", "--corpus", "{missing}", "--task", "dox", "--out", "{out}"],
+         "argument --corpus: no such file: {missing}"),
+        (["score", "--model", "{missing}", "--text", "hi"],
+         "argument --model: no such file: {missing}"),
+        (["score", "--model", "{model}", "--file", "{missing}"],
+         "argument --file: no such file: {missing}"),
+    ],
+    ids=["train-epochs", "train-corpus", "score-model", "score-file"],
+)
+def test_train_and_score_reject_bad_arguments_before_reading(
+    corpus_path, model_path, tmp_path, capsys, argv, message
+):
+    # Regression: `train --epochs 0` vectorized the whole corpus before
+    # the classifier rejected it, and a missing file died with a
+    # FileNotFoundError traceback; both exit 1.
+    paths = {
+        "corpus": corpus_path, "model": model_path,
+        "missing": tmp_path / "no-such-file", "out": tmp_path / "m.npz",
+    }
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(**paths) for arg in argv])
+    assert exit_info.value.code == 2
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+    assert not paths["out"].exists()
+
+
 def test_run_tiny(tmp_path, capsys):
     assert main(["run", "--tiny", "--seed", "5", "--report-dir", str(tmp_path / "reports")]) == 0
     out = capsys.readouterr().out
@@ -140,13 +181,13 @@ def test_study_warm_cache_and_cache_commands(tmp_path, capsys):
 def test_cache_verify_reports_corruption(tmp_path, capsys):
     import numpy as np
 
-    from repro.engine import NUMPY, ArtifactStore
+    from repro.engine import ArtifactStore
     from repro.engine.faults import flip_bytes
 
     cache = tmp_path / "cache"
     store = ArtifactStore(cache)
-    store.save("stage:a", "ab" * 16, NUMPY, np.arange(16))
-    good = store.save("stage:b", "cd" * 16, NUMPY, np.arange(4))
+    store.save("stage:a", "ab" * 16, np.arange(16))
+    good = store.save("stage:b", "cd" * 16, np.arange(4))
 
     assert main(["cache", "verify", "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
@@ -158,7 +199,7 @@ def test_cache_verify_reports_corruption(tmp_path, capsys):
     assert "1 ok, 1 corrupt" in out and "quarantined and recomputed" in out
 
     # An artifact the manifest does not list is quarantined on load too.
-    store.save("stage:b", "cd" * 16, NUMPY, np.arange(4))
+    store.save("stage:b", "cd" * 16, np.arange(4))
     store.manifest.forget(good.name)
     assert main(["cache", "verify", "--cache-dir", str(cache)]) == 1
     assert "1 ok, 0 corrupt, 0 missing, 1 unmanifested" in capsys.readouterr().out

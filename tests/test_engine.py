@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    NUMPY,
-    PICKLE,
     STATUS_HIT,
     STATUS_RECOVERED,
     STATUS_RUN,
@@ -61,15 +59,15 @@ def test_canonicalize_rejects_opaque_objects():
 def test_store_roundtrip_and_entries(tmp_path):
     store = ArtifactStore(tmp_path)
     key = "ab" * 16
-    store.save("stage:one", key, NUMPY, np.arange(5))
-    assert store.has("stage:one", key, NUMPY.extension)
-    np.testing.assert_array_equal(store.load("stage:one", key, NUMPY), np.arange(5))
+    store.save("stage:one", key, np.arange(5))
+    assert store.has("stage:one", key)
+    np.testing.assert_array_equal(store.load("stage:one", key), np.arange(5))
     entries = store.entries()
     assert len(entries) == 1
     assert entries[0].stage == "stage_one"
     assert entries[0].key == key
     assert store.clear() == 1
-    assert not store.has("stage:one", key, NUMPY.extension)
+    assert not store.has("stage:one", key)
 
 
 def test_store_entries_skip_stale_temp_files(tmp_path):
@@ -78,8 +76,8 @@ def test_store_entries_skip_stale_temp_files(tmp_path):
     # artifact under a mangled stage name.
     store = ArtifactStore(tmp_path)
     key = "ab" * 16
-    store.save("stage", key, NUMPY, np.arange(3))
-    stale = tmp_path / f".tmp-123-456-stage-{key}{NUMPY.extension}"
+    store.save("stage", key, np.arange(3))
+    stale = tmp_path / f".tmp-123-456-stage-{key}.pkl"
     stale.write_bytes(b"partial write")
     entries = store.entries()
     assert [e.stage for e in entries] == ["stage"]
@@ -93,8 +91,8 @@ def test_store_entries_skip_stale_temp_files(tmp_path):
 def test_store_stage_filtered_clear_keeps_other_stages(tmp_path):
     store = ArtifactStore(tmp_path)
     key = "ab" * 16
-    store.save("keep", key, NUMPY, np.arange(3))
-    store.save("drop", key, NUMPY, np.arange(4))
+    store.save("keep", key, np.arange(3))
+    store.save("drop", key, np.arange(4))
     assert store.clear(stages=["drop"]) == 1
     assert [e.stage for e in store.entries()] == ["keep"]
 
@@ -104,8 +102,8 @@ def test_corpus_codec_roundtrip(tmp_path, tiny_corpus):
     # truth, the platform index and the board threads come back equal.
     store = ArtifactStore(tmp_path)
     key = "cd" * 16
-    store.save("corpus", key, PICKLE, tiny_corpus)
-    loaded = store.load("corpus", key, PICKLE)
+    store.save("corpus", key, tiny_corpus)
+    loaded = store.load("corpus", key)
     assert list(loaded) == list(tiny_corpus)
     assert loaded.counts_by_platform() == tiny_corpus.counts_by_platform()
     assert len(loaded.threads) == len(tiny_corpus.threads) > 0
@@ -178,7 +176,7 @@ def test_engine_corrupt_artifact_recovers_transparently(tmp_path):
     engine, _calls, d = _counting_engine(store=store)
     engine.run([d])
 
-    path = store.path_for(d, engine.key_of(d), ".pkl")
+    path = store.path_for(d, engine.key_of(d))
     path.write_bytes(b"\x80")  # truncated pickle: unreadable
 
     engine2, _calls2, d2 = _counting_engine(store=store)
@@ -255,15 +253,14 @@ def _chains_engine(store, jobs):
     for chain in range(6):
         prev = engine.add(
             f"s{chain}_0", lambda chain=chain: np.full(4, float(chain)),
-            codec=NUMPY,
         )
         for depth in range(1, 4):
             prev = engine.add(
                 f"s{chain}_{depth}", lambda x, depth=depth: x * 2 + depth,
-                inputs=(prev,), codec=NUMPY,
+                inputs=(prev,),
             )
         tails.append(prev)
-    engine.add("total", lambda *xs: np.concatenate(xs), inputs=tuple(tails), codec=NUMPY)
+    engine.add("total", lambda *xs: np.concatenate(xs), inputs=tuple(tails))
     return engine
 
 
@@ -296,9 +293,9 @@ def _chain_runs(tmp_path, jobs):
     # Drop the target and every chain tail so the plan reaches depth
     # two, then corrupt two of those mid-chain artifacts.
     for name in ["total"] + [f"s{chain}_3" for chain in range(6)]:
-        store.path_for(name, engine.key_of(name), NUMPY.extension).unlink()
+        store.path_for(name, engine.key_of(name)).unlink()
     for name in ("s1_2", "s4_2"):
-        path = store.path_for(name, engine.key_of(name), NUMPY.extension)
+        path = store.path_for(name, engine.key_of(name))
         path.write_bytes(path.read_bytes()[:-8])
     outcomes.append(_run_within(engine, ["total"]))
     return outcomes

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    NUMPY,
-    PICKLE,
     STATUS_HIT,
     STATUS_RECOVERED,
     STATUS_RUN,
@@ -25,7 +23,7 @@ from repro.engine import (
     Engine,
     verify_cache,
 )
-from repro.engine.faults import FlakyCodec, flip_bytes, truncate_file
+from repro.engine.faults import flip_bytes, truncate_file
 from repro.engine.recovery import (
     VERIFY_CORRUPT,
     VERIFY_MISSING,
@@ -86,24 +84,24 @@ def test_manifest_roundtrip(tmp_path):
 def test_save_records_checksum_and_load_verifies(tmp_path):
     store = ArtifactStore(tmp_path)
     key = "cd" * 16
-    path = store.save("stage", key, NUMPY, np.arange(8))
+    path = store.save("stage", key, np.arange(8))
     assert store.manifest.expected(path.name) == checksum_file(path)
 
-    flip_bytes(path, offsets=(-1,))  # a data byte: parseable, but wrong
+    flip_bytes(path, offsets=(100,))  # a data byte: parseable, but wrong
     with pytest.raises(ArtifactIntegrityError):
-        store.load("stage", key, NUMPY)
+        store.load("stage", key)
 
 
 def test_quarantine_moves_file_and_forgets_manifest(tmp_path):
     store = ArtifactStore(tmp_path)
     key = "aa" * 16
-    path = store.save("stage", key, PICKLE, 1)
+    path = store.save("stage", key, 1)
     dest = store.quarantine(path)
     assert dest.parent == tmp_path / "quarantine"
     assert not path.exists()
     assert store.manifest.expected(path.name) is None
     # Re-quarantining a same-named file does not clobber the first.
-    store.save("stage", key, PICKLE, 2)
+    store.save("stage", key, 2)
     dest2 = store.quarantine(path)
     assert dest2 != dest and dest2.exists() and dest.exists()
     assert store.quarantine(path) is None  # already gone
@@ -115,7 +113,7 @@ def test_quarantine_of_a_file_another_thread_moved_returns_none(
     # The file is there when quarantine starts and gone when it moves it:
     # another process healing the same cache moved it first.
     store = ArtifactStore(tmp_path)
-    path = store.save("stage", "aa" * 16, PICKLE, 1)
+    path = store.save("stage", "aa" * 16, 1)
     real_replace = os.replace
 
     def raced(src, dst):
@@ -130,10 +128,10 @@ def test_quarantine_of_a_file_another_thread_moved_returns_none(
 
 def test_verify_cache_statuses(tmp_path):
     store = ArtifactStore(tmp_path)
-    ok = store.save("good", "11" * 16, PICKLE, 1)
-    corrupt = store.save("bad", "22" * 16, PICKLE, 2)
-    unmanifested = store.save("old", "33" * 16, PICKLE, 3)
-    missing = store.save("gone", "44" * 16, PICKLE, 4)
+    ok = store.save("good", "11" * 16, 1)
+    corrupt = store.save("bad", "22" * 16, 2)
+    unmanifested = store.save("old", "33" * 16, 3)
+    missing = store.save("gone", "44" * 16, 4)
     flip_bytes(corrupt, offsets=(-1,))
     store.manifest.forget(unmanifested.name)
     missing.unlink()
@@ -150,8 +148,8 @@ def test_verify_cache_statuses(tmp_path):
     # An unmanifested artifact alone fails the audit: the next load of
     # it quarantines it.
     store.clear()
-    store.save("good", "11" * 16, PICKLE, 1)
-    unmanifested = store.save("old", "33" * 16, PICKLE, 3)
+    store.save("good", "11" * 16, 1)
+    unmanifested = store.save("old", "33" * 16, 3)
     store.manifest.forget(unmanifested.name)
     assert not verify_cache(store).ok
 
@@ -174,12 +172,11 @@ def _array_engine(store=None, calls=None, **kwargs):
 
         return wrapped
 
-    a = engine.add("a", tracked("a", lambda: np.arange(32.0)), codec=NUMPY)
-    b = engine.add("b", tracked("b", lambda x: x * 2), inputs=(a,), codec=NUMPY)
-    c = engine.add("c", tracked("c", lambda x: x + 1), inputs=(a,), codec=NUMPY)
+    a = engine.add("a", tracked("a", lambda: np.arange(32.0)))
+    b = engine.add("b", tracked("b", lambda x: x * 2), inputs=(a,))
+    c = engine.add("c", tracked("c", lambda x: x + 1), inputs=(a,))
     d = engine.add(
         "d", tracked("d", lambda x, y: np.concatenate([x, y])), inputs=(b, c),
-        codec=NUMPY,
     )
     return engine, calls, d
 
@@ -190,7 +187,7 @@ def test_corrupt_target_quarantined_and_recomputed(tmp_path, fault):
     engine, _, d = _array_engine(store=store)
     clean = np.asarray(engine.run([d]).values[d])
 
-    path = store.path_for("d", engine.key_of("d"), NUMPY.extension)
+    path = store.path_for("d", engine.key_of("d"))
     if fault == "flip":
         flip_bytes(path, offsets=(100,))
     else:
@@ -219,8 +216,8 @@ def test_corrupt_upstream_cascade_recovery(tmp_path):
     engine, _, d = _array_engine(store=store)
     clean = np.asarray(engine.run([d]).values[d])
 
-    flip_bytes(store.path_for("d", engine.key_of("d"), NUMPY.extension))
-    truncate_file(store.path_for("b", engine.key_of("b"), NUMPY.extension), 0.25)
+    flip_bytes(store.path_for("d", engine.key_of("d")))
+    truncate_file(store.path_for("b", engine.key_of("b")), 0.25)
 
     engine2, calls2, d2 = _array_engine(store=store)
     outcome = engine2.run([d2])
@@ -238,22 +235,26 @@ def test_corrupt_upstream_cascade_recovery(tmp_path):
 
 
 def test_codec_load_failure_recovers_even_with_intact_bytes(tmp_path):
-    # Bytes pass the checksum but the codec raises: the quarantine path
+    # Bytes pass the checksum but do not unpickle: the quarantine path
     # must catch reader-level failures too.
     calls = []
     store = ArtifactStore(tmp_path)
     engine = Engine(store=store)
-    flaky = FlakyCodec(PICKLE, load_failures=1)
-    s = engine.add("s", lambda: calls.append("s") or [1, 2, 3], codec=flaky)
+    s = engine.add("s", lambda: calls.append("s") or [1, 2, 3])
     first = engine.run([s])
     assert first.values[s] == [1, 2, 3]
+    path = store.path_for(s, engine.key_of(s))
+    path.write_bytes(path.read_bytes()[:-1])  # no STOP opcode
+    store.manifest.record(path.name, checksum_file(path))
+    assert verify_cache(store).ok
 
     engine2 = Engine(store=store)
-    s2 = engine2.add("s", lambda: calls.append("s") or [1, 2, 3], codec=flaky)
+    s2 = engine2.add("s", lambda: calls.append("s") or [1, 2, 3])
     outcome = engine2.run([s2])
     assert outcome.values[s2] == [1, 2, 3]
     assert outcome.report.record("s").status == STATUS_RECOVERED
     assert calls == ["s", "s"]
+    assert [p.name for p in (tmp_path / "quarantine").iterdir()] == [path.name]
 
 
 def test_parallel_run_with_faults_matches_sequential_clean_run(tmp_path):
@@ -262,7 +263,7 @@ def test_parallel_run_with_faults_matches_sequential_clean_run(tmp_path):
     clean_bytes = pickle.dumps(np.asarray(engine.run([d]).values[d]).tobytes())
 
     for stage in ("b", "c", "d"):
-        flip_bytes(store.path_for(stage, engine.key_of(stage), NUMPY.extension))
+        flip_bytes(store.path_for(stage, engine.key_of(stage)))
 
     engine2, _, d2 = _array_engine(store=store, jobs=4)
     outcome = engine2.run([d2])
@@ -277,7 +278,7 @@ def test_unmanifested_artifact_is_quarantined_and_recomputed(tmp_path):
     store = ArtifactStore(tmp_path)
     engine, _, d = _array_engine(store=store)
     engine.run([d])
-    path = store.path_for("d", engine.key_of("d"), NUMPY.extension)
+    path = store.path_for("d", engine.key_of("d"))
     clean_bytes = path.read_bytes()
     store.manifest.forget(path.name)
 
@@ -301,21 +302,21 @@ def test_parallel_stages_healing_one_damaged_input(tmp_path):
 
     def build(store):
         engine = Engine(store=store, jobs=4)
-        engine.add("u", lambda: np.arange(64.0), codec=NUMPY)
+        engine.add("u", lambda: np.arange(64.0))
         xs = [
-            engine.add(f"x{i}", lambda a, i=i: a * i, inputs=("u",), codec=NUMPY)
+            engine.add(f"x{i}", lambda a, i=i: a * i, inputs=("u",))
             for i in range(4)
         ]
-        engine.add("t", lambda *xs: np.concatenate(xs), inputs=tuple(xs), codec=NUMPY)
+        engine.add("t", lambda *xs: np.concatenate(xs), inputs=tuple(xs))
         return engine
 
     for trial in range(30):
         store = ArtifactStore(tmp_path / str(trial))
         engine = build(store)
         clean = np.asarray(engine.run(["t"]).values["t"])
-        store.path_for("t", engine.key_of("t"), NUMPY.extension).unlink()
+        store.path_for("t", engine.key_of("t")).unlink()
         for name in ("u", "x0", "x1", "x2", "x3"):
-            flip_bytes(store.path_for(name, engine.key_of(name), NUMPY.extension))
+            flip_bytes(store.path_for(name, engine.key_of(name)))
         outcome = _run_within(build(store), ["t"])
         assert np.asarray(outcome.values["t"]).tobytes() == clean.tobytes()
         assert verify_cache(store).ok
@@ -333,19 +334,19 @@ def test_pooled_healing_resolves_each_stage_once(tmp_path):
             return np.arange(64.0)
 
         engine = Engine(store=store, jobs=jobs, tracer=tracer)
-        engine.add("u", u, codec=NUMPY)
-        engine.add("x", lambda a: a * 2, inputs=("u",), codec=NUMPY)
-        engine.add("y", lambda a: a + 1, inputs=("u",), codec=NUMPY)
-        engine.add("t", lambda a, b: a + b, inputs=("x", "y"), codec=NUMPY)
+        engine.add("u", u)
+        engine.add("x", lambda a: a * 2, inputs=("u",))
+        engine.add("y", lambda a: a + 1, inputs=("u",))
+        engine.add("t", lambda a, b: a + b, inputs=("x", "y"))
         return engine
 
     def heal(run, jobs):
         store = ArtifactStore(tmp_path / str(run))
         engine = build(store, 1, [])
         engine.run(["t"])
-        store.path_for("t", engine.key_of("t"), NUMPY.extension).unlink()
+        store.path_for("t", engine.key_of("t")).unlink()
         for name in ("u", "x", "y"):
-            flip_bytes(store.path_for(name, engine.key_of(name), NUMPY.extension))
+            flip_bytes(store.path_for(name, engine.key_of(name)))
         calls, tracer = [], Tracer()
         outcome = _run_within(build(store, jobs, calls, tracer), ["t"])
         assert calls == ["u"]

@@ -1,21 +1,24 @@
 """Integration tests: the study as a cached, parallelizable stage graph."""
 
+import pathlib
 import shutil
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.corpus.io import write_jsonl
 from repro.engine import (
-    PICKLE,
     STATUS_HIT,
     STATUS_RECOVERED,
     STATUS_RUN,
     ArtifactStore,
 )
-from repro.engine.recovery import checksum_file
+from repro.engine.faults import flip_bytes
+from repro.engine.recovery import MANIFEST_NAME, checksum_file
 from repro.lab import StudyConfig, run_study
 from repro.nlp.models.logreg import LogisticRegressionClassifier
+from repro.nlp.serialize import save_filter_model
 from repro.nlp.tokenize import TokenCache
 from repro.pipeline.vectorized import VectorizedCorpus
 from repro.reporting.tables import render_table3, render_table4
@@ -69,6 +72,13 @@ def test_cold_run_executes_everything(cold_study):
         assert expected in names
 
 
+def test_cold_cache_holds_only_pickles(cold_study, cache_dir):
+    suffixes = {path.name: path.suffix for path in pathlib.Path(cache_dir).iterdir()}
+    assert suffixes.pop(MANIFEST_NAME) == ".json"
+    assert len(suffixes) == len(cold_study.run_report.records) == 27
+    assert set(suffixes.values()) == {".pkl"}
+
+
 def test_warm_run_executes_zero_stages(cold_study, cache_dir):
     warm = run_study(StudyConfig.tiny(), cache_dir=cache_dir)
     assert warm.run_report.n_executed == 0
@@ -88,7 +98,7 @@ def test_result_artifacts_store_no_documents(cold_study, cache_dir):
     store = ArtifactStore(cache_dir)
     for task in Task:
         name = f"result:{task.value}"
-        cached = store.load(name, cold_study.run_report.record(name).key, PICKLE)
+        cached = store.load(name, cold_study.run_report.record(name).key)
         assert cached.documents == ()
         assert cached.scores.tobytes() == cold_study.results[task].scores.tobytes()
 
@@ -103,7 +113,7 @@ def test_vectorized_artifact_in_the_old_pickle_state_is_recovered(
     shutil.copytree(cache_dir, old_cache)
     store = ArtifactStore(old_cache)
     key = cold_study.run_report.record("vectorized").key
-    vectorized = store.load("vectorized", key, PICKLE)
+    vectorized = store.load("vectorized", key)
     with monkeypatch.context() as old_state:
         old_state.setattr(
             TokenCache, "__getstate__", lambda self: {"_arrays": self.arrays}
@@ -115,16 +125,16 @@ def test_vectorized_artifact_in_the_old_pickle_state_is_recovered(
                 if name not in ("_view_lock", "_by_source")
             },
         )
-        store.save("vectorized", key, PICKLE, vectorized)
+        store.save("vectorized", key, vectorized)
     with pytest.raises(KeyError):  # checksum intact: the state is stale
-        store.load("vectorized", key, PICKLE)
+        store.load("vectorized", key)
 
     healed = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
     statuses = {r.name: r.status for r in healed.run_report.records}
     assert statuses["vectorized"] == STATUS_RECOVERED
     assert statuses["corpus"] == STATUS_HIT
     _assert_results_identical(cold_study, healed)
-    assert store.load("vectorized", key, PICKLE).cache.lengths().tobytes() == (
+    assert store.load("vectorized", key).cache.lengths().tobytes() == (
         cold_study.vectorized.cache.lengths().tobytes()
     )
 
@@ -139,10 +149,10 @@ def test_cache_with_a_jsonl_corpus_recomputes_only_the_corpus(
     shutil.copytree(cache_dir, old_cache)
     store = ArtifactStore(old_cache)
     key = cold_study.run_report.record("corpus").key
-    pickled = store.path_for("corpus", key, PICKLE.extension)
+    pickled = store.path_for("corpus", key)
     store.manifest.forget(pickled.name)
     pickled.unlink()
-    jsonl = store.path_for("corpus", key, ".jsonl")
+    jsonl = pickled.with_suffix(".jsonl")
     write_jsonl(cold_study.corpus, jsonl)
     store.manifest.record(jsonl.name, checksum_file(jsonl))
 
@@ -155,6 +165,67 @@ def test_cache_with_a_jsonl_corpus_recomputes_only_the_corpus(
     _assert_results_identical(cold_study, warm)
     for render in (render_table3, render_table4):
         assert render(warm.results) == render(cold_study.results)
+
+
+def test_cache_with_npz_models_and_npy_scores_loads_warm_and_heals(
+    cold_study, cache_dir, tmp_path, capsys
+):
+    """A cache written while ``final-train:`` artifacts were ``.npz``
+    filter models and ``score:`` artifacts ``.npy`` arrays: a warm run
+    prunes both stages, a heal that needs them recomputes them as
+    pickles, and ``repro cache`` still lists, verifies and clears the
+    old files."""
+    old_cache = tmp_path / "cache"
+    shutil.copytree(cache_dir, old_cache)
+    store = ArtifactStore(old_cache)
+    old_files = []
+    for task in Task:
+        for stage in (f"final-train:{task.value}", f"score:{task.value}"):
+            key = cold_study.run_report.record(stage).key
+            pickled = store.path_for(stage, key)
+            value = store.load(stage, key)
+            if stage.startswith("final-train:"):
+                old = pickled.with_suffix(".npz")
+                save_filter_model(old, value, cold_study.vectorized.vectorizer)
+            else:
+                old = pickled.with_suffix(".npy")
+                np.save(old, value, allow_pickle=False)
+            store.manifest.forget(pickled.name)
+            pickled.unlink()
+            store.manifest.record(old.name, checksum_file(old))
+            old_files.append(old)
+
+    warm = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
+    assert (warm.run_report.n_executed, warm.run_report.n_cache_hits) == (0, 4)
+    for render in (render_table3, render_table4):
+        assert render(warm.results) == render(cold_study.results)
+
+    for task in Task:
+        name = f"result:{task.value}"
+        flip_bytes(store.path_for(name, cold_study.run_report.record(name).key))
+    healed = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
+    statuses = {r.name: r.status for r in healed.run_report.records}
+    for task in Task:
+        assert statuses.pop(f"result:{task.value}") == STATUS_RECOVERED
+        for stage in (f"final-train:{task.value}", f"score:{task.value}"):
+            assert statuses.pop(stage) == STATUS_RUN
+            assert store.has(stage, cold_study.run_report.record(stage).key)
+    assert set(statuses.values()) == {STATUS_HIT}
+    _assert_results_identical(cold_study, healed)
+    for render in (render_table3, render_table4):
+        assert render(healed.results) == render(cold_study.results)
+
+    capsys.readouterr()
+    assert main(["cache", "ls", "--cache-dir", str(old_cache)]) == 0
+    assert "31 artifacts" in capsys.readouterr().out
+    assert main(["cache", "verify", "--cache-dir", str(old_cache)]) == 0
+    out = capsys.readouterr().out
+    for old in old_files:
+        assert f"{old.name} ok" in " ".join(out.split())
+    assert "31 ok, 0 corrupt, 0 missing, 0 unmanifested" in out
+    assert main(["cache", "clear", "--cache-dir", str(old_cache)]) == 0
+    assert "removed 31 cached artifacts" in capsys.readouterr().out
+    assert not any(old.exists() for old in old_files)
 
 
 def test_training_states_with_dense_weights_are_recovered(
@@ -178,26 +249,26 @@ def test_training_states_with_dense_weights_are_recovered(
             LogisticRegressionClassifier, "__getstate__", lambda self: self.__dict__
         )
         for record in states:
-            state = store.load(record.name, record.key, PICKLE)
+            state = store.load(record.name, record.key)
             weights[record.name] = state.classifier.weights.tobytes()
-            store.save(record.name, record.key, PICKLE, state)
+            store.save(record.name, record.key, state)
     with pytest.raises(KeyError):  # checksum intact: the state is stale
-        store.load(states[0].name, states[0].key, PICKLE)
+        store.load(states[0].name, states[0].key)
     # Drop the results, so the run must load the last round's state.
     for task in Task:
         name = f"result:{task.value}"
-        store.path_for(name, cold_study.run_report.record(name).key, ".pkl").unlink()
+        store.path_for(name, cold_study.run_report.record(name).key).unlink()
 
     healed = run_study(StudyConfig.tiny(), cache_dir=str(old_cache))
     statuses = {r.name: r.status for r in healed.run_report.records}
     assert {statuses[record.name] for record in states} == {STATUS_RECOVERED}
     quarantined = {path.name for path in (old_cache / "quarantine").iterdir()}
     assert quarantined == {
-        store.path_for(record.name, record.key, ".pkl").name for record in states
+        store.path_for(record.name, record.key).name for record in states
     }
     _assert_results_identical(cold_study, healed)
     for record in states:
-        state = store.load(record.name, record.key, PICKLE)
+        state = store.load(record.name, record.key)
         assert state.classifier.weights.tobytes() == weights[record.name]
 
 
